@@ -1,10 +1,7 @@
 // Observability overhead microbenches: the raw cost of each instrument's
 // hot path (relaxed atomics), the unwired (null-pointer) path, and — the
 // acceptance gate — the DQN hot loops instrumented vs uninstrumented. The
-// contract is <= 5% overhead on SelectAction/Replay with metrics wired;
-// building with -DJARVIS_OBS_OFF deletes the instrumentation statements
-// outright, which this binary also runs correctly (the registry paths
-// below bench the library itself, not the macro).
+// contract is <= 5% overhead on SelectAction/Replay with metrics wired.
 #include <benchmark/benchmark.h>
 
 #include <string>

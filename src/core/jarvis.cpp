@@ -9,31 +9,29 @@ namespace jarvis::core {
 
 Jarvis::Jarvis(const fsm::EnvironmentFsm& fsm, JarvisConfig config)
     : fsm_(fsm), config_(config), learner_(fsm, config.spl) {
-  if (config_.metrics_enabled) {
-    learner_.SetMetrics(&registry_);
-    learn_counter_ = registry_.GetCounter("core.jarvis.learn_calls");
-    optimize_counter_ = registry_.GetCounter("core.jarvis.optimize_calls");
-    suggest_counter_ = registry_.GetCounter("core.jarvis.suggest_calls");
-  }
+  learner_.SetMetrics(&registry_);
+  learn_counter_ = registry_.GetCounter("core.jarvis.learn_calls");
+  optimize_counter_ = registry_.GetCounter("core.jarvis.optimize_calls");
+  suggest_counter_ = registry_.GetCounter("core.jarvis.suggest_calls");
 }
 
 void Jarvis::LearnPolicies(const std::vector<fsm::Episode>& learning_episodes,
                            const std::vector<sim::LabeledSample>& labeled) {
-  obs::ScopedSpan span(TracerOrNull(), "learn.spl");
+  obs::ScopedSpan span(&tracer_, "learn.spl");
   learner_.Learn(learning_episodes, labeled);
   health_.learn = learner_.learn_report();
-  if (learn_counter_ != nullptr) learn_counter_->Increment();
+  learn_counter_->Increment();
 }
 
 std::size_t Jarvis::LearnFromEvents(
     const std::vector<events::Event>& events,
     const fsm::StateVector& initial_state, util::SimTime start,
     const std::vector<sim::LabeledSample>& labeled) {
-  obs::ScopedSpan span(TracerOrNull(), "learn");
+  obs::ScopedSpan span(&tracer_, "learn");
   events::LogParser parser(fsm_, config_.episode, config_.parse_drop_budget);
-  parser.SetMetrics(MetricsOrNull());
+  parser.SetMetrics(&registry_);
   const auto episodes = [&] {
-    obs::ScopedSpan parse_span(TracerOrNull(), "learn.parse");
+    obs::ScopedSpan parse_span(&tracer_, "learn.parse");
     return parser.Parse(events, initial_state, start);
   }();
   health_.parse = parser.report();
@@ -55,8 +53,8 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
   if (!learner_.learned()) {
     throw std::logic_error("Jarvis::OptimizeDay: learning phase not done");
   }
-  obs::ScopedSpan span(TracerOrNull(), "optimize");
-  if (optimize_counter_ != nullptr) optimize_counter_->Increment();
+  obs::ScopedSpan span(&tracer_, "optimize");
+  optimize_counter_->Increment();
   rl::IoTEnvConfig env_config = config_.env;
   env_config.weights = weights;
   env_config.constrained = true;
@@ -96,9 +94,9 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
       }
     }
     obs::ScopedSpan restart_span(
-        TracerOrNull(), "optimize.restart." + std::to_string(restart));
+        &tracer_, "optimize.restart." + std::to_string(restart));
     rl::TrainResult result =
-        rl::Train(*last_env_, *agent, config_.trainer, MetricsOrNull());
+        rl::Train(*last_env_, *agent, config_.trainer, &registry_);
     // Health accumulates across every restart, not just the winner: a
     // divergence in a losing restart is still a divergence this instance
     // survived.
@@ -276,7 +274,7 @@ fsm::ActionVector Jarvis::SuggestAction(const fsm::StateVector& state,
   if (!agent_ || !last_env_) {
     throw std::logic_error("Jarvis::SuggestAction: no trained policy");
   }
-  if (suggest_counter_ != nullptr) suggest_counter_->Increment();
+  suggest_counter_->Increment();
   const auto features = last_env_->FeaturesFor(state, minute);
   const auto mask = last_env_->SafeSlotMaskFor(state, minute);
   return agent_->GreedyActionFromQ(agent_->QValues(features), mask);

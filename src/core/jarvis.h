@@ -64,11 +64,6 @@ struct JarvisConfig {
   // remainder — learning from a mostly-lost stream silently whitelists a
   // distorted picture of the home.
   double parse_drop_budget = 0.25;
-  // Wires the instance's obs::Registry through every pipeline stage it
-  // owns (parser, learner, trainer, agent, network). Observational only:
-  // results are bit-identical either way (the fleet parity test pins
-  // this); disable to get the exact uninstrumented code path.
-  bool metrics_enabled = true;
   // When a restored checkpoint carried a trained DQN, seed OptimizeDay's
   // restart 0 from it instead of a cold network. Off by default: warm
   // starts change the training trajectory, and the fleet's deterministic
@@ -216,11 +211,10 @@ class Jarvis {
   // --- Observability ------------------------------------------------------
 
   // The instance's metrics registry (core.jarvis.*, events.parser.*,
-  // spl.*, rl.* instruments accumulate here across calls when
-  // config.metrics_enabled). Each instance owns its own registry — there
-  // is no global one — so fleet tenants never share metric state. The
-  // registry accepts registrations/snapshots even when metrics_enabled is
-  // false; the pipeline just never writes to it.
+  // spl.*, rl.* instruments accumulate here across calls), wired through
+  // every pipeline stage the instance owns (parser, learner, trainer,
+  // agent, network). Each instance owns its own registry — there is no
+  // global one — so fleet tenants never share metric state.
   obs::Registry& Metrics() { return registry_; }
   obs::MetricsSnapshot TakeMetricsSnapshot() const {
     return registry_.TakeSnapshot();
@@ -234,13 +228,6 @@ class Jarvis {
   const fsm::EnvironmentFsm& fsm() const { return fsm_; }
 
  private:
-  obs::Registry* MetricsOrNull() {
-    return config_.metrics_enabled ? &registry_ : nullptr;
-  }
-  obs::Tracer* TracerOrNull() {
-    return config_.metrics_enabled ? &tracer_ : nullptr;
-  }
-
   const fsm::EnvironmentFsm& fsm_;
   JarvisConfig config_;
   // Declared before every component that may cache instrument pointers
@@ -258,10 +245,9 @@ class Jarvis {
   // Staged warm-start DQN document from the last successful checkpoint
   // restore; consumed by OptimizeDay restart 0 when config_.warm_start_dqn.
   std::unique_ptr<util::JsonValue> warm_dqn_doc_;
-  // Facade-level counters, cached at construction (null when metrics are
-  // disabled). suggest_counter_ is bumped from const SuggestAction —
-  // Counter::Increment is a relaxed atomic, safe under the concurrent
-  // const-call contract above.
+  // Facade-level counters, cached at construction. suggest_counter_ is
+  // bumped from const SuggestAction — Counter::Increment is a relaxed
+  // atomic, safe under the concurrent const-call contract above.
   obs::Counter* learn_counter_ = nullptr;
   obs::Counter* optimize_counter_ = nullptr;
   obs::Counter* suggest_counter_ = nullptr;

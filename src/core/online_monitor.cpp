@@ -29,41 +29,15 @@ OnlineMonitor::OnlineMonitor(const fsm::EnvironmentFsm& fsm,
       state_(std::move(initial_state)),
       config_(config),
       last_seen_(fsm.device_count()),
-      state_known_(fsm.device_count(), true),
-      stale_flagged_(fsm.device_count(), false) {
+      state_known_(fsm.device_count(), true) {
   fsm_.ValidateState(state_);
   if (!learner_.learned()) {
     throw std::invalid_argument("OnlineMonitor: learner not learned");
   }
 }
 
-void OnlineMonitor::SetMetrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    decisions_counter_ = nullptr;
-    allowed_counter_ = nullptr;
-    denied_counter_ = nullptr;
-    benign_counter_ = nullptr;
-    failsafe_counter_ = nullptr;
-    unknown_events_counter_ = nullptr;
-    staleness_counter_ = nullptr;
-    return;
-  }
-  decisions_counter_ = registry->GetCounter("core.monitor.decisions");
-  allowed_counter_ = registry->GetCounter("core.monitor.allowed");
-  denied_counter_ = registry->GetCounter("core.monitor.denied");
-  benign_counter_ = registry->GetCounter("core.monitor.benign_anomalies");
-  failsafe_counter_ = registry->GetCounter("core.monitor.failsafe_denials");
-  unknown_events_counter_ =
-      registry->GetCounter("core.monitor.unknown_events");
-  staleness_counter_ =
-      registry->GetCounter("core.monitor.staleness_transitions");
-}
-
 void OnlineMonitor::MarkStateUnknown(std::size_t device_index) {
   if (device_index < state_known_.size()) {
-    if (state_known_[device_index] && staleness_counter_ != nullptr) {
-      staleness_counter_->Increment();
-    }
     state_known_[device_index] = false;
   }
 }
@@ -154,7 +128,6 @@ void OnlineMonitor::LoadJson(const util::JsonValue& doc) {
   state_ = std::move(state);
   last_seen_ = std::move(last_seen);
   state_known_ = std::move(known);
-  stale_flagged_.assign(fsm_.device_count(), false);
   events_consumed_ = events_consumed;
   commands_classified_ = commands_classified;
   violations_ = violations;
@@ -189,9 +162,6 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
   }
   if (device == nullptr) {
     ++unknown_events_;
-    if (unknown_events_counter_ != nullptr) {
-      unknown_events_counter_->Increment();
-    }
     return std::nullopt;
   }
 
@@ -200,23 +170,14 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
     const auto new_state = device->FindState(event.attribute_value);
     if (!new_state) {
       ++unknown_events_;
-      if (unknown_events_counter_ != nullptr) {
-        unknown_events_counter_->Increment();
-      }
       // A report arrived but is undecodable (e.g. corrupted in transit):
       // under fail-safe the device's tracked state can no longer be
       // trusted until the next good report.
-      if (config_.fail_safe) {
-        if (state_known_[device_index] && staleness_counter_ != nullptr) {
-          staleness_counter_->Increment();
-        }
-        state_known_[device_index] = false;
-      }
+      if (config_.fail_safe) state_known_[device_index] = false;
       return std::nullopt;
     }
     state_[device_index] = *new_state;
     state_known_[device_index] = true;
-    stale_flagged_[device_index] = false;
     last_seen_[device_index] = event.date;
     return std::nullopt;
   }
@@ -224,9 +185,6 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
   const auto action = device->FindAction(event.command);
   if (!action) {
     ++unknown_events_;
-    if (unknown_events_counter_ != nullptr) {
-      unknown_events_counter_->Increment();
-    }
     return std::nullopt;
   }
 
@@ -242,17 +200,6 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
       ++unknown_state_denials_;
     } else {
       ++stale_denials_;
-      // The staleness clock just expired on a still-decodable state: that
-      // is a trust transition, counted once per trust period.
-      if (!stale_flagged_[device_index]) {
-        stale_flagged_[device_index] = true;
-        if (staleness_counter_ != nullptr) staleness_counter_->Increment();
-      }
-    }
-    if (decisions_counter_ != nullptr) {
-      decisions_counter_->Increment();
-      denied_counter_->Increment();
-      failsafe_counter_->Increment();
     }
     if (callback_) {
       callback_({event.date, mini, spl::Verdict::kViolation, device->label(),
@@ -277,20 +224,6 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
       break;
     case spl::Verdict::kSafe:
       break;
-  }
-  if (decisions_counter_ != nullptr) {
-    decisions_counter_->Increment();
-    switch (verdict) {
-      case spl::Verdict::kSafe:
-        allowed_counter_->Increment();
-        break;
-      case spl::Verdict::kBenignAnomaly:
-        benign_counter_->Increment();
-        break;
-      case spl::Verdict::kViolation:
-        denied_counter_->Increment();
-        break;
-    }
   }
 
   // Track the state transition the command causes (whether or not it was

@@ -13,7 +13,6 @@
 
 #include "events/bus.h"
 #include "events/event.h"
-#include "obs/metrics.h"
 #include "spl/learner.h"
 
 namespace jarvis::core {
@@ -101,16 +100,6 @@ class OnlineMonitor {
     return stale_denials_ + unknown_state_denials_;
   }
 
-  // Wires core.monitor.* counters, bumped per Consume. `decisions` counts
-  // every command verdict — learner classifications AND fail-safe denials
-  // — so decisions == allowed + denied + benign_anomalies holds by
-  // construction (`denied` folds learner violations and fail-safe denials
-  // together; they are separable via failsafe_denials).
-  // `staleness_transitions` counts trusted→untrusted flips of a device's
-  // tracked state (undecodable report, external MarkStateUnknown, or the
-  // staleness clock expiring). Null disables.
-  void SetMetrics(obs::Registry* registry);
-
  private:
   // True when fail-safe must deny commands on this device at `now`.
   bool StateUntrusted(std::size_t device_index, util::SimTime now) const;
@@ -125,9 +114,6 @@ class OnlineMonitor {
   // tracked state is currently decodable.
   std::vector<std::optional<util::SimTime>> last_seen_;
   std::vector<bool> state_known_;
-  // Metrics-only memory: whether a stale denial has already been counted
-  // as a staleness transition for this device since its last good report.
-  std::vector<bool> stale_flagged_;
   std::size_t events_consumed_ = 0;
   std::size_t commands_classified_ = 0;
   std::size_t violations_ = 0;
@@ -135,13 +121,6 @@ class OnlineMonitor {
   std::size_t unknown_events_ = 0;
   std::size_t stale_denials_ = 0;
   std::size_t unknown_state_denials_ = 0;
-  obs::Counter* decisions_counter_ = nullptr;
-  obs::Counter* allowed_counter_ = nullptr;
-  obs::Counter* denied_counter_ = nullptr;
-  obs::Counter* benign_counter_ = nullptr;
-  obs::Counter* failsafe_counter_ = nullptr;
-  obs::Counter* unknown_events_counter_ = nullptr;
-  obs::Counter* staleness_counter_ = nullptr;
 };
 
 }  // namespace jarvis::core

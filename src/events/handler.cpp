@@ -4,6 +4,20 @@
 
 namespace jarvis::events {
 
+namespace {
+
+// Vendor values and commands match case-insensitively, ignoring
+// surrounding whitespace.
+std::string Canonical(const std::string& raw) {
+  constexpr char kSpace[] = " \t\n\v\f\r";
+  const std::size_t begin = raw.find_first_not_of(kSpace);
+  if (begin == std::string::npos) return "";
+  const std::size_t end = raw.find_last_not_of(kSpace);
+  return util::ToLower(raw.substr(begin, end - begin + 1));
+}
+
+}  // namespace
+
 DeviceHandler::DeviceHandler(const fsm::Device& device)
     : device_label_(device.label()),
       capability_(fsm::DeviceClassName(device.device_class())) {
@@ -38,14 +52,14 @@ void DeviceHandler::AddCommandSynonym(const std::string& vendor_command,
 
 std::optional<fsm::StateIndex> DeviceHandler::NormalizeValue(
     const std::string& raw) const {
-  auto it = value_to_state_.find(util::ToLower(util::Trim(raw)));
+  auto it = value_to_state_.find(Canonical(raw));
   if (it == value_to_state_.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<fsm::ActionIndex> DeviceHandler::NormalizeCommand(
     const std::string& raw) const {
-  auto it = command_to_action_.find(util::ToLower(util::Trim(raw)));
+  auto it = command_to_action_.find(Canonical(raw));
   if (it == command_to_action_.end()) return std::nullopt;
   return it->second;
 }

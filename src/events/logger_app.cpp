@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/io.h"
-
 namespace jarvis::events {
 
 LoggerApp::LoggerApp(EventBus& bus) : bus_(bus) {
@@ -22,12 +20,6 @@ std::string LoggerApp::DumpLog() const {
     out.push_back('\n');
   }
   return out;
-}
-
-void LoggerApp::WriteLogFile(const std::string& path) const {
-  // Durable writes go through the atomic path (lint rule 10): a crash
-  // mid-dump must leave the previous log file intact, not a torn one.
-  util::io::AtomicWriteFile(path, DumpLog());
 }
 
 std::vector<Event> LoggerApp::ParseLog(const std::string& text,

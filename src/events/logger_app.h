@@ -25,7 +25,6 @@ class LoggerApp {
 
   // Serializes all stored events, one JSON object per line.
   std::string DumpLog() const;
-  void WriteLogFile(const std::string& path) const;
 
   // Parses a log dump back into events (inverse of DumpLog). Lines that
   // fail to parse are skipped and counted in *dropped if non-null.

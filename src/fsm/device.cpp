@@ -1,7 +1,6 @@
 #include "fsm/device.h"
 
 #include "util/check.h"
-#include "util/strings.h"
 
 namespace jarvis::fsm {
 
@@ -60,17 +59,6 @@ StateIndex Device::Transition(StateIndex state, ActionIndex action) const {
                      static_cast<std::size_t>(action)];
 }
 
-double Device::DisUtility(StateIndex state, ActionIndex action) const {
-  JARVIS_CHECK(state >= 0 && state < state_count(),
-               "Device::DisUtility: bad state ", state, " on ", label_);
-  if (action == kNoAction) return 0.0;
-  JARVIS_CHECK(action >= 0 && action < action_count(),
-               "Device::DisUtility: bad action ", action, " on ", label_);
-  return dis_utility_[static_cast<std::size_t>(state) *
-                          static_cast<std::size_t>(action_count()) +
-                      static_cast<std::size_t>(action)];
-}
-
 double Device::PowerDraw(StateIndex state) const {
   JARVIS_CHECK(state >= 0 && state < state_count(),
                "Device::PowerDraw: bad state ", state, " on ", label_);
@@ -79,17 +67,6 @@ double Device::PowerDraw(StateIndex state) const {
 
 bool Device::ActionHasEffect(StateIndex state, ActionIndex action) const {
   return Transition(state, action) != state;
-}
-
-std::string Device::DebugString() const {
-  std::string out = util::Format("Device %d '%s' (%s)\n", id_, label_.c_str(),
-                                 DeviceClassName(device_class_).c_str());
-  out += "  states:";
-  for (const auto& s : state_names_) out += " " + s;
-  out += "\n  actions:";
-  for (const auto& a : action_names_) out += " " + a;
-  out += "\n";
-  return out;
 }
 
 Device::Builder::Builder(DeviceId id, std::string label, DeviceClass cls) {
@@ -128,15 +105,6 @@ Device::Builder& Device::Builder::SetDefaultDisUtility(double omega) {
   return *this;
 }
 
-Device::Builder& Device::Builder::SetDisUtility(const std::string& state,
-                                                const std::string& action,
-                                                double omega) {
-  JARVIS_CHECK(omega >= 0.0 && omega <= 1.0,
-               "dis-utility must be in [0,1], got ", omega);
-  pending_dis_utility_.push_back({state, action, omega});
-  return *this;
-}
-
 StateIndex Device::Builder::RequireState(const std::string& name) const {
   auto found = device_.FindState(name);
   JARVIS_CHECK(found.has_value(), "unknown state '", name, "' on device ",
@@ -170,13 +138,6 @@ Device Device::Builder::Build() {
     const auto s = static_cast<std::size_t>(RequireState(t.state));
     const auto a = static_cast<std::size_t>(RequireAction(t.action));
     device_.transition_[s * actions + a] = RequireState(t.next);
-  }
-
-  device_.dis_utility_.assign(states * actions, device_.default_dis_utility_);
-  for (const auto& d : pending_dis_utility_) {
-    const auto s = static_cast<std::size_t>(RequireState(d.state));
-    const auto a = static_cast<std::size_t>(RequireAction(d.action));
-    device_.dis_utility_[s * actions + a] = d.omega;
   }
   return std::move(device_);
 }

@@ -59,11 +59,8 @@ class Device {
   // unchanged. Out-of-range inputs fail a JARVIS_CHECK (util::CheckError).
   StateIndex Transition(StateIndex state, ActionIndex action) const;
 
-  // omega_i(state, action): normalized dis-utility per time instance for
-  // delaying `action` while in `state`, in [0, 1].
-  double DisUtility(StateIndex state, ActionIndex action) const;
-  // The device-wide default dis-utility weight (used when per-pair values
-  // were not specified).
+  // omega_i: the device's normalized dis-utility per time instance of
+  // delaying one of its actions, in [0, 1].
   double default_dis_utility() const { return default_dis_utility_; }
 
   // Electrical power drawn while resting in `state`, in watts.
@@ -71,8 +68,6 @@ class Device {
 
   // True if the action changes the state when applied in `state`.
   bool ActionHasEffect(StateIndex state, ActionIndex action) const;
-
-  std::string DebugString() const;
 
  private:
   friend struct Builder;
@@ -85,8 +80,6 @@ class Device {
   std::vector<std::string> action_names_;
   // Row-major [state][action] next-state table.
   std::vector<StateIndex> transition_;
-  // Row-major [state][action] dis-utility table.
-  std::vector<double> dis_utility_;
   double default_dis_utility_ = 0.0;
   std::vector<double> power_draw_watts_;
 };
@@ -103,9 +96,6 @@ struct Device::Builder {
                          const std::string& next_state);
   // Device-wide dis-utility weight in [0, 1].
   Builder& SetDefaultDisUtility(double omega);
-  // Per-(state, action) dis-utility override.
-  Builder& SetDisUtility(const std::string& state, const std::string& action,
-                         double omega);
 
   Device Build();
 
@@ -117,12 +107,7 @@ struct Device::Builder {
   struct PendingTransition {
     std::string state, action, next;
   };
-  struct PendingDisUtility {
-    std::string state, action;
-    double omega;
-  };
   std::vector<PendingTransition> pending_transitions_;
-  std::vector<PendingDisUtility> pending_dis_utility_;
 };
 
 }  // namespace jarvis::fsm

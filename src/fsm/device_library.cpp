@@ -384,16 +384,8 @@ EnvironmentFsm BuildHome(std::vector<Device> devices, int user_count) {
   return EnvironmentFsm(std::move(devices), std::move(auth));
 }
 
-EnvironmentFsm BuildExampleHome(int user_count) {
-  return BuildHome(ExampleHomeDevices(), user_count);
-}
-
 EnvironmentFsm BuildFullHome(int user_count) {
   return BuildHome(FullHomeDevices(), user_count);
-}
-
-EnvironmentFsm BuildLargeHome(int user_count) {
-  return BuildHome(LargeHomeDevices(), user_count);
 }
 
 }  // namespace jarvis::fsm

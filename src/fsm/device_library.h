@@ -107,9 +107,7 @@ std::vector<std::string> TableTwoAppNames();
 // devices they involve (when those devices exist).
 EnvironmentFsm BuildHome(std::vector<Device> devices, int user_count);
 
-// Convenience: the three standard homes.
-EnvironmentFsm BuildExampleHome(int user_count = 1);
+// Convenience: the full home.
 EnvironmentFsm BuildFullHome(int user_count = 2);
-EnvironmentFsm BuildLargeHome(int user_count = 2);
 
 }  // namespace jarvis::fsm

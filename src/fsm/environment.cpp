@@ -4,26 +4,6 @@
 
 namespace jarvis::fsm {
 
-std::string RejectReasonName(RejectReason reason) {
-  switch (reason) {
-    case RejectReason::kAccepted:
-      return "accepted";
-    case RejectReason::kUnauthorizedUserApp:
-      return "user-not-subscribed-to-app";
-    case RejectReason::kUnauthorizedAppDevice:
-      return "app-not-subscribed-to-device";
-    case RejectReason::kUnauthorizedUserDevice:
-      return "user-lacks-container-access";
-    case RejectReason::kDeviceBusy:
-      return "device-already-acted-on";
-    case RejectReason::kUnknownDevice:
-      return "unknown-device";
-    case RejectReason::kInvalidAction:
-      return "invalid-action";
-  }
-  JARVIS_CHECK(false, "unknown reject reason: ", static_cast<int>(reason));
-}
-
 EnvironmentFsm::EnvironmentFsm(std::vector<Device> devices,
                                AuthorizationModel auth)
     : devices_(std::move(devices)), auth_(std::move(auth)), codec_(devices_) {
@@ -115,28 +95,6 @@ ActionVector EnvironmentFsm::ResolveRequests(
     if (outcomes != nullptr) outcomes->push_back({request, reason});
   }
   return action;
-}
-
-std::vector<ActionVector> EnvironmentFsm::SingleDeviceActions(
-    const StateVector& state) const {
-  ValidateState(state);
-  std::vector<ActionVector> actions;
-  actions.emplace_back(devices_.size(), kNoAction);  // all-no-op
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    for (ActionIndex a = 0; a < devices_[i].action_count(); ++a) {
-      ActionVector action(devices_.size(), kNoAction);
-      action[i] = a;
-      actions.push_back(std::move(action));
-    }
-  }
-  return actions;
-}
-
-std::string EnvironmentFsm::DebugString() const {
-  std::string out = "EnvironmentFsm with " + std::to_string(devices_.size()) +
-                    " devices\n";
-  for (const auto& d : devices_) out += d.DebugString();
-  return out;
 }
 
 }  // namespace jarvis::fsm

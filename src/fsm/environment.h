@@ -32,8 +32,6 @@ enum class RejectReason {
   kInvalidAction,
 };
 
-std::string RejectReasonName(RejectReason reason);
-
 struct RequestOutcome {
   ActionRequest request;
   RejectReason reason = RejectReason::kAccepted;
@@ -68,13 +66,6 @@ class EnvironmentFsm {
   // Validates widths and ranges; throws std::invalid_argument on failure.
   void ValidateState(const StateVector& state) const;
   void ValidateAction(const ActionVector& action) const;
-
-  // All joint actions that change exactly one device ("mini-action"
-  // neighborhood), plus the all-no-op action. Used by tabular baselines
-  // and the constrained-exploration sampler.
-  std::vector<ActionVector> SingleDeviceActions(const StateVector& state) const;
-
-  std::string DebugString() const;
 
  private:
   std::vector<Device> devices_;

@@ -27,23 +27,6 @@ StateVector Episode::FinalState(const EnvironmentFsm& fsm) const {
   return fsm.Apply(steps_.back().state, steps_.back().action);
 }
 
-std::string Episode::DebugString(const EnvironmentFsm& fsm) const {
-  std::string out =
-      "Episode start=" + start_.ToString() + " steps=" +
-      std::to_string(steps_.size()) + "\n";
-  for (const auto& step : steps_) {
-    // Only show steps where something happened, to keep output readable.
-    const bool any_action =
-        std::any_of(step.action.begin(), step.action.end(),
-                    [](ActionIndex a) { return a != kNoAction; });
-    if (!any_action) continue;
-    out += "  " + step.time.ToString() + "  " +
-           fsm.codec().StateToString(fsm.devices(), step.state) + " -> " +
-           fsm.codec().ActionToString(fsm.devices(), step.action) + "\n";
-  }
-  return out;
-}
-
 std::size_t AppendTriggerActions(const Episode& episode,
                                  std::vector<TriggerAction>* out) {
   std::size_t appended = 0;

@@ -55,8 +55,6 @@ class Episode {
   // FSM (the next episode's natural initial state).
   StateVector FinalState(const EnvironmentFsm& fsm) const;
 
-  std::string DebugString(const EnvironmentFsm& fsm) const;
-
  private:
   EpisodeConfig config_;
   util::SimTime start_;

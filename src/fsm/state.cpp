@@ -42,16 +42,6 @@ std::uint64_t StateCodec::Encode(const StateVector& state) const {
   return key;
 }
 
-StateVector StateCodec::Decode(std::uint64_t key) const {
-  StateVector state(radices_.size());
-  for (std::size_t i = 0; i < radices_.size(); ++i) {
-    state[i] =
-        static_cast<StateIndex>((key / weights_[i]) %
-                                static_cast<std::uint64_t>(radices_[i]));
-  }
-  return state;
-}
-
 std::size_t StateCodec::MiniActionSlot(const MiniAction& mini) const {
   const auto device = static_cast<std::size_t>(mini.device);
   JARVIS_CHECK(mini.device >= 0 && device < mini_offsets_.size(),
@@ -119,17 +109,6 @@ std::vector<double> StateCodec::OneHot(const StateVector& state) const {
     offset += static_cast<std::size_t>(radices_[i]);
   }
   return features;
-}
-
-std::string StateCodec::StateToString(const std::vector<Device>& devices,
-                                      const StateVector& state) const {
-  std::string out = "(";
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    if (i) out += ", ";
-    out += devices[i].state_name(state[i]);
-  }
-  out += ")";
-  return out;
 }
 
 std::string StateCodec::ActionToString(const std::vector<Device>& devices,

@@ -44,7 +44,6 @@ class StateCodec {
   std::uint64_t state_space_size() const { return state_space_size_; }
 
   std::uint64_t Encode(const StateVector& state) const;
-  StateVector Decode(std::uint64_t key) const;
 
   // Mini-action numbering: for device i with A_i actions, the global slots
   // [offset_i, offset_i + A_i) map to its actions, and slot
@@ -65,8 +64,6 @@ class StateCodec {
   std::size_t one_hot_width() const { return one_hot_width_; }
   std::vector<double> OneHot(const StateVector& state) const;
 
-  std::string StateToString(const std::vector<Device>& devices,
-                            const StateVector& state) const;
   std::string ActionToString(const std::vector<Device>& devices,
                              const ActionVector& action) const;
 

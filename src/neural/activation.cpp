@@ -27,12 +27,6 @@ Activation ActivationFromName(const std::string& name) {
   throw std::invalid_argument("unknown activation name: " + name);
 }
 
-Tensor Apply(Activation act, const Tensor& pre_activation) {
-  Tensor out = pre_activation;
-  ApplyInPlace(act, out);
-  return out;
-}
-
 void ApplyInPlace(Activation act, Tensor& tensor) {
   auto& data = tensor.mutable_data();
   // One switch per tensor, then a tight loop per case with the scalar math
@@ -53,12 +47,6 @@ void ApplyInPlace(Activation act, Tensor& tensor) {
       return;
   }
   throw std::logic_error("unknown activation");
-}
-
-Tensor DerivativeFromOutput(Activation act, const Tensor& activated) {
-  Tensor out;
-  DerivativeFromOutputInto(act, activated, out);
-  return out;
 }
 
 void DerivativeFromOutputInto(Activation act, const Tensor& activated,
@@ -87,24 +75,6 @@ void DerivativeFromOutputInto(Activation act, const Tensor& activated,
       return;
   }
   throw std::logic_error("unknown activation");
-}
-
-Tensor Softmax(const Tensor& logits) {
-  Tensor out = logits;
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    double row_max = logits.At(r, 0);
-    for (std::size_t c = 1; c < logits.cols(); ++c) {
-      row_max = std::max(row_max, logits.At(r, c));
-    }
-    double denom = 0.0;
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      const double e = std::exp(logits.At(r, c) - row_max);
-      out.At(r, c) = e;
-      denom += e;
-    }
-    for (std::size_t c = 0; c < logits.cols(); ++c) out.At(r, c) /= denom;
-  }
-  return out;
 }
 
 }  // namespace jarvis::neural

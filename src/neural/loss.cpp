@@ -10,16 +10,6 @@ namespace {
 constexpr double kEpsilon = 1e-12;
 }
 
-std::string LossName(Loss loss) {
-  switch (loss) {
-    case Loss::kMeanSquaredError:
-      return "mse";
-    case Loss::kBinaryCrossEntropy:
-      return "bce";
-  }
-  throw std::logic_error("unknown loss");
-}
-
 double ComputeLoss(Loss loss, const Tensor& prediction, const Tensor& target) {
   if (!prediction.SameShape(target)) {
     throw std::invalid_argument("ComputeLoss: shape mismatch");

@@ -3,8 +3,6 @@
 // gradient with respect to the prediction.
 #pragma once
 
-#include <string>
-
 #include "neural/tensor.h"
 
 namespace jarvis::neural {
@@ -13,8 +11,6 @@ enum class Loss {
   kMeanSquaredError,
   kBinaryCrossEntropy,
 };
-
-std::string LossName(Loss loss);
 
 // Mean loss over all elements of the batch.
 double ComputeLoss(Loss loss, const Tensor& prediction, const Tensor& target);

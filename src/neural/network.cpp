@@ -59,9 +59,9 @@ Tensor Network::PredictBatch(const Tensor& inputs) const {
 const Tensor& Network::PredictBatchScratch(const Tensor& inputs) const {
   JARVIS_CHECK_EQ(inputs.cols(), input_features_,
                   "Network::PredictBatch: input width mismatch");
-  JARVIS_OBS_ONLY(if (batch_rows_histogram_ != nullptr) {
+  if (batch_rows_histogram_ != nullptr) {
     batch_rows_histogram_->Observe(static_cast<double>(inputs.rows()));
-  })
+  }
   return PredictScratch(inputs);
 }
 
@@ -181,17 +181,6 @@ void Network::ImportParameters(
                  "ImportParameters: shape mismatch");
     layers_[i].weights() = params[i].first;
     layers_[i].biases() = params[i].second;
-  }
-}
-
-void Network::CopyParametersFrom(const Network& other) {
-  JARVIS_CHECK_EQ(other.layers_.size(), layers_.size(),
-                  "CopyParametersFrom: topology mismatch");
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    JARVIS_CHECK(layers_[i].weights().SameShape(other.layers_[i].weights()),
-                 "CopyParametersFrom: layer shape mismatch");
-    layers_[i].weights() = other.layers_[i].weights();
-    layers_[i].biases() = other.layers_[i].biases();
   }
 }
 

@@ -103,10 +103,6 @@ class Network {
   const Optimizer& optimizer() const { return *optimizer_; }
   Optimizer& optimizer() { return *optimizer_; }
 
-  // Copies weights/biases from another network with identical topology
-  // (used for DQN target-network style ablations).
-  void CopyParametersFrom(const Network& other);
-
   // Raw parameter snapshot/restore (weights, biases) per layer — cheap
   // checkpointing for best-policy tracking during RL training.
   std::vector<std::pair<Tensor, Tensor>> ExportParameters() const;

@@ -79,11 +79,6 @@ JsonValue ToJson(const Network& network, const SerializeOptions& options) {
   return JsonValue(std::move(obj));
 }
 
-std::string ToJsonString(const Network& network,
-                         const SerializeOptions& options) {
-  return ToJson(network, options).Dump();
-}
-
 Network FromJson(const JsonValue& doc, Loss loss,
                  std::unique_ptr<Optimizer> optimizer, jarvis::util::Rng rng) {
   if (doc.AsObject().count("format_version") != 0) {
@@ -123,12 +118,6 @@ Network FromJson(const JsonValue& doc, Loss loss,
     network.optimizer().StateFromJson(opt_doc.At("state"), network.layers());
   }
   return network;
-}
-
-Network FromJsonString(const std::string& text, Loss loss,
-                       std::unique_ptr<Optimizer> optimizer,
-                       jarvis::util::Rng rng) {
-  return FromJson(JsonValue::Parse(text), loss, std::move(optimizer), rng);
 }
 
 }  // namespace jarvis::neural

@@ -40,8 +40,6 @@ struct SerializeOptions {
 // Serializes topology + parameters (+ optimizer state when requested).
 jarvis::util::JsonValue ToJson(const Network& network,
                                const SerializeOptions& options = {});
-std::string ToJsonString(const Network& network,
-                         const SerializeOptions& options = {});
 
 // Rebuilds a network from ToJson output with the given loss/optimizer.
 // When the document carries optimizer state, it is imported into
@@ -50,8 +48,5 @@ std::string ToJsonString(const Network& network,
 Network FromJson(const jarvis::util::JsonValue& doc, Loss loss,
                  std::unique_ptr<Optimizer> optimizer,
                  jarvis::util::Rng rng);
-Network FromJsonString(const std::string& text, Loss loss,
-                       std::unique_ptr<Optimizer> optimizer,
-                       jarvis::util::Rng rng);
 
 }  // namespace jarvis::neural

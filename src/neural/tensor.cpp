@@ -86,18 +86,6 @@ Tensor& Tensor::operator*=(double scalar) {
   return *this;
 }
 
-Tensor Tensor::operator+(const Tensor& other) const {
-  Tensor out = *this;
-  out += other;
-  return out;
-}
-
-Tensor Tensor::operator-(const Tensor& other) const {
-  Tensor out = *this;
-  out -= other;
-  return out;
-}
-
 Tensor Tensor::operator*(double scalar) const {
   Tensor out = *this;
   out *= scalar;
@@ -108,12 +96,6 @@ Tensor Tensor::Hadamard(const Tensor& other) const {
   CheckShape(other, "Hadamard");
   Tensor out = *this;
   for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
-Tensor Tensor::MatMul(const Tensor& other) const {
-  Tensor out;
-  MatMulInto(other, out);
   return out;
 }
 
@@ -277,26 +259,6 @@ void Tensor::SumRowsAccumulate(Tensor& out) const {
 void Tensor::HadamardInPlace(const Tensor& other) {
   CheckShape(other, "HadamardInPlace");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
-double Tensor::SumAll() const {
-  double total = 0.0;
-  for (double x : data_) total += x;
-  return total;
-}
-
-double Tensor::MaxAll() const {
-  JARVIS_CHECK(!data_.empty(), "Tensor::MaxAll on empty tensor");
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-std::size_t Tensor::ArgMaxRow(std::size_t r) const {
-  JARVIS_CHECK(r < rows_ && cols_ > 0, "Tensor::ArgMaxRow: row ", r, " of ",
-               ShapeString());
-  const auto begin = data_.begin() + static_cast<std::ptrdiff_t>(r * cols_);
-  return static_cast<std::size_t>(
-      std::max_element(begin, begin + static_cast<std::ptrdiff_t>(cols_)) -
-      begin);
 }
 
 void Tensor::Fill(double value) { std::fill(data_.begin(), data_.end(), value); }

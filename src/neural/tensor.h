@@ -81,14 +81,10 @@ class Tensor {
   Tensor& operator+=(const Tensor& other);
   Tensor& operator-=(const Tensor& other);
   Tensor& operator*=(double scalar);
-  Tensor operator+(const Tensor& other) const;
-  Tensor operator-(const Tensor& other) const;
   Tensor operator*(double scalar) const;
   // Hadamard (elementwise) product.
   Tensor Hadamard(const Tensor& other) const;
 
-  // Matrix multiplication: (this->rows x other.cols).
-  Tensor MatMul(const Tensor& other) const;
   Tensor Transposed() const;
 
   // out = this * other, written into a caller-owned tensor (resized, no
@@ -131,11 +127,6 @@ class Tensor {
 
   // this[i] *= other[i] elementwise (shapes must match).
   void HadamardInPlace(const Tensor& other);
-
-  double SumAll() const;
-  double MaxAll() const;
-  // Index of the maximum element in a 1-row tensor.
-  std::size_t ArgMaxRow(std::size_t r) const;
 
   void Fill(double value);
   bool SameShape(const Tensor& other) const {

@@ -20,10 +20,8 @@
 // this flag, which is what lets golden-snapshot tests compare reruns
 // exactly while timing instruments keep ticking.
 //
-// Compile-out: building with -DJARVIS_OBS_OFF makes JARVIS_OBS_ONLY(...)
-// expand to nothing, deleting hot-loop instrumentation statements at
-// preprocessing time. bench_obs measures the runtime (null-pointer) path
-// against an uninstrumented baseline to pin the enabled overhead.
+// bench_obs measures the runtime (null-pointer) path against an
+// uninstrumented baseline to pin the enabled overhead.
 #pragma once
 
 #include <atomic>
@@ -37,12 +35,6 @@
 #include "obs/snapshot.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-
-#ifdef JARVIS_OBS_OFF
-#define JARVIS_OBS_ONLY(...)
-#else
-#define JARVIS_OBS_ONLY(...) __VA_ARGS__
-#endif
 
 namespace jarvis::obs {
 
@@ -173,8 +165,7 @@ class Registry {
 
 // RAII wall-clock timer feeding a (nullable) histogram in microseconds.
 // Null histogram → no clock read at all, so unwired call sites cost one
-// pointer test. Used via JARVIS_OBS_ONLY in hot loops so the OFF build
-// compiles the timer out entirely.
+// pointer test.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* histogram) : histogram_(histogram) {

@@ -117,13 +117,6 @@ const std::string* Checkpoint::FindSection(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<std::string> Checkpoint::SectionNames() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const auto& [name, bytes] : sections_) names.push_back(name);
-  return names;
-}
-
 std::string Checkpoint::Serialize() const {
   std::string out;
   out.append(kMagic, sizeof(kMagic));

@@ -66,7 +66,6 @@ class Checkpoint {
   bool HasSection(const std::string& name) const;
   // Null when absent. The pointer is invalidated by AddSection.
   const std::string* FindSection(const std::string& name) const;
-  std::vector<std::string> SectionNames() const;
   std::size_t section_count() const { return sections_.size(); }
 
   std::string Serialize() const;

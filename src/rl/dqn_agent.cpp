@@ -128,8 +128,7 @@ fsm::ActionVector DqnAgent::SelectAction(const std::vector<double>& features,
   if (mask.size() != codec_.mini_action_count()) {
     throw std::invalid_argument("DqnAgent::SelectAction: mask width");
   }
-  JARVIS_OBS_ONLY(
-      if (actions_counter_ != nullptr) actions_counter_->Increment();)
+  if (actions_counter_ != nullptr) actions_counter_->Increment();
   // One allocation-free forward into agent scratch serves both the greedy
   // decode and the exploit branches below.
   network_.PredictOneInto(features, q_scratch_);
@@ -205,25 +204,6 @@ double DqnAgent::Replay() {
   // returns, so every index below names the experience it was drawn for.
   buffer_.SampleInto(config_.batch_size, rng_, replay_indices_);
 
-  // Target-network bookkeeping: sync the frozen copy every N replays and
-  // evaluate bootstrap Q-values through it.
-  const bool use_target = config_.target_sync_interval > 0;
-  if (use_target) {
-    if (target_network_ == nullptr) {
-      target_network_ = std::make_unique<neural::Network>(
-          BuildNetwork(network_.input_features(), codec_.mini_action_count(),
-                       config_));
-      target_network_->CopyParametersFrom(network_);
-      replays_since_sync_ = 0;
-    } else if (replays_since_sync_ >= config_.target_sync_interval) {
-      target_network_->CopyParametersFrom(network_);
-      replays_since_sync_ = 0;
-    }
-    ++replays_since_sync_;
-  }
-  const neural::Network& bootstrap_net =
-      use_target ? *target_network_ : network_;
-
   const std::size_t batch = replay_indices_.size();
   const std::size_t outputs = codec_.mini_action_count();
   const std::size_t width = buffer_.At(replay_indices_[0]).features.size();
@@ -245,7 +225,7 @@ double DqnAgent::Replay() {
   // Copy-assign out of layer scratch (capacity reused: no steady-state
   // allocation) before the targets are edited in place.
   {
-    JARVIS_OBS_ONLY(obs::ScopedTimer timer(forward_timer_);)
+    obs::ScopedTimer timer(forward_timer_);
     replay_targets_ = network_.ForwardForTraining(replay_inputs_);
   }
   // One batched forward replaces batch-size per-row PredictOne calls for
@@ -253,9 +233,8 @@ double DqnAgent::Replay() {
   // bit-identical to the per-row prediction (the PredictBatch row-
   // independence invariant), so targets are unchanged. PredictScratch uses
   // the inference ping-pong scratch, so the layer caches the training step
-  // reads are untouched even when bootstrap_net is the online network.
-  const neural::Tensor& next_q_all =
-      bootstrap_net.PredictScratch(replay_next_);
+  // reads are untouched by this second forward through the same network.
+  const neural::Tensor& next_q_all = network_.PredictScratch(replay_next_);
   replay_mask_.Resize(batch, outputs);
   replay_mask_.Fill(0.0);
 
@@ -288,7 +267,7 @@ double DqnAgent::Replay() {
   }
 
   {
-    JARVIS_OBS_ONLY(obs::ScopedTimer timer(train_timer_);)
+    obs::ScopedTimer timer(train_timer_);
     last_loss_ =
         network_.TrainCachedMasked(replay_targets_, replay_mask_);
   }
@@ -300,13 +279,13 @@ double DqnAgent::Replay() {
     config_.epsilon =
         std::max(config_.epsilon_min, config_.epsilon * config_.epsilon_decay);
   }
-  JARVIS_OBS_ONLY(if (replays_counter_ != nullptr) {
+  if (replays_counter_ != nullptr) {
     replays_counter_->Increment();
     replay_size_gauge_->Set(static_cast<double>(buffer_.size()));
     epsilon_gauge_->Set(config_.epsilon);
     loss_histogram_->Observe(last_loss_);
     epsilon_histogram_->Observe(config_.epsilon);
-  })
+  }
   return last_loss_;
 }
 
@@ -380,10 +359,7 @@ void DqnAgent::LoadJson(const util::JsonValue& doc) {
   network_.SetMetrics(metrics_registry_);
   config_.epsilon = epsilon;
   last_loss_ = last_loss;
-  // Transients reset: the frozen target resyncs from the restored online
-  // network on the next Replay; sticky exploration restarts.
-  target_network_.reset();
-  replays_since_sync_ = 0;
+  // Transients reset: sticky exploration restarts.
   last_explore_slot_.clear();
   snapshot_.clear();
 }

@@ -43,11 +43,6 @@ struct DqnConfig {
   double divergence_loss = 1e6;
   std::size_t batch_size = 32;    // BSize
   std::size_t replay_capacity = 20000;
-  // Replay passes between target-network syncs; 0 disables the target
-  // network and bootstraps from the online network (the paper's setup).
-  // A frozen target decouples the bootstrap from the parameters being
-  // updated — the standard DQN stabilizer (ablated in bench_ablation_rl).
-  int target_sync_interval = 0;
   std::uint64_t seed = 99;
 };
 
@@ -115,9 +110,7 @@ class DqnAgent {
 
   // Wires rl.agent.* instruments (actions selected, replay batches, loss
   // and epsilon histograms, replay-size gauge, forward/train timers) and
-  // cascades to the network (neural.predict_batch.rows). Null disables —
-  // and the hot-loop call sites are additionally wrapped in
-  // JARVIS_OBS_ONLY so a -DJARVIS_OBS_OFF build compiles them out.
+  // cascades to the network (neural.predict_batch.rows). Null disables.
   void SetMetrics(obs::Registry* registry);
 
   // Checkpoint persistence. ToJson captures the learnt state (Q-network,
@@ -125,10 +118,9 @@ class DqnAgent {
   // point (epsilon, last loss). LoadJson restores into an agent built with
   // the same widths — feature width and mini-action count are recorded and
   // verified, and every numeric field is validated (util::JsonError on
-  // hostile documents) before any state is replaced. The target network and
-  // sticky-exploration memory are transient and reset on load; metrics
-  // wiring survives (SetMetrics state is re-applied to the restored
-  // network).
+  // hostile documents) before any state is replaced. Sticky-exploration
+  // memory is transient and resets on load; metrics wiring survives
+  // (SetMetrics state is re-applied to the restored network).
   util::JsonValue ToJson(const AgentSerializeOptions& options = {}) const;
   void LoadJson(const util::JsonValue& doc);
 
@@ -148,10 +140,6 @@ class DqnAgent {
   const fsm::StateCodec& codec_;
   DqnConfig config_;
   neural::Network network_;
-  // Frozen copy of the online network for bootstrap targets; null when
-  // target_sync_interval == 0.
-  std::unique_ptr<neural::Network> target_network_;
-  int replays_since_sync_ = 0;
   ReplayBuffer buffer_;
   util::Rng rng_;
   double initial_epsilon_;

@@ -6,6 +6,18 @@
 
 namespace jarvis::rl {
 
+namespace {
+
+// Per-minute, per-degC dis-utility while the house is occupied and outside
+// the comfort band (linear in the error up to a 10 degC cap). The user's
+// standing discomfort must out-price the marginal energy+cost reward of
+// not heating at *any* error magnitude, so even low-f_temp policies keep
+// the house livable — the chi = 1 balance of Section VI-D ("optimized
+// actions never cause more dis-utility than functionality").
+constexpr double kComfortDisutilityPerDegCMin = 0.1;
+
+}  // namespace
+
 IoTEnv::IoTEnv(const fsm::EnvironmentFsm& fsm, const sim::DayTrace& natural,
                sim::ThermalConfig thermal,
                const spl::SafetyPolicyLearner* learner, IoTEnvConfig config)
@@ -66,13 +78,6 @@ void IoTEnv::Reset() {
       }
     }
   }
-}
-
-bool IoTEnv::IsDeferrable(fsm::DeviceId device) const {
-  for (const auto& demand : demands_) {
-    if (demand.device == device) return true;
-  }
-  return false;
 }
 
 fsm::ActionVector IoTEnv::ResidentActionsAt(int minute) const {
@@ -340,7 +345,7 @@ double IoTEnv::AdvanceMinute(const fsm::ActionVector* agent_action) {
   if (refs_.thermostat && natural_.scenario.occupied[m]) {
     const double error = thermal_.ComfortErrorC();
     if (error > 0.5) {
-      pending += config_.comfort_disutility_per_degc_min *
+      pending += kComfortDisutilityPerDegCMin *
                  std::min(error, 10.0);
     }
   }
@@ -355,7 +360,6 @@ double IoTEnv::AdvanceMinute(const fsm::ActionVector* agent_action) {
       pending += light.default_dis_utility();
     }
   }
-  pending *= config_.disutility_scale;
 
   StepPhysical physical;
   physical.interval_watts = watts;

@@ -35,16 +35,6 @@ struct IoTEnvConfig {
   // and Step() refuses unlisted ones; when false the agent may take any
   // action (the unconstrained baseline) and violations are only counted.
   bool constrained = true;
-  // Scale on the per-minute dis-utility charges (chi tuning beyond the
-  // weights' chi knob).
-  double disutility_scale = 1.0;
-  // Per-minute, per-degC dis-utility while the house is occupied and
-  // outside the comfort band (linear in the error up to a 10 degC cap).
-  // The user's standing discomfort must out-price the marginal energy+cost
-  // reward of not heating at *any* error magnitude, so even low-f_temp
-  // policies keep the house livable — the chi = 1 balance of Section VI-D
-  // ("optimized actions never cause more dis-utility than functionality").
-  double comfort_disutility_per_degc_min = 0.1;
 };
 
 class IoTEnv final : public Environment {
@@ -121,8 +111,6 @@ class IoTEnv final : public Environment {
   // Exogenous resident mini-actions for this minute, from the natural
   // trace, restricted to resident-owned devices.
   fsm::ActionVector ResidentActionsAt(int minute) const;
-
-  bool IsDeferrable(fsm::DeviceId device) const;
 
   const fsm::EnvironmentFsm& fsm_;
   const sim::DayTrace& natural_;

@@ -78,9 +78,7 @@ TrainResult Train(IoTEnv& env, DqnAgent& agent, TrainerConfig config,
         experience.next_mask.assign(codec.mini_action_count(), false);
       }
       agent.Remember(std::move(experience));
-      for (int r = 0; r < config.replays_per_step; ++r) {
-        result.final_loss = agent.Replay();
-      }
+      result.final_loss = agent.Replay();
 
       // Divergence recovery: a non-finite or exploding replay loss means
       // the network is gone — abort the episode, restore the last good

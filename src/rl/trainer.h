@@ -14,8 +14,7 @@
 namespace jarvis::rl {
 
 struct TrainerConfig {
-  int episodes = 24;            // EP
-  int replays_per_step = 1;     // replay() calls per decision instant
+  int episodes = 24;  // EP; one replay() call per decision instant
   // Episodes at the start of training driven by the resident's natural
   // behavior instead of the agent (experiences are stored and replayed as
   // usual). Deep-Q from demonstrations, scaled down: gives the value

@@ -81,37 +81,30 @@ WorkloadFactory SimulatedWorkloadFactory(const fsm::EnvironmentFsm& home,
 }
 
 Fleet::Fleet(const fsm::EnvironmentFsm& home, FleetConfig config)
-    : home_(home), config_(std::move(config)) {
+    : home_(home), config_(std::move(config)), shards_(config_.tenants) {
   if (config_.tenants == 0) {
     throw std::invalid_argument("Fleet: at least one tenant");
   }
-  util::MutexLock lock(mutex_);
-  shards_.resize(config_.tenants);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].seed =
-        util::DeriveSeed(config_.fleet_seed, static_cast<std::uint64_t>(i));
-    shards_[i].suggest_mutex = std::make_unique<util::Mutex>();
-  }
+}
+
+std::uint64_t Fleet::TenantSeed(std::size_t index) const {
+  return util::DeriveSeed(config_.fleet_seed,
+                          static_cast<std::uint64_t>(index));
 }
 
 void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
                       TenantResult& result) {
-  std::uint64_t seed = 0;
+  const std::uint64_t seed = TenantSeed(index);
+  result.tenant = index;
+  result.seed = seed;
   std::unique_ptr<core::Jarvis> warm;
   {
-    // Touch the shard only at job start (seed + quarantine flag + staged
+    // Touch the shard only at job start (quarantine flag + staged
     // warm-start pipeline) and job end (store the trained pipeline): the
     // tenant pipeline itself runs on locals, so the fleet lock never
     // serializes tenant work.
     util::MutexLock lock(mutex_);
     TenantShard& shard = shards_[index];
-    seed = shard.seed;
-    result.tenant = index;
-    result.seed = seed;
-    if (shard.removed) {
-      result.removed = true;
-      return;
-    }
     if (shard.quarantined) {
       result.quarantined = true;
       result.error = "quarantined by a previous run";
@@ -125,9 +118,9 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
       obs::ScopedSpan span(&tracer_, "workload");
       return factory(index, seed);
     }();
-    // A staged pipeline (checkpoint restore / warm-start template) replaces
-    // the cold construction. If its policies restored, the learning phase
-    // is skipped entirely — the warm-start payoff; if the restore failed
+    // A staged pipeline (checkpoint restore) replaces the cold
+    // construction. If its policies restored, the learning phase is
+    // skipped entirely — the warm-start payoff; if the restore failed
     // per-section, the pipeline cold-start learns below while its health
     // still carries the failed-section accounting.
     std::shared_ptr<core::Jarvis> jarvis =
@@ -149,21 +142,11 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     }
     result.health = jarvis->Health();
     util::MutexLock lock(mutex_);
-    // A tenant removed while its job ran stays tombstoned: its accessors
-    // keep behaving as never-run and the report counts it as removed.
-    if (shards_[index].removed) {
-      result.removed = true;
-      return;
-    }
     result.completed = true;
     shards_[index].jarvis = std::move(jarvis);
   } catch (const std::exception& error) {
     util::MutexLock lock(mutex_);
     TenantShard& shard = shards_[index];
-    if (shard.removed) {
-      result.removed = true;
-      return;
-    }
     // Quarantine, never tear down: the shard keeps its slot (and its
     // error) while the rest of the fleet proceeds.
     result.quarantined = true;
@@ -201,7 +184,6 @@ FleetReport Fleet::Run(const WorkloadFactory& factory) {
   });
 
   for (const TenantResult& tenant : report.tenants) {
-    if (tenant.removed) ++report.removed;
     if (tenant.quarantined) ++report.quarantined;
     if (!tenant.completed) continue;
     ++report.completed;
@@ -230,15 +212,10 @@ FleetReport Fleet::report() const {
   return report_;
 }
 
-std::size_t Fleet::tenant_count() const {
-  util::MutexLock lock(mutex_);
-  return shards_.size();
-}
-
 obs::MetricsSnapshot Fleet::TenantMetrics(std::size_t index) const {
   // Pin the pipeline under the lock, snapshot outside it: the tenant's
   // registry is internally synchronized, and the shared_ptr keeps the
-  // object alive against a concurrent RemoveTenant / re-Run.
+  // object alive against a concurrent re-Run.
   std::shared_ptr<core::Jarvis> jarvis;
   {
     util::MutexLock lock(mutex_);
@@ -273,8 +250,8 @@ obs::MetricsSnapshot Fleet::AggregateTenantMetrics() const {
 std::vector<fsm::ActionVector> Fleet::SuggestMinutes(
     std::size_t tenant, const fsm::StateVector& state,
     const std::vector<int>& minutes) const {
-  // Pin the pipeline for the whole call: a concurrent RemoveTenant or
-  // re-Run resets the shard slot but cannot destroy the object under us.
+  // Pin the pipeline for the whole call: a concurrent re-Run replaces the
+  // shard slot but cannot destroy the object under us.
   std::shared_ptr<core::Jarvis> jarvis;
   util::Mutex* suggest_mutex = nullptr;
   {
@@ -283,7 +260,7 @@ std::vector<fsm::ActionVector> Fleet::SuggestMinutes(
       throw std::out_of_range("Fleet::SuggestMinutes: no such tenant");
     }
     jarvis = shards_[tenant].jarvis;
-    suggest_mutex = shards_[tenant].suggest_mutex.get();
+    suggest_mutex = &shards_[tenant].suggest_mutex;
   }
   if (jarvis == nullptr) {
     throw std::logic_error("Fleet::SuggestMinutes: tenant has not run");
@@ -335,56 +312,6 @@ const core::Jarvis* Fleet::tenant(std::size_t index) const {
   return shards_[index].jarvis.get();
 }
 
-std::uint64_t Fleet::tenant_seed(std::size_t index) const {
-  util::MutexLock lock(mutex_);
-  if (index >= shards_.size()) {
-    throw std::out_of_range("Fleet::tenant_seed");
-  }
-  return shards_[index].seed;
-}
-
-std::size_t Fleet::AddTenant() {
-  util::MutexLock lock(mutex_);
-  TenantShard shard;
-  // Same derivation as construction: tenant i's seed is a pure function of
-  // (fleet_seed, i) whether it joined at construction or dynamically.
-  shard.seed = util::DeriveSeed(config_.fleet_seed,
-                                static_cast<std::uint64_t>(shards_.size()));
-  shard.suggest_mutex = std::make_unique<util::Mutex>();
-  shards_.push_back(std::move(shard));
-  return shards_.size() - 1;
-}
-
-std::size_t Fleet::AddTenant(const persist::Checkpoint& warm_start_template) {
-  const std::size_t index = AddTenant();
-  std::uint64_t seed = 0;
-  {
-    util::MutexLock lock(mutex_);
-    seed = shards_[index].seed;
-  }
-  // Seed the new tenant's pipeline from the template home's learnt
-  // policies. RestoreFrom never throws on corrupt/foreign content: a
-  // rejected template degrades to a cold start whose health records the
-  // failed sections, surfaced at the tenant's first Run.
-  auto jarvis = std::make_unique<core::Jarvis>(
-      home_, MakeTenantConfig(config_.tenant_config, seed));
-  jarvis->RestoreFrom(warm_start_template);
-  util::MutexLock lock(mutex_);
-  shards_[index].warm_start = std::move(jarvis);
-  return index;
-}
-
-void Fleet::RemoveTenant(std::size_t index) {
-  util::MutexLock lock(mutex_);
-  if (index >= shards_.size()) {
-    throw std::out_of_range("Fleet::RemoveTenant: no such tenant");
-  }
-  TenantShard& shard = shards_[index];
-  shard.removed = true;
-  shard.jarvis.reset();
-  shard.warm_start.reset();
-}
-
 std::string Fleet::TenantCheckpointPath(const std::string& dir,
                                         std::size_t tenant) {
   return dir + "/tenant-" + std::to_string(tenant) + ".ckpt";
@@ -398,19 +325,14 @@ FleetCheckpointReport Fleet::SaveCheckpoints(
   for (std::size_t i = 0; i < report.tenants.size(); ++i) {
     TenantCheckpointResult& result = report.tenants[i];
     result.tenant = i;
-    // Pinned across the (retried) write: RemoveTenant mid-save only
-    // tombstones the slot, it cannot free the pipeline being serialized.
+    // Pinned across the (retried) write: a re-Run mid-save only replaces
+    // the slot, it cannot free the pipeline being serialized.
     std::shared_ptr<const core::Jarvis> jarvis;
-    std::uint64_t seed = 0;
-    bool removed = false;
     {
       util::MutexLock lock(mutex_);
-      const TenantShard& shard = shards_[i];
-      jarvis = shard.jarvis;
-      seed = shard.seed;
-      removed = shard.removed;
+      jarvis = shards_[i].jarvis;
     }
-    if (removed || jarvis == nullptr) {
+    if (jarvis == nullptr) {
       ++report.skipped;
       continue;
     }
@@ -419,7 +341,7 @@ FleetCheckpointReport Fleet::SaveCheckpoints(
     // shared failing store while keeping each tenant's backoff sequence a
     // pure function of the fleet seed.
     util::RetryPolicy policy = config_.checkpoint_retry;
-    policy.jitter_seed = util::DeriveSeed(seed, kCheckpointStream);
+    policy.jitter_seed = util::DeriveSeed(TenantSeed(i), kCheckpointStream);
     std::string error;
     const util::RetryResult retry = util::Retry(policy, [&] {
       try {
@@ -449,20 +371,13 @@ FleetCheckpointReport Fleet::RestoreCheckpoints(const std::string& dir) {
   for (std::size_t i = 0; i < report.tenants.size(); ++i) {
     TenantCheckpointResult& result = report.tenants[i];
     result.tenant = i;
-    std::uint64_t seed = 0;
-    bool removed = false;
-    {
-      util::MutexLock lock(mutex_);
-      seed = shards_[i].seed;
-      removed = shards_[i].removed;
-    }
-    if (removed || !util::io::FileExists(TenantCheckpointPath(dir, i))) {
+    if (!util::io::FileExists(TenantCheckpointPath(dir, i))) {
       ++report.skipped;
       continue;
     }
     result.attempted = true;
     auto jarvis = std::make_unique<core::Jarvis>(
-        home_, MakeTenantConfig(config_.tenant_config, seed));
+        home_, MakeTenantConfig(config_.tenant_config, TenantSeed(i)));
     result.restore = jarvis->LoadCheckpoint(TenantCheckpointPath(dir, i));
     if (result.restore.spl_restored) {
       result.succeeded = true;

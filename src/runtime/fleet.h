@@ -23,18 +23,17 @@
 //
 // Thread safety (DESIGN.md §13): one fleet-level util::Mutex guards the
 // shard table and the last report; tenant jobs touch their shard only at
-// job start (read seed/quarantine flag) and job end (store the trained
+// job start (read the quarantine flag) and job end (store the trained
 // pipeline), so the lock never serializes the pipelines themselves.
-// Accessors (report(), tenant_seed(), TenantMetrics(), SuggestMinutes())
-// are safe to call concurrently with Run — report() used to hand out a
-// reference into state Run was concurrently reassigning, a latent race the
-// annotation pass surfaced; it now snapshots by value under the lock.
-// Accessors that use a tenant's trained pipeline (SuggestMinutes,
-// TenantMetrics, SaveCheckpoints) pin it with a shared_ptr for the
-// duration of the call, so a concurrent RemoveTenant or re-Run cannot
-// destroy it under them. Caveat: tenant() still returns a raw pointer
-// whose object the NEXT Run of that tenant replaces — don't hold it
-// across a re-run.
+// Accessors (report(), TenantMetrics(), SuggestMinutes()) are safe to
+// call concurrently with Run — report() used to hand out a reference into
+// state Run was concurrently reassigning, a latent race the annotation
+// pass surfaced; it now snapshots by value under the lock. Accessors that
+// use a tenant's trained pipeline (SuggestMinutes, TenantMetrics,
+// SaveCheckpoints) pin it with a shared_ptr for the duration of the call,
+// so a concurrent re-Run cannot destroy it under them. Caveat: tenant()
+// still returns a raw pointer whose object the NEXT Run of that tenant
+// replaces — don't hold it across a re-run.
 #pragma once
 
 #include <cstddef>
@@ -117,7 +116,6 @@ struct TenantResult {
   std::uint64_t seed = 0;
   bool completed = false;
   bool quarantined = false;
-  bool removed = false;  // tombstoned by RemoveTenant; skipped, not failed
   // This run reused restored policies (checkpoint restore or warm-start
   // template) instead of re-running the learning phase.
   bool warm_started = false;
@@ -131,7 +129,6 @@ struct FleetReport {
   std::vector<TenantResult> tenants;
   std::size_t completed = 0;
   std::size_t quarantined = 0;
-  std::size_t removed = 0;
   std::size_t warm_started = 0;
   std::size_t degraded = 0;  // completed tenants whose health degraded()
   // Aggregates over completed tenants (optimized day).
@@ -143,7 +140,7 @@ struct FleetReport {
 // Outcome of one tenant's checkpoint save or restore.
 struct TenantCheckpointResult {
   std::size_t tenant = 0;
-  bool attempted = false;  // false: no pipeline to save / no file / removed
+  bool attempted = false;  // false: no pipeline to save / no file
   bool succeeded = false;
   int write_attempts = 0;  // save: tries the retry loop spent (0 if skipped)
   std::string error;
@@ -169,25 +166,6 @@ class Fleet {
   // warm-start template) policies skips LearnFromEvents and goes straight
   // to OptimizeDay (TenantResult::warm_started).
   FleetReport Run(const WorkloadFactory& factory) JARVIS_EXCLUDES(mutex_);
-
-  // --- Tenant lifecycle ---------------------------------------------------
-
-  // Adds a tenant (index-stable: existing tenants keep their indices and
-  // seeds; the new tenant's pipeline seeds derive from
-  // DeriveSeed(fleet_seed, new_index) like any other). Returns the new
-  // index. The warm-start overload seeds the tenant from a serialized
-  // "template home" checkpoint — e.g. one saved by an established tenant
-  // of the same home model — so its first Run skips the learning phase;
-  // a checkpoint that fails validation degrades to a cold start (the
-  // restore report is folded into the tenant's health at its next Run).
-  std::size_t AddTenant() JARVIS_EXCLUDES(mutex_);
-  std::size_t AddTenant(const persist::Checkpoint& warm_start_template)
-      JARVIS_EXCLUDES(mutex_);
-
-  // Tombstones a tenant: it is skipped by Run and checkpointing, its
-  // accessors behave as never-run, and its index is never reused (throws
-  // std::out_of_range for an unknown index). Idempotent.
-  void RemoveTenant(std::size_t index) JARVIS_EXCLUDES(mutex_);
 
   // --- Checkpoint lifecycle -----------------------------------------------
 
@@ -227,8 +205,7 @@ class Fleet {
   // The tenant's facade (null for out-of-range), e.g. for audits. Stable
   // until that tenant's next Run (see the re-run caveat above).
   const core::Jarvis* tenant(std::size_t index) const JARVIS_EXCLUDES(mutex_);
-  std::size_t tenant_count() const JARVIS_EXCLUDES(mutex_);
-  std::uint64_t tenant_seed(std::size_t index) const JARVIS_EXCLUDES(mutex_);
+  std::size_t tenant_count() const { return config_.tenants; }
   const FleetConfig& config() const { return config_; }
   // Snapshot of the last Run()'s report (empty before the first Run).
   FleetReport report() const JARVIS_EXCLUDES(mutex_);
@@ -239,10 +216,10 @@ class Fleet {
   //   * Fleet-level (this registry): runtime.fleet.* run counters plus the
   //     runtime.pool.* instruments of the scheduling pool. Mostly kTiming
   //     or scheduling-shaped — never compared across worker counts.
-  //   * Tenant-level: each tenant Jarvis owns its OWN registry (wired when
-  //     tenant_config.metrics_enabled), so per-tenant metrics are a pure
-  //     function of the tenant seed and identical for any `jobs` — the
-  //     deterministic snapshots the fleet parity tests compare.
+  //   * Tenant-level: each tenant Jarvis owns its OWN registry, so
+  //     per-tenant metrics are a pure function of the tenant seed and
+  //     identical for any `jobs` — the deterministic snapshots the fleet
+  //     parity tests compare.
 
   obs::Registry& Metrics() { return registry_; }
   obs::MetricsSnapshot TakeMetricsSnapshot() const {
@@ -261,24 +238,22 @@ class Fleet {
 
  private:
   struct TenantShard {
-    std::uint64_t seed = 0;
     // Shared, not unique: accessors (SuggestMinutes, TenantMetrics,
     // checkpoint saves) pin the pipeline with their own reference, so a
-    // concurrent RemoveTenant / re-Run resets this slot without pulling
-    // the object out from under them.
+    // concurrent re-Run replaces this slot without pulling the object out
+    // from under them.
     std::shared_ptr<core::Jarvis> jarvis;
-    // Pipeline holding restored/template policies, staged by
-    // RestoreCheckpoints or AddTenant(warm_start_template); consumed
-    // (moved out) by the tenant's next Run.
+    // Pipeline holding restored policies, staged by RestoreCheckpoints;
+    // consumed (moved out) by the tenant's next Run.
     std::unique_ptr<core::Jarvis> warm_start;
     // Serializes this tenant's SuggestMinutes forwards (they share the
-    // network's inference scratch). Heap-allocated so the shard stays
-    // movable (AddTenant grows the table).
-    std::unique_ptr<util::Mutex> suggest_mutex;
+    // network's inference scratch).
+    mutable util::Mutex suggest_mutex;
     bool quarantined = false;
-    bool removed = false;  // tombstone: skipped everywhere, index preserved
   };
 
+  // DeriveSeed(fleet_seed, index): a pure function of the config.
+  std::uint64_t TenantSeed(std::size_t index) const;
   void RunTenant(std::size_t index, const WorkloadFactory& factory,
                  TenantResult& result) JARVIS_EXCLUDES(mutex_);
   // Schedules fn(i) for every tenant: inline when jobs <= 1, else across a
@@ -294,8 +269,9 @@ class Fleet {
   obs::Registry registry_;  // unguarded: internally synchronized
   obs::Tracer tracer_;      // unguarded: internally synchronized
   mutable util::Mutex mutex_;
-  // Shard table shape is fixed at construction; elements are written only
-  // by their own tenant's job (start/end, under the lock).
+  // One shard per tenant, sized at construction and never resized;
+  // elements are written only by their own tenant's job (start/end, under
+  // the lock) and by RestoreCheckpoints.
   std::vector<TenantShard> shards_ JARVIS_GUARDED_BY(mutex_);
   FleetReport report_ JARVIS_GUARDED_BY(mutex_);
 };

@@ -1,7 +1,6 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 namespace jarvis::runtime {
@@ -79,34 +78,21 @@ void ThreadPool::WorkerLoop() {
     }
     not_full_.Signal();
 
-    std::exception_ptr error;
+    bool failed = false;
     try {
       obs::ScopedTimer timer(task_timer_);
       task();
     } catch (...) {
-      error = std::current_exception();
+      failed = true;  // the backstop: a throwing task never ends the process
     }
 
     if (executed_counter_ != nullptr) {
       executed_counter_->Increment();
-      if (error) failed_counter_->Increment();
+      if (failed) failed_counter_->Increment();
     }
     {
       util::MutexLock lock(mutex_);
       --active_;
-      ++executed_;
-      if (error) {
-        ++failed_;
-        if (first_error_.empty()) {
-          try {
-            std::rethrow_exception(error);
-          } catch (const std::exception& e) {
-            first_error_ = e.what();
-          } catch (...) {
-            first_error_ = "unknown exception";
-          }
-        }
-      }
       if (queue_.empty() && active_ == 0) idle_.SignalAll();
     }
   }
@@ -147,21 +133,6 @@ void ThreadPool::Shutdown() {
     joined_ = true;
   }
   shutdown_done_.SignalAll();
-}
-
-std::size_t ThreadPool::tasks_executed() const {
-  util::MutexLock lock(mutex_);
-  return executed_;
-}
-
-std::size_t ThreadPool::tasks_failed() const {
-  util::MutexLock lock(mutex_);
-  return failed_;
-}
-
-std::string ThreadPool::first_error() const {
-  util::MutexLock lock(mutex_);
-  return first_error_;
 }
 
 }  // namespace jarvis::runtime

@@ -7,11 +7,11 @@
 //   * Bounded queue: Submit() blocks once `queue_capacity` tasks are
 //     waiting, so a fast producer (the fleet scheduler enqueuing thousands
 //     of tenants) cannot balloon memory; backpressure instead of OOM.
-//   * Exception capture per task: a task that throws is caught, counted,
-//     and its message retained — one bad tenant must never std::terminate
-//     the process ("quarantined, not torn down"). Callers that need
-//     per-task error detail (Fleet does) catch inside their own task body;
-//     this layer is the backstop.
+//   * Exception capture per task: a task that throws is caught (and
+//     counted in runtime.pool.tasks_failed when a registry is wired) — one
+//     bad tenant must never std::terminate the process ("quarantined, not
+//     torn down"). Callers that need per-task error detail (Fleet does)
+//     catch inside their own task body; this layer is the backstop.
 //
 // Locking model (DESIGN.md §13): one util::Mutex guards every piece of
 // mutable pool state — the annotations below make that machine-checked
@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,14 +80,6 @@ class ThreadPool {
   // Fixed at construction (never the live thread count mid-shutdown, so
   // it is safe to read while another thread shuts the pool down).
   std::size_t worker_count() const { return worker_count_; }
-  // Counters are stable snapshots once the producers are quiesced
-  // (WaitIdle/Shutdown); they may lag mid-flight.
-  std::size_t tasks_executed() const JARVIS_EXCLUDES(mutex_);
-  // Tasks whose exception reached the pool layer (the backstop; Fleet
-  // catches tenant failures before they get here).
-  std::size_t tasks_failed() const JARVIS_EXCLUDES(mutex_);
-  // Message of the first backstop-captured exception ("" when none).
-  std::string first_error() const JARVIS_EXCLUDES(mutex_);
 
  private:
   void WorkerLoop() JARVIS_EXCLUDES(mutex_);
@@ -105,9 +96,6 @@ class ThreadPool {
   const std::size_t worker_count_;    // unguarded: fixed at construction
   const std::size_t queue_capacity_;  // unguarded: fixed at construction
   std::size_t active_ JARVIS_GUARDED_BY(mutex_) = 0;  // tasks executing now
-  std::size_t executed_ JARVIS_GUARDED_BY(mutex_) = 0;
-  std::size_t failed_ JARVIS_GUARDED_BY(mutex_) = 0;
-  std::string first_error_ JARVIS_GUARDED_BY(mutex_);
   bool shutting_down_ JARVIS_GUARDED_BY(mutex_) = false;
   bool joined_ JARVIS_GUARDED_BY(mutex_) = false;
   // Instrument pointers are wired once in the constructor (before any

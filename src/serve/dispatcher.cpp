@@ -1,11 +1,14 @@
 #include "serve/dispatcher.h"
 
+#include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
 #include "util/io.h"
+#include "util/timeofday.h"
 
 namespace jarvis::serve {
 
@@ -38,6 +41,23 @@ std::int64_t RequireInt(const util::JsonValue& body, const char* key) {
                        std::string("missing numeric '") + key + "'");
   }
   return field->AsInt();
+}
+
+// A minute of the day from the wire: an integer in [0, 1439]. P_safe is
+// keyed by the minute's time bucket, so a value outside the day (or one
+// that only narrows into it) is refused, never clamped or wrapped.
+int RequireMinute(const util::JsonValue& value, const char* what) {
+  if (value.is_number()) {
+    const double minute = value.AsNumber();
+    if (minute >= 0.0 && minute < util::kMinutesPerDay &&
+        std::floor(minute) == minute) {
+      return static_cast<int>(minute);
+    }
+  }
+  throw RequestError(kErrBadRequest,
+                     std::string(what) +
+                         " must be an integer minute of the day in [0, " +
+                         std::to_string(util::kMinutesPerDay - 1) + "]");
 }
 
 util::JsonArray ActionToJson(const fsm::ActionVector& action) {
@@ -212,7 +232,11 @@ util::JsonObject Dispatcher::HandleIngest(const util::JsonValue& body) {
 
 util::JsonObject Dispatcher::HandleSuggestAction(const util::JsonValue& body) {
   const std::size_t tenant = ParseTenant(body);
-  const int minute = static_cast<int>(RequireInt(body, "minute"));
+  const util::JsonValue* minute_field = FindField(body, "minute");
+  if (minute_field == nullptr) {
+    throw RequestError(kErrBadRequest, "missing numeric 'minute'");
+  }
+  const int minute = RequireMinute(*minute_field, "'minute'");
   const fsm::StateVector state = ParseState(body);
   std::vector<fsm::ActionVector> actions;
   try {
@@ -240,10 +264,7 @@ util::JsonObject Dispatcher::HandleSuggestMinutes(
   std::vector<int> minutes;
   minutes.reserve(minutes_field->AsArray().size());
   for (const util::JsonValue& minute : minutes_field->AsArray()) {
-    if (!minute.is_number()) {
-      throw RequestError(kErrBadRequest, "'minutes' entries must be numbers");
-    }
-    minutes.push_back(static_cast<int>(minute.AsInt()));
+    minutes.push_back(RequireMinute(minute, "'minutes' entries"));
   }
   const fsm::StateVector state = ParseState(body);
   std::vector<fsm::ActionVector> actions;

@@ -96,8 +96,4 @@ bool ResponseOk(const util::JsonValue& response) {
   return response.At("ok").AsBool();
 }
 
-std::int64_t ResponseId(const util::JsonValue& response) {
-  return response.At("id").AsInt();
-}
-
 }  // namespace jarvis::serve

@@ -73,10 +73,9 @@ std::string MakeOkResponse(std::int64_t id, util::JsonObject fields);
 std::string MakeErrorResponse(std::int64_t id, const std::string& code,
                               const std::string& detail);
 
-// Client-side response accessors (also used by tests); tolerate only what
-// MakeOkResponse/MakeErrorResponse produce. Throw util::JsonError on a
+// Client-side response accessor (also used by tests); tolerates only what
+// MakeOkResponse/MakeErrorResponse produce. Throws util::JsonError on a
 // document that is not a response.
 bool ResponseOk(const util::JsonValue& response);
-std::int64_t ResponseId(const util::JsonValue& response);
 
 }  // namespace jarvis::serve

@@ -16,24 +16,6 @@ std::optional<fsm::DeviceId> Find(const fsm::EnvironmentFsm& fsm,
 
 }  // namespace
 
-std::string AnomalyKindName(AnomalyKind kind) {
-  switch (kind) {
-    case AnomalyKind::kFridgeDoorLeftOpen:
-      return "fridge-door-left-open";
-    case AnomalyKind::kOvenLeftOnShort:
-      return "oven-left-on-short";
-    case AnomalyKind::kTvLeftOnShort:
-      return "tv-left-on-short";
-    case AnomalyKind::kOutOfScheduleLight:
-      return "out-of-schedule-light";
-    case AnomalyKind::kOddHourAppliance:
-      return "odd-hour-appliance";
-    case AnomalyKind::kDoubleToggle:
-      return "double-toggle";
-  }
-  throw std::logic_error("unknown anomaly kind");
-}
-
 AnomalyGenerator::AnomalyGenerator(const fsm::EnvironmentFsm& fsm,
                                    std::uint64_t seed)
     : fsm_(fsm), rng_(seed) {}

@@ -25,8 +25,6 @@ enum class AnomalyKind {
   kDoubleToggle,  // human error: toggling a device twice in a row
 };
 
-std::string AnomalyKindName(AnomalyKind kind);
-
 // One labeled T/A sample for ANN training: the trigger state, the action,
 // the minute of day, and whether it is a benign anomaly (true) or normal
 // behavior (false).

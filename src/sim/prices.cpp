@@ -41,19 +41,4 @@ double DamPriceModel::PriceAt(util::SimTime t) const {
   return BasePrice(t.hour_of_day()) * factor;
 }
 
-std::vector<double> DamPriceModel::DaySchedule(int day) const {
-  std::vector<double> schedule;
-  schedule.reserve(24);
-  for (int hour = 0; hour < 24; ++hour) {
-    schedule.push_back(PriceAt(util::SimTime::FromHms(day, hour, 0)));
-  }
-  return schedule;
-}
-
-int DamPriceModel::CheapestHour(int day) const {
-  const auto schedule = DaySchedule(day);
-  return static_cast<int>(
-      std::min_element(schedule.begin(), schedule.end()) - schedule.begin());
-}
-
 }  // namespace jarvis::sim

@@ -4,7 +4,6 @@
 // trough, morning shoulder, late-afternoon peak, plus day-level volatility.
 #pragma once
 
-#include <vector>
 
 #include "util/rng.h"
 #include "util/timeofday.h"
@@ -29,15 +28,8 @@ class DamPriceModel {
   // Price in $/kWh for the hour containing t (pure function of time).
   double PriceAt(util::SimTime t) const;
 
-  // The full 24-hour day-ahead schedule for a day (what the optimizer sees).
-  std::vector<double> DaySchedule(int day) const;
-
   bool IsPeak(util::SimTime t) const;
   bool IsOffPeak(util::SimTime t) const;
-
-  // The cheapest hour of a day's schedule (used as the t' target for
-  // cost-aware scheduling analyses).
-  int CheapestHour(int day) const;
 
   const PriceConfig& config() const { return config_; }
 

@@ -34,20 +34,6 @@ std::vector<DayTrace> Testbed::HomeALearningTraces() const {
   return traces;
 }
 
-std::vector<DayTrace> Testbed::HomeAContiguousTraces(int day_count) const {
-  ResidentSimulator simulator(home_a_, ThermalConfig{},
-                              config_.seed ^ 0xa11ceULL);
-  return simulator.SimulateDays(home_a_generator(), 0, day_count);
-}
-
-std::vector<events::Event> Testbed::HomeAEventStream(int day_count) const {
-  std::vector<events::Event> stream;
-  for (const auto& trace : HomeAContiguousTraces(day_count)) {
-    stream.insert(stream.end(), trace.events.begin(), trace.events.end());
-  }
-  return stream;
-}
-
 std::vector<fsm::Episode> Testbed::HomeALearningEpisodes() const {
   std::vector<fsm::Episode> episodes;
   for (auto& trace : HomeALearningTraces()) {

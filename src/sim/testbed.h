@@ -35,14 +35,6 @@ class Testbed {
   std::vector<DayTrace> HomeALearningTraces() const;
   std::vector<fsm::Episode> HomeALearningEpisodes() const;
 
-  // Contiguous Home A days starting at day 0, states carried across
-  // midnights — unlike the seasonal-stride learning traces, the timestamps
-  // form one gap-free stream. The chaos suite feeds these through fault
-  // injectors into the parser.
-  std::vector<DayTrace> HomeAContiguousTraces(int day_count) const;
-  // The same days flattened into a single time-sorted event stream.
-  std::vector<events::Event> HomeAEventStream(int day_count) const;
-
   // Home B real-data-style days.
   const SmartStarDataset& home_b_data() const { return *home_b_data_; }
 

@@ -21,7 +21,6 @@ struct AnnFilterConfig {
   double learning_rate = 0.05;
   std::size_t epochs = 12;
   std::size_t batch_size = 64;
-  double benign_threshold = 0.5;  // score above => benign anomaly
 };
 
 class AnnFilter {
@@ -42,8 +41,10 @@ class AnnFilter {
   // Joint actions with no mini-action return 0.
   double BenignScore(const fsm::TriggerAction& ta) const;
 
+  // Score at or above which an observation is a benign anomaly.
+  static constexpr double kBenignThreshold = 0.5;
   bool IsBenign(const fsm::TriggerAction& ta) const {
-    return BenignScore(ta) >= config_.benign_threshold;
+    return BenignScore(ta) >= kBenignThreshold;
   }
 
   const AnnFilterConfig& config() const { return config_; }

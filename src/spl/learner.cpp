@@ -123,7 +123,7 @@ Verdict SafetyPolicyLearner::ClassifyMini(const fsm::StateVector& state,
   }
   if (config_.use_ann_filter &&
       filter_.BenignScore(state, mini, minute_of_day) >=
-          config_.ann.benign_threshold) {
+          AnnFilter::kBenignThreshold) {
     if (classify_benign_counter_ != nullptr) {
       classify_benign_counter_->Increment();
     }

@@ -1,11 +1,6 @@
 #include "util/csv.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
-
-#include "util/io.h"
 
 namespace jarvis::util {
 
@@ -38,17 +33,6 @@ void CsvWriter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void CsvWriter::AddNumericRow(const std::vector<double>& row) {
-  std::vector<std::string> fields;
-  fields.reserve(row.size());
-  for (double v : row) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    fields.emplace_back(buf);
-  }
-  AddRow(std::move(fields));
-}
-
 std::string CsvWriter::ToString() const {
   std::string out;
   for (std::size_t i = 0; i < header_.size(); ++i) {
@@ -64,75 +48,6 @@ std::string CsvWriter::ToString() const {
     out.push_back('\n');
   }
   return out;
-}
-
-void CsvWriter::WriteFile(const std::string& path) const {
-  // Durable writes go through the atomic path (lint rule 10): a crashed
-  // report writer must never leave a half-written CSV behind.
-  io::AtomicWriteFile(path, ToString());
-}
-
-std::vector<std::vector<std::string>> ParseCsv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_content = false;
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        row_has_content = true;
-        break;
-      case ',':
-        row.push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        if (row_has_content || !field.empty()) {
-          row.push_back(std::move(field));
-          field.clear();
-          rows.push_back(std::move(row));
-          row.clear();
-          row_has_content = false;
-        }
-        break;
-      default:
-        field.push_back(c);
-        row_has_content = true;
-    }
-  }
-  if (row_has_content || !field.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<std::vector<std::string>> ReadCsvFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("ReadCsvFile: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ParseCsv(buffer.str());
 }
 
 }  // namespace jarvis::util

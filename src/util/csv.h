@@ -1,9 +1,7 @@
-// Lightweight CSV writer/reader used by the benchmark harness to emit the
-// rows/series behind each paper table and figure, and by the simulators to
-// dump traces for inspection.
+// Lightweight CSV writer used by the benchmark harness to emit the
+// rows/series behind each paper table and figure.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -17,24 +15,13 @@ class CsvWriter {
 
   void AddRow(std::vector<std::string> row);
 
-  // Convenience: formats doubles with %.6g.
-  void AddNumericRow(const std::vector<double>& row);
-
   std::size_t row_count() const { return rows_.size(); }
 
   std::string ToString() const;
-  void WriteFile(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Parses CSV text into rows of fields. Handles quoted fields with embedded
-// commas/newlines and doubled quotes.
-std::vector<std::vector<std::string>> ParseCsv(const std::string& text);
-
-// Reads and parses a CSV file; throws std::runtime_error if unreadable.
-std::vector<std::vector<std::string>> ReadCsvFile(const std::string& path);
 
 }  // namespace jarvis::util

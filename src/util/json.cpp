@@ -42,18 +42,6 @@ const JsonObject& JsonValue::AsObject() const {
   return *object_;
 }
 
-JsonArray& JsonValue::MutableArray() {
-  if (type_ != Type::kArray) throw JsonError("not an array");
-  if (array_.use_count() > 1) array_ = std::make_shared<JsonArray>(*array_);
-  return *array_;
-}
-
-JsonObject& JsonValue::MutableObject() {
-  if (type_ != Type::kObject) throw JsonError("not an object");
-  if (object_.use_count() > 1) object_ = std::make_shared<JsonObject>(*object_);
-  return *object_;
-}
-
 const JsonValue& JsonValue::At(const std::string& key) const {
   const auto& obj = AsObject();
   auto it = obj.find(key);

@@ -60,8 +60,6 @@ class JsonValue {
   const std::string& AsString() const;
   const JsonArray& AsArray() const;
   const JsonObject& AsObject() const;
-  JsonArray& MutableArray();
-  JsonObject& MutableObject();
 
   // Object field lookup; throws JsonError if absent or not an object.
   const JsonValue& At(const std::string& key) const;

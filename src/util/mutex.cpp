@@ -38,15 +38,6 @@ void Mutex::Unlock() {
   mutex_.unlock();
 }
 
-bool Mutex::TryLock() {
-  JARVIS_CHECK(
-      owner_.load(std::memory_order_relaxed) != std::this_thread::get_id(),
-      "util::Mutex::TryLock: re-entrant lock on the owning thread");
-  if (!mutex_.try_lock()) return false;
-  owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  return true;
-}
-
 void Mutex::AssertHeld() const {
   JARVIS_CHECK(
       owner_.load(std::memory_order_relaxed) == std::this_thread::get_id(),

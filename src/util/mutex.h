@@ -49,7 +49,6 @@ class JARVIS_CAPABILITY("mutex") Mutex {
 
   void Lock() JARVIS_ACQUIRE();
   void Unlock() JARVIS_RELEASE();
-  bool TryLock() JARVIS_TRY_ACQUIRE(true);
 
   // Throws util::CheckError unless the calling thread holds the lock. Use
   // at the top of JARVIS_REQUIRES helpers to back the static contract with

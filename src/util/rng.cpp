@@ -101,48 +101,6 @@ bool Rng::NextBool(double p) {
   return NextDouble() < p;
 }
 
-std::size_t Rng::NextWeighted(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("Rng::NextWeighted: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("Rng::NextWeighted: no positive weight");
-  }
-  double target = NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical edge: fall back to the last entry
-}
-
-int Rng::NextPoisson(double lambda) {
-  if (lambda <= 0.0) return 0;
-  if (lambda > 64.0) {
-    const double draw = NextGaussian(lambda, std::sqrt(lambda));
-    return draw < 0.0 ? 0 : static_cast<int>(std::lround(draw));
-  }
-  const double limit = std::exp(-lambda);
-  int count = 0;
-  double product = NextDouble();
-  while (product > limit) {
-    ++count;
-    product *= NextDouble();
-  }
-  return count;
-}
-
-double Rng::NextExponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::NextExponential: rate <= 0");
-  double u = 0.0;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 std::vector<std::size_t> Rng::SampleIndices(std::size_t n, std::size_t k) {
   if (k > n) throw std::invalid_argument("Rng::SampleIndices: k > n");
   std::vector<std::size_t> all(n);
@@ -155,7 +113,5 @@ std::vector<std::size_t> Rng::SampleIndices(std::size_t n, std::size_t k) {
   all.resize(k);
   return all;
 }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 }  // namespace jarvis::util

@@ -57,17 +57,6 @@ class Rng {
   // Bernoulli trial: true with probability p (clamped to [0,1]).
   bool NextBool(double p);
 
-  // Samples an index according to non-negative weights. Requires at least
-  // one strictly positive weight.
-  std::size_t NextWeighted(const std::vector<double>& weights);
-
-  // Poisson-distributed count with the given rate (Knuth for small lambda,
-  // normal approximation above 64).
-  int NextPoisson(double lambda);
-
-  // Exponential inter-arrival with the given rate (> 0).
-  double NextExponential(double rate);
-
   // Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& items) {
@@ -81,9 +70,6 @@ class Rng {
 
   // Draws k distinct indices from [0, n) without replacement.
   std::vector<std::size_t> SampleIndices(std::size_t n, std::size_t k);
-
-  // Forks an independent stream; deterministic given the parent state.
-  Rng Fork();
 
  private:
   std::uint64_t state_[4];

@@ -2,61 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 namespace jarvis::util {
-
-double Sum(const std::vector<double>& xs) {
-  return std::accumulate(xs.begin(), xs.end(), 0.0);
-}
-
-double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("Mean: empty input");
-  return Sum(xs) / static_cast<double>(xs.size());
-}
-
-double Variance(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("Variance: empty input");
-  const double mu = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - mu) * (x - mu);
-  return acc / static_cast<double>(xs.size());
-}
-
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
-double Min(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("Min: empty input");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("Max: empty input");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) throw std::invalid_argument("Percentile: empty input");
-  // Negated comparison so a NaN p (for which every comparison is false)
-  // cannot slip past the range check.
-  if (!(p >= 0.0 && p <= 100.0)) {
-    throw std::invalid_argument("Percentile: bad p");
-  }
-  // A NaN sample breaks std::sort's strict weak ordering (undefined
-  // behavior) and would make every rank meaningless — reject it.
-  for (double x : xs) {
-    if (std::isnan(x)) throw std::invalid_argument("Percentile: NaN sample");
-  }
-  std::sort(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + (xs[hi] - xs[lo]) * frac;
-}
 
 void OnlineStats::Add(double x) {
   if (count_ == 0) {
@@ -127,48 +77,6 @@ double RocAuc(const std::vector<RocPoint>& curve) {
     auc += dx * y;
   }
   return auc;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(lo < hi)) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::Add(double x) {
-  // NaN has no bin; casting it (or ±inf) to an integer is undefined
-  // behavior, so guard first and clamp while still in the double domain.
-  if (std::isnan(x)) {
-    ++nan_ignored_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  const double scaled =
-      std::clamp(frac * static_cast<double>(counts_.size()), 0.0,
-                 static_cast<double>(counts_.size()) - 1.0);
-  ++counts_[static_cast<std::size_t>(scaled)];
-  ++total_;
-}
-
-double Histogram::BinCenter(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(i) + 0.5);
-}
-
-std::string Histogram::ToString() const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[48];
-    std::snprintf(label, sizeof label, "%10.3g | ", BinCenter(i));
-    out += label;
-    const std::size_t width = counts_[i] * 50 / peak;
-    out.append(width, '#');
-    out += " " + std::to_string(counts_[i]) + "\n";
-  }
-  return out;
 }
 
 }  // namespace jarvis::util

@@ -4,20 +4,9 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace jarvis::util {
-
-double Mean(const std::vector<double>& xs);
-double Variance(const std::vector<double>& xs);  // population variance
-double StdDev(const std::vector<double>& xs);
-double Min(const std::vector<double>& xs);
-double Max(const std::vector<double>& xs);
-double Sum(const std::vector<double>& xs);
-
-// Linear-interpolated percentile; p in [0, 100]. Requires non-empty input.
-double Percentile(std::vector<double> xs, double p);
 
 // Numerically stable single-pass accumulator (Welford).
 class OnlineStats {
@@ -54,26 +43,5 @@ std::vector<RocPoint> RocCurve(const std::vector<double>& scores,
 
 // Area under a ROC curve by trapezoid rule over the sorted points.
 double RocAuc(const std::vector<RocPoint>& curve);
-
-// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-// samples (including ±inf) clamp to the edge buckets. NaN samples have no
-// bin and are ignored (tallied separately in nan_ignored()).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void Add(double x);
-  const std::vector<std::size_t>& counts() const { return counts_; }
-  std::size_t total() const { return total_; }
-  std::size_t nan_ignored() const { return nan_ignored_; }
-  double BinCenter(std::size_t i) const;
-  std::string ToString() const;  // ASCII rendering for bench output
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_ignored_ = 0;
-};
 
 }  // namespace jarvis::util

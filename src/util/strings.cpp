@@ -6,43 +6,6 @@
 
 namespace jarvis::util {
 
-std::vector<std::string> Split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == sep) {
-      parts.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(std::move(current));
-  return parts;
-}
-
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string Trim(const std::string& text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 std::string ToLower(std::string text) {
   for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return text;
@@ -68,16 +31,6 @@ std::string Format(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
-}
-
-std::string PadRight(std::string text, std::size_t width) {
-  if (text.size() < width) text.append(width - text.size(), ' ');
-  return text;
-}
-
-std::string PadLeft(std::string text, std::size_t width) {
-  if (text.size() < width) text.insert(0, width - text.size(), ' ');
-  return text;
 }
 
 }  // namespace jarvis::util

@@ -2,21 +2,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace jarvis::util {
 
-std::vector<std::string> Split(const std::string& text, char sep);
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-std::string Trim(const std::string& text);
 std::string ToLower(std::string text);
 bool StartsWith(const std::string& text, const std::string& prefix);
 
 // printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-// Left-pads/truncates to a fixed width (for aligned table output).
-std::string PadRight(std::string text, std::size_t width);
-std::string PadLeft(std::string text, std::size_t width);
 
 }  // namespace jarvis::util

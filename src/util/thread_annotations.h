@@ -77,12 +77,6 @@
 #define JARVIS_RELEASE_GENERIC(...) \
   JARVIS_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
-// The function tries to acquire and returns the given value on success.
-#define JARVIS_TRY_ACQUIRE(...) \
-  JARVIS_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define JARVIS_TRY_ACQUIRE_SHARED(...) \
-  JARVIS_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
-
 // Caller must NOT hold the capability: the function takes it itself, so a
 // call from under the lock would self-deadlock. This is how a re-entrancy
 // contract (EventBus::Publish) becomes a compile-time error.

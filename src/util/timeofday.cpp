@@ -1,7 +1,6 @@
 #include "util/timeofday.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace jarvis::util {
 
@@ -22,12 +21,6 @@ std::string SimTime::ToTimestamp() const {
   std::snprintf(buf, sizeof buf, "2020-%02d-%02dT%02d:%02d:00", month,
                 day_of_month, hour_of_day(), minute_of_hour());
   return buf;
-}
-
-int CircularMinuteDistance(int minute_a, int minute_b) {
-  int diff = std::abs(minute_a - minute_b) % kMinutesPerDay;
-  if (diff > kMinutesPerDay / 2) diff = kMinutesPerDay - diff;
-  return diff;
 }
 
 }  // namespace jarvis::util

@@ -67,9 +67,4 @@ class SimTime {
   std::int64_t minutes_ = 0;
 };
 
-// Circular distance between two minutes-of-day (the shorter way around the
-// 24h dial). Used by the dis-utility term |t - t'| where habitual action
-// times wrap around midnight.
-int CircularMinuteDistance(int minute_a, int minute_b);
-
 }  // namespace jarvis::util

@@ -190,7 +190,7 @@ TEST(LoggerApp, MalformedLinesDroppedAndCounted) {
 
 class ParserFixture : public ::testing::Test {
  protected:
-  ParserFixture() : fsm_(fsm::BuildExampleHome()) {}
+  ParserFixture() : fsm_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)) {}
 
   Event CommandEvent(int minute, const std::string& device,
                      const std::string& new_state,

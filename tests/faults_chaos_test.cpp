@@ -38,7 +38,12 @@ class ChaosFixture : public ::testing::Test {
     sim::TestbedConfig config;
     config.benign_anomaly_samples = 800;
     testbed_ = new sim::Testbed(config);
-    const auto traces = testbed_->HomeAContiguousTraces(2);
+    // Two contiguous Home A days from day 0, states carried across
+    // midnight, so the parser sees one gap-free stream.
+    sim::ResidentSimulator resident(testbed_->home_a(), sim::ThermalConfig{},
+                                    config.seed ^ 0xa11ceULL);
+    const auto traces =
+        resident.SimulateDays(testbed_->home_a_generator(), 0, 2);
     initial_ = new fsm::StateVector(traces.front().episode.initial_state());
     events_ = new std::vector<events::Event>();
     for (const auto& trace : traces) {

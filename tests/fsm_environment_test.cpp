@@ -10,7 +10,7 @@ namespace jarvis::fsm {
 namespace {
 
 TEST(EnvironmentFsm, ApplyUsesPerDeviceTransitions) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   StateVector state = {0, 0, 0, 2, 2};  // locked, sensing, light off,
                                         // thermostat off, temp optimal
   ActionVector action(5, kNoAction);
@@ -25,7 +25,7 @@ TEST(EnvironmentFsm, ApplyUsesPerDeviceTransitions) {
 TEST(EnvironmentFsm, ConstraintFiveAtMostOneChangePerDevice) {
   // Apply executes each device's transition exactly once per interval, so
   // a device changes state at most once even if its action would chain.
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   StateVector state = {1, 0, 0, 2, 2};  // lock unlocked
   ActionVector action(5, kNoAction);
   action[0] = *fsm.device(0).FindAction("lock");
@@ -34,7 +34,7 @@ TEST(EnvironmentFsm, ConstraintFiveAtMostOneChangePerDevice) {
 }
 
 TEST(EnvironmentFsm, ValidationRejectsBadShapes) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   EXPECT_THROW(fsm.ValidateState({0, 0}), util::CheckError);
   EXPECT_THROW(fsm.ValidateState({9, 0, 0, 0, 0}), util::CheckError);
   EXPECT_THROW(fsm.ValidateAction({0}), util::CheckError);
@@ -45,32 +45,17 @@ TEST(EnvironmentFsm, ValidationRejectsBadShapes) {
 }
 
 TEST(EnvironmentFsm, DeviceLookupByLabel) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   EXPECT_EQ(fsm.DeviceIdByLabel("thermostat"), 3);
   EXPECT_EQ(fsm.DeviceByLabel("light").label(), "light");
   EXPECT_THROW(fsm.DeviceByLabel("toaster"), util::CheckError);
   EXPECT_THROW(fsm.device(99), util::CheckError);
 }
 
-TEST(EnvironmentFsm, SingleDeviceActionsEnumerate) {
-  const EnvironmentFsm fsm = BuildExampleHome();
-  const StateVector state = {0, 0, 0, 2, 2};
-  const auto actions = fsm.SingleDeviceActions(state);
-  // 1 all-no-op + sum of action counts (4+2+2+4+2 = 14).
-  EXPECT_EQ(actions.size(), 15u);
-  // First is all-no-op.
-  for (ActionIndex a : actions[0]) EXPECT_EQ(a, kNoAction);
-  // Each subsequent action touches exactly one device.
-  for (std::size_t i = 1; i < actions.size(); ++i) {
-    int touched = 0;
-    for (ActionIndex a : actions[i]) touched += (a != kNoAction) ? 1 : 0;
-    EXPECT_EQ(touched, 1);
-  }
-}
-
 class ResolveRequestsFixture : public ::testing::Test {
  protected:
-  ResolveRequestsFixture() : fsm_(BuildExampleHome(/*user_count=*/2)) {}
+  ResolveRequestsFixture()
+      : fsm_(BuildHome(ExampleHomeDevices(), /*user_count=*/2)) {}
   EnvironmentFsm fsm_;
 };
 
@@ -149,12 +134,6 @@ TEST(EnvironmentFsmConstruction, RejectsEmptyAndMisnumbered) {
   devices.push_back(MakeSmartLight(3));  // id 3 but index 0
   EXPECT_THROW(EnvironmentFsm(std::move(devices), AuthorizationModel{}),
                util::CheckError);
-}
-
-TEST(EnvironmentFsm, RejectReasonNamesAreStable) {
-  EXPECT_EQ(RejectReasonName(RejectReason::kAccepted), "accepted");
-  EXPECT_EQ(RejectReasonName(RejectReason::kDeviceBusy),
-            "device-already-acted-on");
 }
 
 }  // namespace

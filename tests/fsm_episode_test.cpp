@@ -19,7 +19,7 @@ TEST(EpisodeConfig, StepsPerEpisodeCeils) {
 }
 
 TEST(Episode, RecordsUntilComplete) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({3, 1}, util::SimTime(0), initial);
   EXPECT_FALSE(episode.IsComplete());
@@ -44,7 +44,7 @@ TEST(Episode, ValidatesConfig) {
 }
 
 TEST(Episode, FinalStateAppliesLastAction) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({2, 1}, util::SimTime(0), initial);
   EXPECT_EQ(episode.FinalState(fsm), initial);  // empty episode
@@ -59,7 +59,7 @@ TEST(Episode, FinalStateAppliesLastAction) {
 }
 
 TEST(ExtractTriggerActions, SkipsNoOpStepsAndKeepsMinutes) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({4, 1}, util::SimTime::FromHms(0, 6, 0), initial);
   const ActionVector noop(5, kNoAction);
@@ -79,7 +79,7 @@ TEST(ExtractTriggerActions, SkipsNoOpStepsAndKeepsMinutes) {
 }
 
 TEST(ExtractTriggerActions, AggregatesAcrossEpisodes) {
-  const EnvironmentFsm fsm = BuildExampleHome();
+  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   const StateVector initial = {0, 0, 0, 2, 2};
   ActionVector act(5, kNoAction);
   act[0] = *fsm.device(0).FindAction("unlock");
@@ -90,20 +90,6 @@ TEST(ExtractTriggerActions, AggregatesAcrossEpisodes) {
     episodes.push_back(std::move(episode));
   }
   EXPECT_EQ(ExtractTriggerActions(episodes).size(), 3u);
-}
-
-TEST(Episode, DebugStringShowsOnlyActiveSteps) {
-  const EnvironmentFsm fsm = BuildExampleHome();
-  const StateVector initial = {0, 0, 0, 2, 2};
-  Episode episode({2, 1}, util::SimTime(0), initial);
-  episode.Record(util::SimTime(0), initial, ActionVector(5, kNoAction));
-  ActionVector act(5, kNoAction);
-  act[2] = *fsm.device(2).FindAction("power_on");
-  episode.Record(util::SimTime(1), initial, act);
-  const std::string text = episode.DebugString(fsm);
-  EXPECT_NE(text.find("power_on"), std::string::npos);
-  // Exactly one rendered step line (the no-op one is suppressed).
-  EXPECT_EQ(std::count(text.begin(), text.end(), '>'), 1);
 }
 
 }  // namespace

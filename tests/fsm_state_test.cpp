@@ -17,20 +17,6 @@ class CodecSuite : public ::testing::TestWithParam<std::vector<Device>> {
   StateCodec MakeCodec() const { return StateCodec(GetParam()); }
 };
 
-TEST_P(CodecSuite, EncodeDecodeRoundTripsRandomStates) {
-  const auto& devices = GetParam();
-  const StateCodec codec(devices);
-  util::Rng rng(7);
-  for (int trial = 0; trial < 500; ++trial) {
-    StateVector state(devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-      state[i] = static_cast<StateIndex>(
-          rng.NextIndex(static_cast<std::size_t>(devices[i].state_count())));
-    }
-    EXPECT_EQ(codec.Decode(codec.Encode(state)), state);
-  }
-}
-
 TEST_P(CodecSuite, EncodingIsInjectiveOnSamples) {
   const auto& devices = GetParam();
   const StateCodec codec(devices);
@@ -143,13 +129,9 @@ TEST(TransitionKeyHash, DistinguishesDirection) {
   EXPECT_FALSE((TransitionKey{1, 2} == ba));
 }
 
-TEST(StateCodec, StringRendering) {
+TEST(StateCodec, ActionRendering) {
   const auto devices = ExampleHomeDevices();
   const StateCodec codec(devices);
-  const StateVector state = {0, 0, 1, 2, 2};
-  const std::string rendered = codec.StateToString(devices, state);
-  EXPECT_NE(rendered.find("locked_outside"), std::string::npos);
-  EXPECT_NE(rendered.find("on"), std::string::npos);
   ActionVector action(devices.size(), kNoAction);
   action[0] = 1;
   const std::string action_text = codec.ActionToString(devices, action);

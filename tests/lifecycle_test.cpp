@@ -333,69 +333,5 @@ TEST_F(LifecycleFixture, RestoredMonitorDeniesUntilStateReestablished) {
   EXPECT_EQ(restored.unknown_state_denials(), denials_before + 1);
 }
 
-TEST_F(LifecycleFixture, AddTenantWarmStartsFromTemplateCheckpoint) {
-  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
-  Fleet fleet(Home(), CheapConfig(2, 1));
-  ASSERT_EQ(fleet.Run(factory).completed, 2u);
-
-  // A new home joins the fleet, seeded from an established tenant's
-  // learned state ("template home") — its first run skips learning.
-  const persist::Checkpoint tmpl = fleet.tenant(0)->MakeCheckpoint();
-  const std::size_t warm_index = fleet.AddTenant(tmpl);
-  const std::size_t cold_index = fleet.AddTenant();
-  EXPECT_EQ(warm_index, 2u);
-  EXPECT_EQ(cold_index, 3u);
-  // Index-stable seeds: new tenants derive like any other.
-  EXPECT_EQ(fleet.tenant_seed(warm_index), util::DeriveSeed(77, 2));
-  EXPECT_EQ(fleet.tenant_seed(cold_index), util::DeriveSeed(77, 3));
-
-  const FleetReport report = fleet.Run(factory);
-  EXPECT_EQ(report.completed, 4u);
-  EXPECT_EQ(report.warm_started, 1u);
-  EXPECT_TRUE(report.tenants[warm_index].warm_started);
-  EXPECT_EQ(report.tenants[warm_index].learning_episodes, 0u);
-  EXPECT_FALSE(report.tenants[cold_index].warm_started);
-  EXPECT_GT(report.tenants[cold_index].learning_episodes, 0u);
-  EXPECT_EQ(report.total_violations, 0u);
-
-  // A template that fails validation degrades to a cold start, never a
-  // crash: hand the next tenant a corrupt checkpoint.
-  persist::Checkpoint corrupt;
-  corrupt.AddSection("meta", "not json at all");
-  corrupt.AddSection("spl", "payload under an untrusted meta");
-  const std::size_t degraded_index = fleet.AddTenant(corrupt);
-  const FleetReport rerun = fleet.Run(factory);
-  EXPECT_TRUE(rerun.tenants[degraded_index].completed);
-  EXPECT_FALSE(rerun.tenants[degraded_index].warm_started);
-  EXPECT_GT(rerun.tenants[degraded_index].health.checkpoint_sections_failed,
-            0u);
-}
-
-TEST_F(LifecycleFixture, RemoveTenantTombstonesWithoutDisturbingOthers) {
-  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
-  const std::string dir = ScratchDir("remove");
-
-  Fleet fleet(Home(), CheapConfig(3, 1));
-  ASSERT_EQ(fleet.Run(factory).completed, 3u);
-
-  fleet.RemoveTenant(1);
-  fleet.RemoveTenant(1);  // idempotent
-  EXPECT_THROW(fleet.RemoveTenant(99), std::out_of_range);
-  EXPECT_EQ(fleet.tenant(1), nullptr);
-  EXPECT_EQ(fleet.tenant_count(), 3u);  // index preserved, never reused
-
-  const FleetReport report = fleet.Run(factory);
-  EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(report.removed, 1u);
-  EXPECT_TRUE(report.tenants[1].removed);
-  EXPECT_FALSE(report.tenants[1].completed);
-
-  // Checkpointing skips the tombstone and the restore side honors it too.
-  const FleetCheckpointReport saved = fleet.SaveCheckpoints(dir);
-  EXPECT_EQ(saved.succeeded, 2u);
-  EXPECT_EQ(saved.skipped, 1u);
-  EXPECT_FALSE(util::io::FileExists(Fleet::TenantCheckpointPath(dir, 1)));
-}
-
 }  // namespace
 }  // namespace jarvis

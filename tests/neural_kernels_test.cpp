@@ -44,7 +44,9 @@ TEST(KernelParity, MatMulIntoMatchesNaiveReference) {
   for (const auto& shape : shapes) {
     const Tensor a = RandomTensor(shape[0], shape[1], rng);
     const Tensor b = RandomTensor(shape[1], shape[2], rng);
-    ExpectBitEqual(a.MatMul(b), ReferenceMatMul(a, b), "MatMul");
+    Tensor out;
+    a.MatMulInto(b, out);
+    ExpectBitEqual(out, ReferenceMatMul(a, b), "MatMulInto");
   }
 }
 

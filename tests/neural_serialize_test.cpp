@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "json_edit.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -27,6 +28,18 @@ Network MakeNetwork(std::uint64_t seed) {
                  jarvis::util::Rng(seed));
 }
 
+// The checkpoint path's text round trip: Dump, then Parse.
+std::string ToText(const Network& network,
+                   const SerializeOptions& options = {}) {
+  return ToJson(network, options).Dump();
+}
+
+Network FromText(const std::string& text, Loss loss,
+                 std::unique_ptr<Optimizer> optimizer, jarvis::util::Rng rng) {
+  return FromJson(jarvis::util::JsonValue::Parse(text), loss,
+                  std::move(optimizer), rng);
+}
+
 void TrainALittle(Network& network, std::uint64_t seed) {
   jarvis::util::Rng rng(seed);
   Tensor inputs = Tensor::Generate(24, network.input_features(),
@@ -41,7 +54,7 @@ void TrainALittle(Network& network, std::uint64_t seed) {
 TEST(NeuralSerialize, RoundTripPreservesTopology) {
   Network original = MakeNetwork(5);
   const Network restored =
-      FromJsonString(ToJsonString(original), Loss::kMeanSquaredError,
+      FromText(ToText(original), Loss::kMeanSquaredError,
                      std::make_unique<Adam>(0.005), jarvis::util::Rng(999));
   ASSERT_EQ(restored.layers().size(), original.layers().size());
   EXPECT_EQ(restored.input_features(), original.input_features());
@@ -61,7 +74,7 @@ TEST(NeuralSerialize, RoundTripPreservesParametersExactly) {
   Network original = MakeNetwork(5);
   TrainALittle(original, 17);  // non-initial, "ugly" doubles
   const Network restored =
-      FromJsonString(ToJsonString(original), Loss::kMeanSquaredError,
+      FromText(ToText(original), Loss::kMeanSquaredError,
                      std::make_unique<Adam>(0.005), jarvis::util::Rng(999));
   for (std::size_t i = 0; i < original.layers().size(); ++i) {
     EXPECT_EQ(restored.layers()[i].weights().data(),
@@ -77,7 +90,7 @@ TEST(NeuralSerialize, RoundTripPredictsIdentically) {
   Network original = MakeNetwork(8);
   TrainALittle(original, 4);
   const Network restored =
-      FromJsonString(ToJsonString(original), Loss::kMeanSquaredError,
+      FromText(ToText(original), Loss::kMeanSquaredError,
                      std::make_unique<Adam>(0.005), jarvis::util::Rng(1));
   jarvis::util::Rng rng(123);
   for (int trial = 0; trial < 20; ++trial) {
@@ -90,11 +103,11 @@ TEST(NeuralSerialize, RoundTripPredictsIdentically) {
 TEST(NeuralSerialize, SecondSerializationIsStable) {
   Network original = MakeNetwork(21);
   TrainALittle(original, 2);
-  const std::string first = ToJsonString(original);
+  const std::string first = ToText(original);
   const Network restored =
-      FromJsonString(first, Loss::kMeanSquaredError,
+      FromText(first, Loss::kMeanSquaredError,
                      std::make_unique<Adam>(0.005), jarvis::util::Rng(0));
-  EXPECT_EQ(ToJsonString(restored), first);
+  EXPECT_EQ(ToText(restored), first);
 }
 
 // Deterministic resumption: one fixed sample, batch size 1. TrainEpoch
@@ -122,7 +135,7 @@ TEST(NeuralSerialize, OptimizerStateRoundTripResumesTrainingExactly) {
   TrainALittle(original, 17);
   const SerializeOptions with_optimizer{.include_optimizer = true};
   Network restored =
-      FromJsonString(ToJsonString(original, with_optimizer),
+      FromText(ToText(original, with_optimizer),
                      Loss::kMeanSquaredError, std::make_unique<Adam>(0.005),
                      jarvis::util::Rng(999));
   ResumeTraining(original, 5);
@@ -142,7 +155,7 @@ TEST(NeuralSerialize, ColdOptimizerRestoreDivergesFromWarm) {
   Network original = MakeNetwork(5);
   TrainALittle(original, 17);
   Network cold =
-      FromJsonString(ToJsonString(original), Loss::kMeanSquaredError,
+      FromText(ToText(original), Loss::kMeanSquaredError,
                      std::make_unique<Adam>(0.005), jarvis::util::Rng(999));
   ResumeTraining(original, 5);
   ResumeTraining(cold, 5);
@@ -171,8 +184,8 @@ TEST(NeuralSerialize, CrossKindOptimizerImportIsRejected) {
   Network original = MakeNetwork(5);
   TrainALittle(original, 17);
   const std::string text =
-      ToJsonString(original, {.include_optimizer = true});
-  EXPECT_THROW(FromJsonString(text, Loss::kMeanSquaredError,
+      ToText(original, {.include_optimizer = true});
+  EXPECT_THROW(FromText(text, Loss::kMeanSquaredError,
                               std::make_unique<Sgd>(0.005),
                               jarvis::util::Rng(0)),
                jarvis::util::JsonError);
@@ -184,25 +197,21 @@ TEST(NeuralSerialize, NonFiniteParameterRejectedAtSave) {
   Network network = MakeNetwork(5);
   network.mutable_layers()[1].weights().At(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(ToJsonString(network), jarvis::util::CheckError);
+  EXPECT_THROW(ToText(network), jarvis::util::CheckError);
 
   Network infinite = MakeNetwork(6);
   infinite.mutable_layers()[0].biases().At(0, 1) =
       std::numeric_limits<double>::infinity();
-  EXPECT_THROW(ToJsonString(infinite), jarvis::util::CheckError);
+  EXPECT_THROW(ToText(infinite), jarvis::util::CheckError);
 }
 
 TEST(NeuralSerialize, NonFiniteParameterRejectedAtLoad) {
   // Same policy on the read side: a checkpoint poisoned at rest (or by a
   // hostile writer) is rejected as malformed input, not loaded.
   Network network = MakeNetwork(5);
-  jarvis::util::JsonValue doc = ToJson(network);
-  doc.MutableObject()["layers"]
-      .MutableArray()[0]
-      .MutableObject()["weights"]
-      .MutableObject()["data"]
-      .MutableArray()[0] =
-      jarvis::util::JsonValue(std::numeric_limits<double>::quiet_NaN());
+  const jarvis::util::JsonValue doc = json_edit::SetJson(
+      ToJson(network), {"layers", 0u, "weights", "data", 0u},
+      jarvis::util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
   EXPECT_THROW(FromJson(doc, Loss::kMeanSquaredError,
                         std::make_unique<Adam>(0.005),
                         jarvis::util::Rng(0)),

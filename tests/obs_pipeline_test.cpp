@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/jarvis.h"
-#include "core/online_monitor.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
 #include "sim/testbed.h"
@@ -31,22 +30,16 @@ class ObsPipelineFixture : public ::testing::Test {
     sim::TestbedConfig config;
     config.benign_anomaly_samples = 2000;
     testbed_ = new sim::Testbed(config);
-    learner_ = new spl::SafetyPolicyLearner(testbed_->home_a(),
-                                            spl::SplConfig{});
-    learner_->Learn(testbed_->HomeALearningEpisodes(),
-                    testbed_->BuildTrainingSet());
   }
   static void TearDownTestSuite() {
-    delete learner_;
     delete testbed_;
-    learner_ = nullptr;
     testbed_ = nullptr;
   }
 
   // One full seeded pipeline: raw events through the parser, SPL learning,
   // a (tiny) DQN optimization, and one deployment suggestion. Everything
   // is seeded, so reruns are bit-identical.
-  static PipelineRun RunPipeline(bool metrics_enabled = true) {
+  static PipelineRun RunPipeline() {
     sim::ResidentSimulator resident(testbed_->home_a(), sim::ThermalConfig{},
                                     404, sim::BehaviorConfig{0.0, 1});
     const auto generator = testbed_->home_a_generator();
@@ -64,7 +57,6 @@ class ObsPipelineFixture : public ::testing::Test {
     JarvisConfig config;
     config.trainer.episodes = 4;
     config.restarts = 1;
-    config.metrics_enabled = metrics_enabled;
     PipelineRun run;
     run.events_fed = events.size();
     run.jarvis = std::make_unique<Jarvis>(testbed_->home_a(), config);
@@ -77,29 +69,10 @@ class ObsPipelineFixture : public ::testing::Test {
     return run;
   }
 
-  static events::Event CommandEvent(int minute, const std::string& device,
-                                    const std::string& value,
-                                    const std::string& command) {
-    events::Event event;
-    event.date = util::SimTime(minute);
-    event.device_label = device;
-    event.attribute = "state";
-    event.attribute_value = value;
-    event.command = command;
-    return event;
-  }
-
-  static events::Event SensorEvent(int minute, const std::string& device,
-                                   const std::string& value) {
-    return CommandEvent(minute, device, value, "");
-  }
-
   static sim::Testbed* testbed_;
-  static spl::SafetyPolicyLearner* learner_;
 };
 
 sim::Testbed* ObsPipelineFixture::testbed_ = nullptr;
-spl::SafetyPolicyLearner* ObsPipelineFixture::learner_ = nullptr;
 
 TEST_F(ObsPipelineFixture, GoldenSnapshotIdenticalAcrossReruns) {
   const PipelineRun first = RunPipeline();
@@ -155,41 +128,6 @@ TEST_F(ObsPipelineFixture, CounterInvariantsAcrossStages) {
             snapshot.CounterValue("rl.agent.replay_batches"));
 }
 
-TEST_F(ObsPipelineFixture, MonitorDecisionInvariant) {
-  obs::Registry registry;
-  OnlineMonitor monitor(testbed_->home_a(), *learner_,
-                        fsm::StateVector(11, 0));
-  monitor.SetMetrics(&registry);
-
-  monitor.MarkStateUnknown(0);  // staleness transition 1
-  // Fail-safe denial: lock state is untrusted.
-  monitor.Consume(CommandEvent(120, "lock", "unlocked", "unlock"));
-  // Good report restores trust; the next command is learner-classified.
-  monitor.Consume(SensorEvent(121, "lock", "unlocked"));
-  monitor.Consume(CommandEvent(122, "lock", "locked", "lock"));
-  // Unknown vocabulary: counted, not a decision.
-  monitor.Consume(CommandEvent(123, "toaster", "on", "pop"));
-  // Corrupt sensor report: staleness transition 2, then a denial.
-  monitor.Consume(SensorEvent(124, "temp_sensor", "??corrupt??"));
-  monitor.Consume(CommandEvent(125, "temp_sensor", "off", "power_off"));
-
-  const obs::MetricsSnapshot snapshot = registry.TakeSnapshot();
-  const std::uint64_t decisions =
-      snapshot.CounterValue("core.monitor.decisions");
-  // Every command verdict is exactly one of allowed / denied / benign.
-  EXPECT_EQ(decisions, snapshot.CounterValue("core.monitor.allowed") +
-                           snapshot.CounterValue("core.monitor.denied") +
-                           snapshot.CounterValue("core.monitor.benign_anomalies"));
-  EXPECT_EQ(decisions, 3u);  // two fail-safe denials + one classification
-  EXPECT_EQ(snapshot.CounterValue("core.monitor.failsafe_denials"), 2u);
-  // Denied folds learner violations and fail-safe denials together.
-  EXPECT_EQ(snapshot.CounterValue("core.monitor.denied"),
-            monitor.violations() + monitor.failsafe_denials());
-  EXPECT_EQ(snapshot.CounterValue("core.monitor.unknown_events"),
-            monitor.unknown_events());
-  EXPECT_EQ(snapshot.CounterValue("core.monitor.staleness_transitions"), 2u);
-}
-
 TEST_F(ObsPipelineFixture, SpanTreeShapesThePipeline) {
   const PipelineRun run = RunPipeline();
   const std::vector<obs::SpanRecord> spans = run.jarvis->FlushSpans();
@@ -206,13 +144,6 @@ TEST_F(ObsPipelineFixture, SpanTreeShapesThePipeline) {
   EXPECT_TRUE(children.count("optimize.restart.0") == 1);
   // Flush drained everything.
   EXPECT_TRUE(run.jarvis->FlushSpans().empty());
-}
-
-TEST_F(ObsPipelineFixture, DisabledMetricsLeaveRegistryEmpty) {
-  const PipelineRun run = RunPipeline(/*metrics_enabled=*/false);
-  EXPECT_TRUE(run.jarvis->TakeMetricsSnapshot().empty());
-  // And the pipeline still worked.
-  EXPECT_TRUE(run.jarvis->learned());
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ TEST(Checkpoint, RoundTripPreservesSectionsAndOrder) {
   const Checkpoint parsed = Checkpoint::Parse(bytes, &issues);
   EXPECT_TRUE(issues.empty()) << FormatIssues(issues);
   ASSERT_EQ(parsed.section_count(), 3u);
-  EXPECT_EQ(parsed.SectionNames(),
-            (std::vector<std::string>{"meta", "spl", "dqn"}));
+  // Byte-identical re-serialization: same sections in the same order.
+  EXPECT_EQ(parsed.Serialize(), bytes);
   ASSERT_NE(parsed.FindSection("dqn"), nullptr);
   EXPECT_EQ(*parsed.FindSection("dqn"), std::string("binary\0bytes\xff ok", 16));
   EXPECT_EQ(*parsed.FindSection("meta"), "{\"v\":1}");
@@ -45,8 +45,10 @@ TEST(Checkpoint, AddSectionReplacesExistingPayload) {
   EXPECT_EQ(checkpoint.section_count(), 2u);
   EXPECT_EQ(*checkpoint.FindSection("spl"), "new");
   // Replacement keeps the original position.
-  EXPECT_EQ(checkpoint.SectionNames(),
-            (std::vector<std::string>{"spl", "meta"}));
+  Checkpoint in_order;
+  in_order.AddSection("spl", "new");
+  in_order.AddSection("meta", "m");
+  EXPECT_EQ(checkpoint.Serialize(), in_order.Serialize());
 }
 
 TEST(Checkpoint, BadMagicRecoversNothing) {

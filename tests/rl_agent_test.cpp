@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fsm/device_library.h"
+#include "json_edit.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
 #include "sim/testbed.h"
@@ -15,7 +16,9 @@ namespace {
 
 class AgentFixture : public ::testing::Test {
  protected:
-  AgentFixture() : home_(fsm::BuildExampleHome()), codec_(home_.codec()) {}
+  AgentFixture()
+      : home_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)),
+        codec_(home_.codec()) {}
 
   std::vector<bool> AllOn() const {
     return std::vector<bool>(codec_.mini_action_count(), true);
@@ -231,28 +234,26 @@ TEST_F(AgentFixture, AgentLoadRejectsHostileDocumentsUnchanged) {
   const double before_epsilon = agent.epsilon();
   const util::JsonValue good = agent.ToJson();
 
-  util::JsonValue future = good;
-  future.MutableObject()["format_version"] =
-      util::JsonValue(std::int64_t{2});
+  const util::JsonValue future = json_edit::SetJson(
+      good, {"format_version"}, util::JsonValue(std::int64_t{2}));
   EXPECT_THROW(agent.LoadJson(future), util::JsonError);
 
-  util::JsonValue wrong_width = good;
-  wrong_width.MutableObject()["feature_width"] =
-      util::JsonValue(std::int64_t{9});
+  const util::JsonValue wrong_width = json_edit::SetJson(
+      good, {"feature_width"}, util::JsonValue(std::int64_t{9}));
   EXPECT_THROW(agent.LoadJson(wrong_width), util::JsonError);
 
-  util::JsonValue epsilon_high = good;
-  epsilon_high.MutableObject()["epsilon"] = util::JsonValue(1.5);
+  const util::JsonValue epsilon_high = json_edit::SetJson(
+      good, {"epsilon"}, util::JsonValue(1.5));
   EXPECT_THROW(agent.LoadJson(epsilon_high), util::JsonError);
 
-  util::JsonValue epsilon_nan = good;
-  epsilon_nan.MutableObject()["epsilon"] =
-      util::JsonValue(std::numeric_limits<double>::quiet_NaN());
+  const util::JsonValue epsilon_nan = json_edit::SetJson(
+      good, {"epsilon"},
+      util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
   EXPECT_THROW(agent.LoadJson(epsilon_nan), util::JsonError);
 
-  util::JsonValue loss_nan = good;
-  loss_nan.MutableObject()["last_loss"] =
-      util::JsonValue(std::numeric_limits<double>::infinity());
+  const util::JsonValue loss_nan = json_edit::SetJson(
+      good, {"last_loss"},
+      util::JsonValue(std::numeric_limits<double>::infinity()));
   EXPECT_THROW(agent.LoadJson(loss_nan), util::JsonError);
 
   // A checkpoint from a differently-shaped home must be rejected before any

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "json_edit.h"
 #include "util/check.h"
 
 #include <limits>
@@ -212,21 +213,19 @@ TEST(ReplayBuffer, LoadJsonValidatesWidthsSlotsAndFiniteness) {
 
   // A taken slot beyond the agent's mini-action count would index out of
   // the Q-row during replay.
-  util::JsonValue bad_slot = source.ToJson();
-  bad_slot.MutableArray()[0].MutableObject()["taken_slots"] =
-      util::JsonValue(util::JsonArray{util::JsonValue(std::int64_t{7})});
+  const util::JsonValue bad_slot = json_edit::SetJson(
+      source.ToJson(), {0u, "taken_slots"},
+      util::JsonValue(util::JsonArray{util::JsonValue(std::int64_t{7})}));
   EXPECT_THROW(target.LoadJson(bad_slot, 1, 1), util::JsonError);
 
-  util::JsonValue nan_reward = source.ToJson();
-  nan_reward.MutableArray()[0].MutableObject()["reward"] =
-      util::JsonValue(std::numeric_limits<double>::quiet_NaN());
+  const util::JsonValue nan_reward = json_edit::SetJson(
+      source.ToJson(), {0u, "reward"},
+      util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
   EXPECT_THROW(target.LoadJson(nan_reward, 1, 1), util::JsonError);
 
-  util::JsonValue inf_feature = source.ToJson();
-  inf_feature.MutableArray()[0]
-      .MutableObject()["features"]
-      .MutableArray()[0] =
-      util::JsonValue(std::numeric_limits<double>::infinity());
+  const util::JsonValue inf_feature = json_edit::SetJson(
+      source.ToJson(), {0u, "features", 0u},
+      util::JsonValue(std::numeric_limits<double>::infinity()));
   EXPECT_THROW(target.LoadJson(inf_feature, 1, 1), util::JsonError);
   EXPECT_EQ(target.size(), 0u);
 }
@@ -237,9 +236,9 @@ TEST(ReplayBuffer, RejectedLoadLeavesExistingExperienceIntact) {
   buffer.Add(MakeExperience(2.0));
   const std::string before = buffer.ToJson().Dump();
 
-  util::JsonValue hostile = buffer.ToJson();
-  hostile.MutableArray()[1].MutableObject()["reward"] =
-      util::JsonValue(std::numeric_limits<double>::quiet_NaN());
+  const util::JsonValue hostile = json_edit::SetJson(
+      buffer.ToJson(), {1u, "reward"},
+      util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
   EXPECT_THROW(buffer.LoadJson(hostile, 1, 1), util::JsonError);
   // Validation happens before the commit: the real memory survives.
   EXPECT_EQ(buffer.size(), 2u);

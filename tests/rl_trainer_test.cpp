@@ -1,6 +1,5 @@
-// Tests for the training-loop extensions: demonstration episodes, the
-// optional target network, sticky exploration, per-episode epsilon decay,
-// and violation accounting.
+// Tests for the training-loop extensions: demonstration episodes, sticky
+// exploration, per-episode epsilon decay, and violation accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -139,29 +138,6 @@ TEST_F(TrainerFixture, ViolationEventsBoundDistinctPatterns) {
   EXPECT_GT(env.violation_events(), 0u);
   EXPECT_LE(env.violations(), env.violation_events())
       << "distinct patterns can never exceed raw events";
-}
-
-TEST_F(TrainerFixture, TargetNetworkStillLearnsBandit) {
-  const auto& codec = testbed_->home_a().codec();
-  DqnConfig config;
-  config.batch_size = 4;
-  config.gamma = 0.0;
-  config.epsilon = 0.0;
-  config.target_sync_interval = 10;
-  DqnAgent agent(2, codec, config);
-  const std::vector<double> features = {1.0, 0.0};
-  const std::size_t good = codec.MiniActionSlot({2, 1});
-  const std::size_t bad = codec.MiniActionSlot({2, 0});
-  for (int i = 0; i < 100; ++i) {
-    Experience positive{features, {good}, 1.0, {}, {}, true};
-    Experience negative{features, {bad}, -1.0, {}, {}, true};
-    agent.Remember(std::move(positive));
-    agent.Remember(std::move(negative));
-  }
-  for (int i = 0; i < 400; ++i) agent.Replay();
-  const auto q = agent.QValues(features);
-  EXPECT_GT(q[good], 0.5);
-  EXPECT_LT(q[bad], -0.5);
 }
 
 TEST_F(TrainerFixture, DecayEpsilonOnceRespectsFloor) {

@@ -3,13 +3,14 @@
 //     the sequential oracle the parallel schedule must reproduce;
 //   * a throwing tenant is quarantined and counted, never fatal;
 //   * the batched SuggestMinutes path equals per-minute SuggestAction, also
-//     under concurrent callers and a racing RemoveTenant / re-Run.
+//     under concurrent callers and a racing re-Run.
 #include "runtime/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "fsm/device_library.h"
 #include "sim/resident.h"
 #include "util/rng.h"
+#include "util/timeofday.h"
 
 namespace jarvis::runtime {
 namespace {
@@ -104,12 +106,20 @@ TEST_F(FleetFixture, SixteenTenantParallelRunMatchesSequentialOracle) {
 
 TEST_F(FleetFixture, TenantSeedsDeriveFromFleetSeed) {
   Fleet fleet(Home(), CheapConfig(4, 1));
+  // The factory sees each tenant's seed; throwing quarantines the tenant
+  // before any pipeline work.
+  std::vector<std::uint64_t> seen(4, 0);
+  const FleetReport report =
+      fleet.Run([&seen](std::size_t tenant, std::uint64_t seed)
+                    -> TenantWorkload {
+        seen[tenant] = seed;
+        throw std::runtime_error("seed probe");
+      });
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fleet.tenant_seed(i),
-              util::DeriveSeed(2024, static_cast<std::uint64_t>(i)));
+    EXPECT_EQ(seen[i], util::DeriveSeed(2024, static_cast<std::uint64_t>(i)));
+    EXPECT_EQ(report.tenants[i].seed, seen[i]);
   }
-  EXPECT_NE(fleet.tenant_seed(0), fleet.tenant_seed(1));
-  EXPECT_THROW(fleet.tenant_seed(99), std::out_of_range);
+  EXPECT_NE(seen[0], seen[1]);
 }
 
 TEST_F(FleetFixture, ThrowingTenantIsQuarantinedNotFatal) {
@@ -217,23 +227,6 @@ TEST_F(FleetFixture, TenantMetricsIdenticalAcrossWorkerCounts) {
             parallel.AggregateTenantMetrics().DeterministicOnly());
 }
 
-TEST_F(FleetFixture, InstrumentationDoesNotPerturbResults) {
-  // The determinism contract extends to instrumentation itself: disabling
-  // tenant metrics must not change a single FP operation in any pipeline.
-  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
-  Fleet instrumented(Home(), CheapConfig(2, 1));
-  FleetConfig bare_config = CheapConfig(2, 1);
-  bare_config.tenant_config.metrics_enabled = false;
-  Fleet bare(Home(), bare_config);
-
-  const FleetReport with_metrics = instrumented.Run(factory);
-  const FleetReport without = bare.Run(factory);
-  ExpectTenantResultsIdentical(without, with_metrics);
-
-  EXPECT_FALSE(instrumented.TenantMetrics(0).empty());
-  EXPECT_TRUE(bare.TenantMetrics(0).empty());
-}
-
 TEST_F(FleetFixture, FleetLevelMetricsAndSpans) {
   const auto good = SimulatedWorkloadFactory(Home(), CheapWorkload());
   const WorkloadFactory factory = [&good](std::size_t tenant,
@@ -334,86 +327,50 @@ TEST_F(FleetFixture, ConcurrentCrossTenantSuggestsStayExact) {
   for (auto& thread : threads) thread.join();
 }
 
-// RemoveTenant racing a re-Run and live SuggestMinutes traffic. A suggest
-// call pins the tenant's pipeline with a shared_ptr, so a removal (or the
-// re-run swapping in a fresh pipeline) resets the shard slot without
-// destroying the network a forward is reading. Tenant 0 is removed from
-// inside its own job, after job start and before job end: the finished
-// pipeline must not be stored into the tombstoned slot. Run under
-// TSan/ASan (label `runtime`), where a dangling pipeline is a hard
-// failure.
-TEST_F(FleetFixture, RemoveTenantWhileRunAndSuggestInFlightIsSafe) {
-  Fleet fleet(Home(), CheapConfig(6, 3));
-  const auto simulated = SimulatedWorkloadFactory(Home(), CheapWorkload());
-  ASSERT_EQ(fleet.Run(simulated).completed, 6u);
+// A re-Run racing live SuggestMinutes traffic. A suggest call pins the
+// tenant's pipeline with a shared_ptr, so the re-run swapping in a fresh
+// pipeline replaces the shard slot without destroying the network a
+// forward is reading. One suggester per tenant asks for a whole day per
+// call, so when a tenant's pipeline is replaced its suggester is almost
+// surely mid-call. Run under TSan/ASan (label `runtime`), where a dangling
+// pipeline is a hard failure.
+TEST_F(FleetFixture, ReRunWhileSuggestInFlightIsSafe) {
+  constexpr std::size_t kTenants = 6;
+  Fleet fleet(Home(), CheapConfig(kTenants, 3));
+  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
+  ASSERT_EQ(fleet.Run(factory).completed, kTenants);
 
   sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
   const fsm::StateVector state = resident.OvernightState();
-  const std::vector<int> minutes = {0, 480, 720, 1200};
+  std::vector<int> minutes(util::kMinutesPerDay);
+  std::iota(minutes.begin(), minutes.end(), 0);
   // A re-run rebuilds each tenant from the same seed, so these answers
   // hold before, during and after it.
   std::vector<std::vector<fsm::ActionVector>> expected;
-  for (std::size_t index = 0; index < 6; ++index) {
+  for (std::size_t index = 0; index < kTenants; ++index) {
     expected.push_back(fleet.SuggestMinutes(index, state, minutes));
   }
 
-  const WorkloadFactory factory = [&](std::size_t tenant,
-                                      std::uint64_t seed) {
-    if (tenant == 0) fleet.RemoveTenant(0);
-    return simulated(tenant, seed);
-  };
   std::atomic<bool> done{false};
-  std::thread suggester([&] {
-    while (!done.load()) {
-      for (std::size_t index = 0; index < 6; ++index) {
-        try {
-          EXPECT_EQ(fleet.SuggestMinutes(index, state, minutes),
-                    expected[index])
-              << "tenant " << index;
-        } catch (const std::logic_error&) {
-          EXPECT_LT(index, 3u) << "only removed tenants stop answering";
-        }
-      }
-    }
-  });
-  std::thread remover([&fleet] {
-    fleet.RemoveTenant(1);
-    fleet.RemoveTenant(2);
-  });
+  std::atomic<std::size_t> answered{0};
+  std::vector<std::thread> suggesters;
+  for (std::size_t index = 0; index < kTenants; ++index) {
+    suggesters.emplace_back([&, index] {
+      do {
+        EXPECT_EQ(fleet.SuggestMinutes(index, state, minutes),
+                  expected[index])
+            << "tenant " << index;
+        ++answered;
+      } while (!done.load());
+    });
+  }
   const FleetReport report = fleet.Run(factory);
-  remover.join();
   done.store(true);
-  suggester.join();
+  for (auto& suggester : suggesters) suggester.join();
 
-  EXPECT_EQ(report.tenants.size(), 6u);
-  // Tenant 0 was removed inside its own job: it counts as removed, not
-  // completed, and adds nothing to the totals. Tenants 1 and 2 race the
-  // remover, but each counts as exactly one of the two.
-  EXPECT_TRUE(report.tenants[0].removed);
-  EXPECT_FALSE(report.tenants[0].completed);
-  for (std::size_t index = 0; index < 6; ++index) {
-    EXPECT_NE(report.tenants[index].removed, report.tenants[index].completed)
-        << "tenant " << index;
-  }
-  EXPECT_EQ(report.completed + report.removed, 6u);
-  EXPECT_GE(report.removed, 1u);
-  double completed_energy = 0.0;
-  for (std::size_t index = 3; index < 6; ++index) {
-    EXPECT_TRUE(report.tenants[index].completed) << "tenant " << index;
-  }
-  for (const TenantResult& tenant : report.tenants) {
-    if (tenant.completed) {
-      completed_energy += tenant.plan.optimized_metrics.energy_kwh;
-    }
-  }
-  EXPECT_EQ(report.total_energy_kwh, completed_energy);
-  for (std::size_t index = 0; index < 3; ++index) {
-    EXPECT_EQ(fleet.tenant(index), nullptr) << "tenant " << index;
-    EXPECT_THROW(fleet.SuggestMinutes(index, state, minutes),
-                 std::logic_error);
-  }
-  // The untouched half of the fleet re-trained and serves normally.
-  for (std::size_t index = 3; index < 6; ++index) {
+  EXPECT_EQ(report.completed, kTenants);
+  EXPECT_GE(answered.load(), kTenants);
+  for (std::size_t index = 0; index < kTenants; ++index) {
     EXPECT_EQ(fleet.SuggestMinutes(index, state, minutes), expected[index]);
   }
 }

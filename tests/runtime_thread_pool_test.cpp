@@ -4,25 +4,33 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <future>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace jarvis::runtime {
 namespace {
 
+std::uint64_t PoolCounter(const obs::Registry& registry,
+                          const std::string& name) {
+  return registry.TakeSnapshot().CounterValue("runtime.pool." + name);
+}
+
 TEST(ThreadPool, ExecutesEverySubmittedTask) {
-  ThreadPool pool(4);
+  obs::Registry registry;
+  ThreadPool pool(4, 256, &registry);
   std::atomic<int> counter{0};
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(pool.Submit([&counter] { ++counter; }));
   }
   pool.WaitIdle();
   EXPECT_EQ(counter.load(), 200);
-  EXPECT_EQ(pool.tasks_executed(), 200u);
-  EXPECT_EQ(pool.tasks_failed(), 0u);
+  EXPECT_EQ(PoolCounter(registry, "tasks_executed"), 200u);
+  EXPECT_EQ(PoolCounter(registry, "tasks_failed"), 0u);
 }
 
 TEST(ThreadPool, TrySubmitRejectsAtCapacityWithoutBlocking) {
@@ -72,7 +80,8 @@ TEST(ThreadPool, BoundedQueueBackpressureStillRunsEverything) {
 }
 
 TEST(ThreadPool, CapturesTaskExceptionsAndSurvives) {
-  ThreadPool pool(2);
+  obs::Registry registry;
+  ThreadPool pool(2, 256, &registry);
   std::atomic<int> ok{0};
   for (int i = 0; i < 10; ++i) {
     pool.Submit([] { throw std::runtime_error("tenant exploded"); });
@@ -80,9 +89,8 @@ TEST(ThreadPool, CapturesTaskExceptionsAndSurvives) {
   }
   pool.WaitIdle();
   EXPECT_EQ(ok.load(), 10);
-  EXPECT_EQ(pool.tasks_failed(), 10u);
-  EXPECT_EQ(pool.tasks_executed(), 20u);
-  EXPECT_EQ(pool.first_error(), "tenant exploded");
+  EXPECT_EQ(PoolCounter(registry, "tasks_failed"), 10u);
+  EXPECT_EQ(PoolCounter(registry, "tasks_executed"), 20u);
   // The pool still accepts and runs work after failures.
   pool.Submit([&ok] { ++ok; });
   pool.WaitIdle();
@@ -90,11 +98,15 @@ TEST(ThreadPool, CapturesTaskExceptionsAndSurvives) {
 }
 
 TEST(ThreadPool, CapturesNonStdExceptions) {
-  ThreadPool pool(1);
+  obs::Registry registry;
+  ThreadPool pool(1, 256, &registry);
   pool.Submit([] { throw 42; });  // NOLINT(hicpp-exception-baseclass)
   pool.WaitIdle();
-  EXPECT_EQ(pool.tasks_failed(), 1u);
-  EXPECT_EQ(pool.first_error(), "unknown exception");
+  EXPECT_EQ(PoolCounter(registry, "tasks_failed"), 1u);
+  std::atomic<bool> ran{false};
+  pool.Submit([&ran] { ran = true; });
+  pool.WaitIdle();
+  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, ShutdownDrainsQueueThenRejects) {

@@ -88,7 +88,7 @@ TEST_F(DispatcherTest, PingEchoesIdAndProtocol) {
   const auto response =
       Call(dispatcher, R"({"id": 17, "type": "ping"})");
   EXPECT_TRUE(ResponseOk(response));
-  EXPECT_EQ(ResponseId(response), 17);
+  EXPECT_EQ(response.At("id").AsInt(), 17);
   EXPECT_EQ(response.At("protocol").AsInt(), kProtocolVersion);
 }
 
@@ -118,7 +118,7 @@ TEST_F(DispatcherTest, UnknownTypeStillEchoesItsId) {
   Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
   const auto response =
       Call(dispatcher, R"({"id": 99, "type": "frobnicate"})");
-  EXPECT_EQ(ResponseId(response), 99);
+  EXPECT_EQ(response.At("id").AsInt(), 99);
 }
 
 TEST_F(DispatcherTest, SuggestValidation) {
@@ -147,6 +147,26 @@ TEST_F(DispatcherTest, SuggestValidation) {
       dispatcher, R"({"id": 5, "type": "suggest_action", "tenant": 0,
                       "minute": 480, "state": [1, 1]})");
   EXPECT_FALSE(ResponseOk(response));
+}
+
+TEST_F(DispatcherTest, MinutesOutsideTheDayAreBadRequests) {
+  // A minute that is not an integer in [0, 1439] must be refused, not
+  // narrowed (4294967776 used to wrap to 480 and be echoed back as 480)
+  // or clamped (1500 keyed P_safe with an unlearned time bucket).
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  for (const char* minute : {"-1", "1440", "480.5", "4294967776"}) {
+    SCOPED_TRACE(minute);
+    auto response = Call(dispatcher,
+                         std::string(R"({"id": 1, "type": "suggest_action",)"
+                                     R"( "tenant": 0, "minute": )") +
+                             minute + "}");
+    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+    response = Call(dispatcher,
+                    std::string(R"({"id": 2, "type": "suggest_minutes",)"
+                                R"( "tenant": 0, "minutes": [480, )") +
+                        minute + "]}");
+    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+  }
 }
 
 TEST_F(DispatcherTest, SuggestActionParityWithDirectFleetCall) {

@@ -209,7 +209,7 @@ TEST_F(ServerTest, OverloadRejectionsAreDeterministicAndExplicit) {
   ASSERT_EQ(responses.size(), 6u);
   std::map<std::int64_t, std::string> outcome;
   for (const auto& response : responses) {
-    outcome[ResponseId(response)] =
+    outcome[response.At("id").AsInt()] =
         ResponseOk(response) ? "ok" : response.At("error").AsString();
   }
   ASSERT_EQ(outcome.size(), 6u) << "every id answered exactly once";
@@ -247,7 +247,7 @@ TEST_F(ServerTest, ShutdownRequestStartsDrainAndLaterRequestsAreRefused) {
   const auto refused = util::JsonValue::Parse(payload);
   EXPECT_FALSE(ResponseOk(refused));
   EXPECT_EQ(refused.At("error").AsString(), kErrDraining);
-  EXPECT_EQ(ResponseId(refused), 2);
+  EXPECT_EQ(refused.At("id").AsInt(), 2);
 
   pair.client->CloseWrite();
   serving.join();
@@ -306,7 +306,7 @@ TEST_F(ServerTest, DrainUnderLoadAnswersEveryRequestAndFlushes) {
   for (const auto& response : responses) {
     const std::string verdict =
         ResponseOk(response) ? "ok" : response.At("error").AsString();
-    outcome[ResponseId(response)] = verdict;
+    outcome[response.At("id").AsInt()] = verdict;
     if (verdict == "ok") ++ok;
     if (verdict == kErrOverloaded) ++overloaded;
     if (verdict == kErrDraining) ++draining;
@@ -381,7 +381,7 @@ TEST_F(ServerTest, DrainUnderSuggestLoadAnswersExactlyOnce) {
   std::map<std::int64_t, std::string> outcome;
   std::size_t ok = 0, refused = 0;
   for (const auto& response : responses) {
-    const std::int64_t id = ResponseId(response);
+    const std::int64_t id = response.At("id").AsInt();
     if (ResponseOk(response)) {
       ++ok;
       outcome[id] = "ok";

@@ -92,20 +92,6 @@ TEST(Prices, PricesPositiveAndStableWithinHour) {
   }
 }
 
-TEST(Prices, DayScheduleMatchesPointQueries) {
-  const DamPriceModel prices(PriceConfig{}, 11);
-  const auto schedule = prices.DaySchedule(7);
-  ASSERT_EQ(schedule.size(), 24u);
-  for (int hour = 0; hour < 24; ++hour) {
-    EXPECT_DOUBLE_EQ(schedule[static_cast<std::size_t>(hour)],
-                     prices.PriceAt(util::SimTime::FromHms(7, hour, 0)));
-  }
-  const int cheapest = prices.CheapestHour(7);
-  for (double price : schedule) {
-    EXPECT_LE(schedule[static_cast<std::size_t>(cheapest)], price);
-  }
-}
-
 TEST(Thermal, RelaxesTowardOutdoorWhenOff) {
   ThermalModel thermal(ThermalConfig{});
   thermal.set_indoor_temp_c(21.0);

@@ -3,6 +3,7 @@
 #include "util/check.h"
 
 #include "fsm/device_library.h"
+#include "json_edit.h"
 #include "neural/serialize.h"
 #include "sim/testbed.h"
 #include "spl/ann_filter.h"
@@ -14,7 +15,8 @@ namespace jarvis::spl {
 namespace {
 
 TEST(FeatureEncoder, WidthAndLayout) {
-  const fsm::EnvironmentFsm home = fsm::BuildExampleHome();
+  const fsm::EnvironmentFsm home =
+      fsm::BuildHome(fsm::ExampleHomeDevices(), 1);
   const FeatureEncoder encoder(home);
   EXPECT_EQ(encoder.feature_width(),
             home.codec().one_hot_width() + home.codec().mini_action_count() + 2);
@@ -49,7 +51,7 @@ TEST(FeatureEncoder, SplitActionSkipsNoOps) {
 
 class SafeTableFixture : public ::testing::Test {
  protected:
-  SafeTableFixture() : home_(fsm::BuildExampleHome()) {}
+  SafeTableFixture() : home_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)) {}
 
   fsm::ActionVector LightOn() const {
     fsm::ActionVector action(home_.device_count(), fsm::kNoAction);
@@ -423,9 +425,8 @@ TEST_F(SafeTableRestoreFixture, JsonRoundTripPreservesAdmissions) {
 TEST_F(SafeTableRestoreFixture, RejectsMalformedKeyStrings) {
   for (const char* hostile : {"123abc", "-1", "", " 42", "0x10",
                               "99999999999999999999999999"}) {
-    util::JsonValue doc = LearnedDoc();
-    doc.MutableObject()["counts"].MutableArray()[0].MutableArray()[0] =
-        util::JsonValue(hostile);
+    const util::JsonValue doc = json_edit::SetJson(
+        LearnedDoc(), {"counts", 0u, 0u}, util::JsonValue(hostile));
     SafeTransitionTable table = FreshTable();
     EXPECT_THROW(table.LoadJson(doc), util::CheckError) << hostile;
     // The rejected load left the table unfinalized: deny everything.
@@ -441,8 +442,8 @@ TEST_F(SafeTableRestoreFixture, RejectsHostileCounts) {
       util::JsonValue("12"),          // wrong type
   };
   for (const util::JsonValue& count : hostile_counts) {
-    util::JsonValue doc = LearnedDoc();
-    doc.MutableObject()["counts"].MutableArray()[0].MutableArray()[1] = count;
+    const util::JsonValue doc =
+        json_edit::SetJson(LearnedDoc(), {"counts", 0u, 1u}, count);
     SafeTransitionTable table = FreshTable();
     EXPECT_ANY_THROW(table.LoadJson(doc)) << count.Dump();
     EXPECT_FALSE(table.IsSafe(state_, LightOn(), 400));
@@ -452,18 +453,19 @@ TEST_F(SafeTableRestoreFixture, RejectsHostileCounts) {
 TEST_F(SafeTableRestoreFixture, RejectsDuplicateKeys) {
   // Duplicate count keys would make the admitted set depend on which entry
   // "wins" — attacker-steerable ambiguity.
-  util::JsonValue doc = LearnedDoc();
-  auto& counts = doc.MutableObject()["counts"].MutableArray();
-  counts.push_back(counts[0]);
+  const util::JsonValue learned = LearnedDoc();
+  const util::JsonValue doc = json_edit::AppendJson(
+      learned, {"counts"}, learned.At("counts").AsArray()[0]);
   EXPECT_THROW(FreshTable().LoadJson(doc), util::CheckError);
 
   SafeTransitionTable forced(home_, KeyMode::kFactoredContext, 0);
   forced.ForceAdmit(state_, {2, 1}, 400);
-  util::JsonValue forced_doc = forced.ToJson();
-  auto& keys = forced_doc.MutableObject()["forced"].MutableArray();
+  const util::JsonValue forced_doc = forced.ToJson();
+  const util::JsonArray& keys = forced_doc.At("forced").AsArray();
   ASSERT_FALSE(keys.empty());
-  keys.push_back(keys[0]);
-  EXPECT_THROW(FreshTable().LoadJson(forced_doc), util::CheckError);
+  EXPECT_THROW(FreshTable().LoadJson(
+                   json_edit::AppendJson(forced_doc, {"forced"}, keys[0])),
+               util::CheckError);
 }
 
 TEST_F(SafeTableRestoreFixture, RejectsConfigMismatches) {
@@ -477,19 +479,19 @@ TEST_F(SafeTableRestoreFixture, RejectsConfigMismatches) {
   SafeTransitionTable strict(home_, KeyMode::kFactoredContext, 2);
   EXPECT_THROW(strict.LoadJson(LearnedDoc()), util::CheckError);
 
-  util::JsonValue doc = LearnedDoc();
-  doc.MutableObject()["mode"] = util::JsonValue("quantum");
+  const util::JsonValue doc =
+      json_edit::SetJson(LearnedDoc(), {"mode"}, util::JsonValue("quantum"));
   EXPECT_THROW(FreshTable().LoadJson(doc), util::CheckError);
 }
 
 TEST_F(SafeTableRestoreFixture, RejectsStructurallyBrokenEntries) {
-  util::JsonValue triple = LearnedDoc();
-  triple.MutableObject()["counts"].MutableArray()[0].MutableArray().push_back(
-      util::JsonValue(1));
+  const util::JsonValue triple = json_edit::AppendJson(
+      LearnedDoc(), {"counts", 0u}, util::JsonValue(1));
   EXPECT_THROW(FreshTable().LoadJson(triple), util::CheckError);
 
-  util::JsonValue missing = LearnedDoc();
-  missing.MutableObject().erase("counts");
+  util::JsonObject without_counts = LearnedDoc().AsObject();
+  without_counts.erase("counts");
+  const util::JsonValue missing(std::move(without_counts));
   EXPECT_THROW(FreshTable().LoadJson(missing), util::JsonError);
 }
 
@@ -500,9 +502,8 @@ TEST_F(SafeTableRestoreFixture, RejectedLoadLeavesPreviousStateIntact) {
   table.LoadJson(LearnedDoc());
   ASSERT_TRUE(table.IsSafe(state_, LightOn(), 400));
 
-  util::JsonValue hostile = LearnedDoc();
-  hostile.MutableObject()["counts"].MutableArray()[0].MutableArray()[0] =
-      util::JsonValue("not-a-key");
+  const util::JsonValue hostile = json_edit::SetJson(
+      LearnedDoc(), {"counts", 0u, 0u}, util::JsonValue("not-a-key"));
   EXPECT_THROW(table.LoadJson(hostile), util::CheckError);
   EXPECT_TRUE(table.IsSafe(state_, LightOn(), 400))
       << "rejected load clobbered the previous whitelist";
@@ -535,9 +536,8 @@ TEST_F(SplIntegration, RejectedRestoreLeavesLearnerDenying) {
   victim.LoadJsonString(learner_->ToJsonString());
   ASSERT_TRUE(victim.learned());
 
-  util::JsonValue hostile = learner_->ToJson();
-  hostile.MutableObject()["stats"].MutableObject()["observations"] =
-      util::JsonValue(-3);
+  const util::JsonValue hostile = json_edit::SetJson(
+      learner_->ToJson(), {"stats", "observations"}, util::JsonValue(-3));
   EXPECT_THROW(victim.LoadJson(hostile), util::JsonError);
   EXPECT_FALSE(victim.learned());
   fsm::StateVector state(testbed_->home_a().device_count(), 0);
@@ -555,9 +555,8 @@ TEST_F(SplIntegration, RestoreRejectsForeignAnnTopology) {
       {{4, neural::Activation::kRelu}, {2, neural::Activation::kSigmoid}},
       neural::Loss::kBinaryCrossEntropy,
       std::make_unique<neural::Sgd>(0.01), util::Rng(1));
-  util::JsonValue doc = learner_->ToJson();
-  doc.MutableObject()["filter"].MutableObject()["network"] =
-      neural::ToJson(foreign);
+  const util::JsonValue doc = json_edit::SetJson(
+      learner_->ToJson(), {"filter", "network"}, neural::ToJson(foreign));
   SafetyPolicyLearner victim(testbed_->home_a(), SplConfig{});
   EXPECT_THROW(victim.LoadJson(doc), std::invalid_argument);
   EXPECT_FALSE(victim.learned());

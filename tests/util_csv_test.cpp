@@ -2,15 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 namespace jarvis::util {
 namespace {
 
 TEST(Csv, WritesHeaderAndRows) {
   CsvWriter writer({"f", "normal", "jarvis"});
   writer.AddRow({"0.1", "35.2", "20.1"});
-  writer.AddNumericRow({0.5, 34.0, 12.25});
+  writer.AddRow({"0.5", "34", "12.25"});
   EXPECT_EQ(writer.ToString(),
             "f,normal,jarvis\n0.1,35.2,20.1\n0.5,34,12.25\n");
   EXPECT_EQ(writer.row_count(), 2u);
@@ -26,49 +24,8 @@ TEST(Csv, QuotesFieldsWithSpecials) {
   writer.AddRow({"a,b"});
   writer.AddRow({"say \"hi\""});
   writer.AddRow({"two\nlines"});
-  const auto parsed = ParseCsv(writer.ToString());
-  ASSERT_EQ(parsed.size(), 4u);  // header + 3 rows
-  EXPECT_EQ(parsed[1][0], "a,b");
-  EXPECT_EQ(parsed[2][0], "say \"hi\"");
-  EXPECT_EQ(parsed[3][0], "two\nlines");
-}
-
-TEST(Csv, ParsesPlainRows) {
-  const auto rows = ParseCsv("a,b,c\n1,2,3\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2", "3"}));
-}
-
-TEST(Csv, ToleratesCrLfAndMissingTrailingNewline) {
-  const auto rows = ParseCsv("a,b\r\n1,2");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "2");
-}
-
-TEST(Csv, EmptyFieldsPreserved) {
-  const auto rows = ParseCsv("a,,c\n,,\n");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][1], "");
-  EXPECT_EQ(rows[1].size(), 3u);
-}
-
-TEST(Csv, DoubledQuotesDecode) {
-  const auto rows = ParseCsv("\"he said \"\"no\"\"\"\n");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "he said \"no\"");
-}
-
-TEST(Csv, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/jarvis_csv_test.csv";
-  CsvWriter writer({"x", "y"});
-  writer.AddNumericRow({1.0, 2.0});
-  writer.WriteFile(path);
-  const auto rows = ReadCsvFile(path);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][0], "1");
-  std::remove(path.c_str());
-  EXPECT_THROW(ReadCsvFile("/nonexistent/dir/x.csv"), std::runtime_error);
+  EXPECT_EQ(writer.ToString(),
+            "text\n\"a,b\"\n\"say \"\"hi\"\"\"\n\"two\nlines\"\n");
 }
 
 }  // namespace

@@ -121,13 +121,5 @@ TEST(Json, PrettyPrintRoundTrips) {
   EXPECT_EQ(JsonValue::Parse(pretty), doc);
 }
 
-TEST(Json, CopyOnWriteMutationDoesNotAliasShares) {
-  JsonValue a(JsonArray{JsonValue(1)});
-  JsonValue b = a;  // shares the array node
-  b.MutableArray().push_back(JsonValue(2));
-  EXPECT_EQ(a.AsArray().size(), 1u);
-  EXPECT_EQ(b.AsArray().size(), 2u);
-}
-
 }  // namespace
 }  // namespace jarvis::util

@@ -24,28 +24,10 @@ TEST(Mutex, LockUnlockRoundTrip) {
   EXPECT_THROW(mutex.AssertHeld(), CheckError);
 }
 
-TEST(Mutex, TryLockSucceedsWhenFree) {
-  Mutex mutex;
-  ASSERT_TRUE(mutex.TryLock());
-  mutex.AssertHeld();
-  mutex.Unlock();
-}
-
-TEST(Mutex, TryLockFailsWhenAnotherThreadHolds) {
-  Mutex mutex;
-  mutex.Lock();
-  bool acquired = true;
-  std::thread other([&mutex, &acquired] { acquired = mutex.TryLock(); });
-  other.join();
-  EXPECT_FALSE(acquired);
-  mutex.Unlock();
-}
-
 TEST(Mutex, ReentrantLockIsACheckErrorNotADeadlock) {
   Mutex mutex;
   MutexLock lock(mutex);
   EXPECT_THROW(mutex.Lock(), CheckError);
-  EXPECT_THROW(mutex.TryLock(), CheckError);
 }
 
 TEST(Mutex, UnlockByNonOwnerIsACheckError) {

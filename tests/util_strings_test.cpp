@@ -5,28 +5,6 @@
 namespace jarvis::util {
 namespace {
 
-TEST(Strings, SplitBasic) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split(",x,", ','), (std::vector<std::string>{"", "x", ""}));
-}
-
-TEST(Strings, JoinInvertsSplit) {
-  const std::vector<std::string> parts = {"one", "two", "three"};
-  EXPECT_EQ(Join(parts, "-"), "one-two-three");
-  EXPECT_EQ(Split(Join(parts, ","), ','), parts);
-  EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(Strings, Trim) {
-  EXPECT_EQ(Trim("  x y  "), "x y");
-  EXPECT_EQ(Trim("\t\nz\r "), "z");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("nochange"), "nochange");
-}
-
 TEST(Strings, ToLowerAndStartsWith) {
   EXPECT_EQ(ToLower("AbC-12"), "abc-12");
   EXPECT_TRUE(StartsWith("jarvis_core", "jarvis"));
@@ -37,13 +15,6 @@ TEST(Strings, ToLowerAndStartsWith) {
 TEST(Strings, Format) {
   EXPECT_EQ(Format("%d-%s-%.2f", 7, "x", 1.5), "7-x-1.50");
   EXPECT_EQ(Format("no args"), "no args");
-}
-
-TEST(Strings, Padding) {
-  EXPECT_EQ(PadRight("ab", 5), "ab   ");
-  EXPECT_EQ(PadLeft("ab", 5), "   ab");
-  EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
-  EXPECT_EQ(PadLeft("abcdef", 3), "abcdef");
 }
 
 }  // namespace

@@ -50,15 +50,5 @@ TEST(SimTime, Rendering) {
   EXPECT_EQ(ts, "2020-01-01T13:45:00");
 }
 
-TEST(CircularMinuteDistance, WrapsMidnight) {
-  EXPECT_EQ(CircularMinuteDistance(10, 10), 0);
-  EXPECT_EQ(CircularMinuteDistance(0, 60), 60);
-  // 23:50 to 00:10 is 20 minutes the short way.
-  EXPECT_EQ(CircularMinuteDistance(23 * 60 + 50, 10), 20);
-  // Exactly opposite points are half a day apart.
-  EXPECT_EQ(CircularMinuteDistance(0, 12 * 60), 12 * 60);
-  EXPECT_EQ(CircularMinuteDistance(6 * 60, 18 * 60), 12 * 60);
-}
-
 }  // namespace
 }  // namespace jarvis::util
