@@ -1,14 +1,13 @@
 // Microbenchmarks (google-benchmark) for the fault-injection subsystem:
 // FaultInjector::Apply throughput over a day-scale event stream under
-// schedules of increasing complexity, and the FaultyBus live-publish path.
-// These bound the overhead of running chaos sweeps in CI and of wrapping a
-// production bus in the injector.
+// schedules of increasing complexity. These bound the overhead of running
+// chaos sweeps in CI.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
-#include "events/bus.h"
+#include "events/event.h"
 #include "faults/injector.h"
 #include "faults/schedule.h"
 #include "util/rng.h"
@@ -92,23 +91,6 @@ void BM_InjectorApplyFullSchedule(benchmark::State& state) {
                           static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_InjectorApplyFullSchedule)->Arg(1440)->Arg(14400);
-
-void BM_FaultyBusPublish(benchmark::State& state) {
-  const auto events = MakeStream(1440);
-  events::EventBus bus;
-  std::size_t delivered = 0;
-  bus.Subscribe("", "", [&](const events::Event&) { ++delivered; });
-  faults::FaultyBus faulty(bus, FullSchedule());
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(faulty.Publish(events[i]));
-    i = (i + 1) % events.size();
-    if (i == 0) faulty.FlushAll();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FaultyBusPublish);
 
 }  // namespace
 

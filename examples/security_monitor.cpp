@@ -9,9 +9,11 @@
 //
 // Run: ./build/examples/security_monitor
 #include <cstdio>
+#include <vector>
 
 #include "core/jarvis.h"
 #include "core/online_monitor.h"
+#include "events/event.h"
 #include "sim/testbed.h"
 
 int main() {
@@ -87,26 +89,27 @@ int main() {
               spl::VerdictName(verdict).c_str());
 
   // --- Streaming mode ------------------------------------------------—---
-  // The same detection, online: the monitor subscribes to the live event
-  // bus and raises alerts the moment a flagged command arrives.
-  std::printf("\nStreaming mode (OnlineMonitor attached to the event bus):\n");
+  // The same detection, online: every event goes through
+  // OnlineMonitor::Consume the moment it arrives, and each command that is
+  // not safe is reported at once.
+  std::printf("\nStreaming mode (OnlineMonitor::Consume per event):\n");
   core::OnlineMonitor monitor(home, jarvis.learner(),
                               day.episode.initial_state());
-  events::EventBus bus;
-  monitor.Attach(bus, [&](const core::MonitorAlert& alert) {
-    std::printf("  ALERT %s  %-12s %-14s [%s]\n",
-                alert.time.ToString().c_str(), alert.device_label.c_str(),
-                alert.action_name.c_str(),
-                spl::VerdictName(alert.verdict).c_str());
-  });
-  for (const auto& event : day.events) bus.Publish(event);
+  std::vector<events::Event> stream = day.events;
   // Inject one live attack event.
   events::Event attack_event;
   attack_event.date = util::SimTime::FromHms(day.scenario.day, 23, 50);
   attack_event.device_label = "temp_sensor";
   attack_event.attribute_value = "off";
   attack_event.command = "power_off";
-  bus.Publish(attack_event);
+  stream.push_back(attack_event);
+  for (const auto& event : stream) {
+    const auto verdict = monitor.Consume(event);
+    if (!verdict || *verdict == spl::Verdict::kSafe) continue;
+    std::printf("  ALERT %s  %-12s %-14s [%s]\n",
+                event.date.ToString().c_str(), event.device_label.c_str(),
+                event.command.c_str(), spl::VerdictName(*verdict).c_str());
+  }
   std::printf("Streamed %zu events: %zu commands classified, %zu violations, "
               "%zu benign anomalies.\n",
               monitor.events_consumed(), monitor.commands_classified(),

@@ -1,8 +1,8 @@
 // The Jarvis facade: the library's primary public API, wiring the paper's
 // pipeline together (Fig. 3):
 //
-//   1. Logging — device events flow through the pub/sub bus into the
-//      logger app (events::).
+//   1. Logging — device events are stored as 11-field JSON log lines and
+//      read back by the logger app (events::).
 //   2. Parsing — logs normalize into the FSM state model and cut into
 //      learning episodes (events::LogParser).
 //   3. Security policy learning — Algorithm 1 builds P_safe with the ANN
@@ -197,8 +197,10 @@ class Jarvis {
 
   // Records what a fault injector actually injected into the streams this
   // instance consumed (chaos tests compare these against stage counters).
+  // The injector's counters accumulate across its Apply calls, so this
+  // replaces the previous snapshot, like NoteMonitor.
   void NoteInjectedFaults(const faults::FaultCounters& counters) {
-    health_.injected += counters;
+    health_.injected = counters;
   }
 
   // Snapshots a monitor's fail-safe and unknown-event counters into the

@@ -99,7 +99,12 @@ void OnlineMonitor::LoadJson(const util::JsonValue& doc) {
   fsm::StateVector state;
   state.reserve(state_doc.size());
   for (const auto& value : state_doc) {
-    state.push_back(static_cast<int>(value.AsInt()));
+    const std::optional<int> entry = value.AsIntIn();
+    if (!entry) {
+      throw util::JsonError(
+          "OnlineMonitor::LoadJson: state entry is not an int");
+    }
+    state.push_back(*entry);
   }
   fsm_.ValidateState(state);  // CheckError on out-of-range device states
   std::vector<std::optional<util::SimTime>> last_seen;
@@ -201,20 +206,12 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
     } else {
       ++stale_denials_;
     }
-    if (callback_) {
-      callback_({event.date, mini, spl::Verdict::kViolation, device->label(),
-                 device->action_name(*action)});
-    }
     return spl::Verdict::kViolation;
   }
 
   const spl::Verdict verdict =
       learner_.ClassifyMini(state_, mini, event.date.minute_of_day());
   ++commands_classified_;
-  if (verdict != spl::Verdict::kSafe && callback_) {
-    callback_({event.date, mini, verdict, device->label(),
-               device->action_name(*action)});
-  }
   switch (verdict) {
     case spl::Verdict::kViolation:
       ++violations_;
@@ -232,13 +229,6 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
   state_[device_index] = device->Transition(state_[device_index], *action);
   last_seen_[device_index] = event.date;
   return verdict;
-}
-
-events::SubscriptionId OnlineMonitor::Attach(events::EventBus& bus,
-                                             AlertCallback callback) {
-  callback_ = std::move(callback);
-  return bus.Subscribe("", "",
-                       [this](const events::Event& event) { Consume(event); });
 }
 
 }  // namespace jarvis::core

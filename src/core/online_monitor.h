@@ -1,30 +1,19 @@
 // Streaming detection: the deployment-facing counterpart of the batch
-// Audit. The monitor consumes normalized events one at a time (e.g.
-// subscribed to the live event bus), maintains the composite FSM state,
-// and classifies every command event the moment it arrives — the paper's
+// Audit. The monitor consumes normalized events one at a time through
+// Consume, maintains the composite FSM state, and classifies every
+// command event the moment it arrives — the paper's
 // "intelligent monitoring system with a global view" (Section I) running
 // online rather than over recorded episodes.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "events/bus.h"
 #include "events/event.h"
 #include "spl/learner.h"
 
 namespace jarvis::core {
-
-// One streaming detection result.
-struct MonitorAlert {
-  util::SimTime time;
-  fsm::MiniAction mini;
-  spl::Verdict verdict;  // kBenignAnomaly or kViolation only
-  std::string device_label;
-  std::string action_name;
-};
 
 // Fail-safe behavior for degraded telemetry (deny-unsafe-by-default): a
 // command touching a device whose tracked state is unknown or stale is
@@ -43,8 +32,6 @@ struct MonitorConfig {
 
 class OnlineMonitor {
  public:
-  using AlertCallback = std::function<void(const MonitorAlert&)>;
-
   // `learner` must be past its learning phase. The monitor starts from
   // `initial_state` and tracks every event it consumes.
   OnlineMonitor(const fsm::EnvironmentFsm& fsm,
@@ -74,15 +61,9 @@ class OnlineMonitor {
   // trust, counters) for checkpointing. LoadJson validates the document
   // against this monitor's home (device count, state ranges) and throws
   // util::JsonError / util::CheckError on mismatch or hostile input,
-  // leaving the monitor untouched. The alert callback and metrics wiring
-  // are not serialized.
+  // leaving the monitor untouched.
   util::JsonValue ToJson() const;
   void LoadJson(const util::JsonValue& doc);
-
-  // Subscribes the monitor to everything on a bus; alerts (benign
-  // anomalies and violations) flow to the callback. Returns the
-  // subscription id (the caller owns unsubscription).
-  events::SubscriptionId Attach(events::EventBus& bus, AlertCallback callback);
 
   const fsm::StateVector& state() const { return state_; }
   const MonitorConfig& config() const { return config_; }
@@ -108,7 +89,6 @@ class OnlineMonitor {
   const spl::SafetyPolicyLearner& learner_;
   fsm::StateVector state_;
   MonitorConfig config_;
-  AlertCallback callback_;
   // Per-device trust tracking: last accepted event time (nullopt until the
   // first one; the initial state is trusted until then) and whether the
   // tracked state is currently decodable.

@@ -3,8 +3,9 @@
 //    Location.info, Device.label, Capability.name, Attribute.name,
 //    Attribute.value, Capability.command)
 //
-// Devices publish attribute changes; apps subscribed to the capability see
-// the publication (Section II-A's publish-subscribe architecture).
+// Section II-A's devices publish attribute changes to subscribed apps; here
+// each change is one Event, carried as a log line (the daemon's ingest
+// request, a log file) rather than over an in-process bus.
 #pragma once
 
 #include <string>

@@ -1,11 +1,9 @@
-// Device handlers (Section II-A): parse device-specific raw messages into
-// normalized, edge-readable events, and normalize raw attribute values /
-// commands into the discrete device-states and device-actions of the FSM
-// (the manually developed normalization functions of Section V-A-2).
+// Device handler (Section II-A): renders a device's state change in FSM
+// vocabulary as a normalized, edge-readable event. The simulators emit
+// their traces through it; the ingest path reads FSM names only, so no
+// vendor vocabulary is normalized here (DESIGN.md §5).
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
 
 #include "events/event.h"
@@ -13,67 +11,13 @@
 
 namespace jarvis::events {
 
-// A raw message as a device would emit it on the wire: free-form vendor
-// vocabulary ("ON", "pwr:1", "LOCK_JAMMED") rather than normalized names.
-struct RawDeviceMessage {
-  util::SimTime time;
-  std::string device_label;
-  std::string raw_attribute;  // vendor attribute name
-  std::string raw_value;      // vendor value vocabulary
-  std::string raw_command;    // vendor command vocabulary, may be empty
-};
-
-// Per-device normalization: vendor vocabulary -> FSM state/action names.
-// One handler instance serves one device type.
-class DeviceHandler {
- public:
-  // The default mapping is the identity over the device's own state/action
-  // names (already normalized); vendor synonyms are added on top.
-  explicit DeviceHandler(const fsm::Device& device);
-
-  const std::string& device_label() const { return device_label_; }
-
-  // Adds vendor synonyms. Matching is case-insensitive.
-  void AddValueSynonym(const std::string& vendor_value,
-                       const std::string& state_name);
-  void AddCommandSynonym(const std::string& vendor_command,
-                         const std::string& action_name);
-
-  // Normalizes a raw value/command; nullopt if unknown after synonym and
-  // identity lookup.
-  std::optional<fsm::StateIndex> NormalizeValue(const std::string& raw) const;
-  std::optional<fsm::ActionIndex> NormalizeCommand(const std::string& raw) const;
-
-  // Parses a complete raw message into a normalized Event. Returns nullopt
-  // when the value cannot be normalized (unknown vendor vocabulary); such
-  // messages are dropped and counted by the caller.
-  std::optional<Event> Normalize(const RawDeviceMessage& message,
-                                 const std::string& user_info,
-                                 const std::string& app_info,
-                                 const std::string& location_info,
-                                 const std::string& group_info) const;
-
-  // Reverse direction: renders a normalized state/action back into an
-  // Event for publication (used by the simulators, which operate directly
-  // in FSM vocabulary).
-  Event MakeEvent(util::SimTime time, fsm::StateIndex new_state,
-                  fsm::ActionIndex action, const std::string& user_info,
-                  const std::string& app_info,
-                  const std::string& location_info,
-                  const std::string& group_info) const;
-
- private:
-  std::string device_label_;
-  std::string capability_;
-  std::map<std::string, fsm::StateIndex> value_to_state_;
-  std::map<std::string, fsm::ActionIndex> command_to_action_;
-  std::vector<std::string> state_names_;
-  std::vector<std::string> action_names_;
-};
-
-// Builds a handler per device with the built-in vendor synonym tables for
-// the device library (lock/light/thermostat/etc. vocabularies).
-std::map<std::string, DeviceHandler> MakeStandardHandlers(
-    const std::vector<fsm::Device>& devices);
+// The event `device` publishes when it enters `new_state` at `time`, caused
+// by `action` (fsm::kNoAction for a sensor report, which leaves the command
+// field empty).
+Event MakeEvent(const fsm::Device& device, util::SimTime time,
+                fsm::StateIndex new_state, fsm::ActionIndex action,
+                const std::string& user_info, const std::string& app_info,
+                const std::string& location_info,
+                const std::string& group_info);
 
 }  // namespace jarvis::events

@@ -6,22 +6,6 @@
 
 namespace jarvis::events {
 
-LoggerApp::LoggerApp(EventBus& bus) : bus_(bus) {
-  subscription_ = bus_.Subscribe(
-      "", "", [this](const Event& event) { events_.push_back(event); });
-}
-
-LoggerApp::~LoggerApp() { bus_.Unsubscribe(subscription_); }
-
-std::string LoggerApp::DumpLog() const {
-  std::string out;
-  for (const auto& event : events_) {
-    out += event.ToLogLine();
-    out.push_back('\n');
-  }
-  return out;
-}
-
 std::vector<Event> LoggerApp::ParseLog(const std::string& text,
                                        std::size_t* dropped) {
   std::vector<Event> events;

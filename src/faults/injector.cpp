@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <limits>
 
+#include "util/rng.h"
+
 namespace jarvis::faults {
 
 namespace {
@@ -33,9 +35,6 @@ bool IsSensorReport(const events::Event& event) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// FaultInjector (batch path)
-
 FaultInjector::FaultInjector(FaultSchedule schedule)
     : schedule_(std::move(schedule)) {}
 
@@ -49,7 +48,6 @@ void FaultInjector::SetMetrics(obs::Registry* registry) {
     offline_counter_ = nullptr;
     flap_counter_ = nullptr;
     stuck_counter_ = nullptr;
-    publish_fail_counter_ = nullptr;
     return;
   }
   dropped_counter_ = registry->GetCounter("faults.injector.dropped");
@@ -60,8 +58,6 @@ void FaultInjector::SetMetrics(obs::Registry* registry) {
   offline_counter_ = registry->GetCounter("faults.injector.offline_drops");
   flap_counter_ = registry->GetCounter("faults.injector.flap_reports");
   stuck_counter_ = registry->GetCounter("faults.injector.stuck_reports");
-  publish_fail_counter_ =
-      registry->GetCounter("faults.injector.publish_failures");
 }
 
 std::vector<events::Event> FaultInjector::Apply(
@@ -170,8 +166,7 @@ std::vector<events::Event> FaultInjector::Apply(
             ++counters_.delayed;
           }
           break;
-        case FaultKind::kReorder:    // second pass below
-        case FaultKind::kPublishFail:  // live path only
+        case FaultKind::kReorder:  // second pass below
           break;
       }
     }
@@ -225,198 +220,8 @@ std::vector<events::Event> FaultInjector::Apply(
                                 before.offline_drops);
     flap_counter_->Increment(counters_.flap_reports - before.flap_reports);
     stuck_counter_->Increment(counters_.stuck_reports - before.stuck_reports);
-    publish_fail_counter_->Increment(counters_.publish_failures -
-                                     before.publish_failures);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// FaultyBus (live path)
-
-FaultyBus::FaultyBus(events::EventBus& inner, FaultSchedule schedule)
-    : inner_(inner),
-      schedule_(std::move(schedule)),
-      rng_(schedule_.seed ^ kInjectorSalt),
-      stuck_(schedule_.specs.size()) {}
-
-void FaultyBus::CollectDueLocked(util::SimTime now,
-                                 std::vector<events::Event>& out) {
-  // Small list: scan for due arrivals, earliest first, keep order stable.
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Pending& a, const Pending& b) {
-                     return a.due < b.due;
-                   });
-  std::size_t emitted = 0;
-  for (const auto& p : pending_) {
-    if (p.due > now) break;
-    out.push_back(p.event);  // original timestamp: arrives as a straggler
-    ++emitted;
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(emitted));
-}
-
-void FaultyBus::Flush(util::SimTime now) {
-  std::vector<events::Event> due;
-  {
-    util::MutexLock lock(mutex_);
-    CollectDueLocked(now, due);
-  }
-  for (const auto& event : due) inner_.Publish(event);
-}
-
-void FaultyBus::FlushAll() {
-  Flush(util::SimTime(std::numeric_limits<std::int64_t>::max()));
-}
-
-std::size_t FaultyBus::pending_delayed() const {
-  util::MutexLock lock(mutex_);
-  return pending_.size();
-}
-
-FaultCounters FaultyBus::counters() const {
-  util::MutexLock lock(mutex_);
-  return counters_;
-}
-
-bool FaultyBus::Publish(const events::Event& input) {
-  // Every fault decision and state mutation happens under one lock hold;
-  // the decided deliveries go to the inner bus only after release, so
-  // subscriber callbacks never run while the injector lock is held.
-  std::vector<events::Event> deliver;
-  bool accepted = true;
-  {
-    util::MutexLock lock(mutex_);
-    CollectDueLocked(input.date, deliver);
-
-    events::Event event = input;
-    bool lost = false;
-    bool flap = false;
-    bool delayed = false;
-    int delay_minutes = 0;
-    std::size_t copies = 0;
-
-    // Loss faults first, whatever their schedule position (see Apply).
-    for (const FaultSpec& spec : schedule_.specs) {
-      if (!spec.AppliesAt(input.date)) continue;
-      if (spec.kind == FaultKind::kPublishFail) {
-        if (rng_.NextBool(spec.rate)) {
-          ++counters_.publish_failures;
-          accepted = false;  // retryable: the event was not delivered
-          lost = true;
-          break;
-        }
-      } else if (spec.kind == FaultKind::kDeviceOffline) {
-        if (spec.AppliesTo(input.device_label) && rng_.NextBool(spec.rate)) {
-          ++counters_.offline_drops;
-          lost = true;  // consumed, silently
-          break;
-        }
-      } else if (spec.kind == FaultKind::kDrop) {
-        if (rng_.NextBool(spec.rate)) {
-          ++counters_.dropped;
-          lost = true;
-          break;
-        }
-      }
-    }
-
-    for (std::size_t i = 0; i < schedule_.specs.size() && !lost; ++i) {
-      const FaultSpec& spec = schedule_.specs[i];
-      if (!spec.AppliesAt(input.date)) continue;
-      switch (spec.kind) {
-        case FaultKind::kPublishFail:
-        case FaultKind::kDeviceOffline:
-        case FaultKind::kDrop:
-          break;  // handled in the loss pass above
-        case FaultKind::kStuckSensor:
-          if (IsSensorReport(input) && spec.AppliesTo(input.device_label)) {
-            std::string& stuck_value = stuck_[i][input.device_label];
-            if (stuck_value.empty()) {
-              stuck_value = spec.stuck_value.empty() ? input.attribute_value
-                                                     : spec.stuck_value;
-            }
-            if (rng_.NextBool(spec.rate) &&
-                event.attribute_value != stuck_value) {
-              event.attribute_value = stuck_value;
-              ++counters_.stuck_reports;
-            }
-          }
-          break;
-        case FaultKind::kCorruptField:
-          if (rng_.NextBool(spec.rate)) {
-            CorruptField(rng_, &event);
-            ++counters_.corrupted;
-          }
-          break;
-        case FaultKind::kDeviceFlap:
-          if (IsSensorReport(input) && spec.AppliesTo(input.device_label) &&
-              rng_.NextBool(spec.rate)) {
-            flap = true;
-          }
-          break;
-        case FaultKind::kDuplicate:
-          if (rng_.NextBool(spec.rate)) {
-            ++copies;
-            ++counters_.duplicated;
-          }
-          break;
-        case FaultKind::kDelay:
-          if (rng_.NextBool(spec.rate)) {
-            delayed = true;
-            delay_minutes = spec.delay_minutes;
-            ++counters_.delayed;
-          }
-          break;
-        case FaultKind::kReorder:  // meaningless one event at a time
-          break;
-      }
-    }
-
-    if (!lost) {
-      if (flap) {
-        const auto it = last_value_.find(input.device_label);
-        if (it != last_value_.end() && it->second != event.attribute_value) {
-          events::Event stale = event;
-          stale.attribute_value = it->second;
-          deliver.push_back(std::move(stale));
-          ++counters_.flap_reports;
-        }
-      }
-      if (IsSensorReport(input)) {
-        last_value_[input.device_label] = input.attribute_value;
-      }
-      if (delayed) {
-        for (std::size_t c = 0; c <= copies; ++c) {
-          pending_.push_back({input.date + delay_minutes, event});
-        }
-      } else {
-        deliver.push_back(event);
-        for (std::size_t c = 0; c < copies; ++c) deliver.push_back(event);
-      }
-    }
-  }
-
-  for (const auto& event : deliver) inner_.Publish(event);
-  return accepted;
-}
-
-// ---------------------------------------------------------------------------
-// ReliablePublisher
-
-ReliablePublisher::ReliablePublisher(FaultyBus& bus, util::RetryPolicy policy,
-                                     util::SleepFn sleep)
-    : bus_(bus), policy_(policy), sleep_(std::move(sleep)) {}
-
-bool ReliablePublisher::Publish(const events::Event& event) {
-  const util::RetryResult result = util::Retry(
-      policy_, [&] { return bus_.Publish(event); }, sleep_);
-  if (result.attempts > 1) {
-    retried_ += static_cast<std::size_t>(result.attempts - 1);
-  }
-  if (!result.succeeded) ++abandoned_;
-  return result.succeeded;
 }
 
 }  // namespace jarvis::faults

@@ -1,14 +1,7 @@
-// Seeded fault injection over the event path. Two entry points share the
-// fault vocabulary of faults::FaultSchedule:
-//
-//   FaultInjector — batch path: corrupts a recorded, time-sorted event
-//     stream (e.g. a simulator trace) before it reaches the parser.
-//   FaultyBus — live path: wraps events::EventBus::Publish and injects the
-//     same faults one publication at a time, including retryable publish
-//     failures (kPublishFail) that ReliablePublisher recovers from via
-//     util::Retry.
-//
-// Both count every fault they actually inject (FaultCounters), so chaos
+// Seeded fault injection over the event path. FaultInjector corrupts a
+// recorded, time-sorted event stream (e.g. a simulator trace) before it
+// reaches the parser, with the fault vocabulary of faults::FaultSchedule,
+// and counts every fault it actually injects (FaultCounters), so chaos
 // tests can check downstream degradation accounting against ground truth.
 #pragma once
 
@@ -16,20 +9,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "events/bus.h"
 #include "events/event.h"
 #include "faults/schedule.h"
 #include "obs/metrics.h"
-#include "util/mutex.h"
-#include "util/retry.h"
-#include "util/rng.h"
-#include "util/thread_annotations.h"
 
 namespace jarvis::faults {
 
-// Batch-path injector. Apply() is deterministic for a given (schedule,
-// stream) pair: it re-seeds its RNG from the schedule seed on every call,
-// so the same call yields the same faulted stream bit for bit.
+// Apply() is deterministic for a given (schedule, stream) pair: it re-seeds
+// its RNG from the schedule seed on every call, so the same call yields the
+// same faulted stream bit for bit.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultSchedule schedule);
@@ -58,86 +46,6 @@ class FaultInjector {
   obs::Counter* offline_counter_ = nullptr;
   obs::Counter* flap_counter_ = nullptr;
   obs::Counter* stuck_counter_ = nullptr;
-  obs::Counter* publish_fail_counter_ = nullptr;
-};
-
-// Live-path injector wrapping an EventBus. Delayed events are held back
-// and delivered (with their original timestamps, i.e. as stragglers) once
-// Flush() advances past their due time; Publish() flushes implicitly up to
-// the published event's timestamp.
-//
-// Thread safety (DESIGN.md §13): thread-safe. One util::Mutex guards the
-// RNG, counters, pending queue, and flap/stuck memory; fault decisions and
-// state mutation happen under the lock, but the resulting deliveries go to
-// inner_.Publish OUTSIDE the lock (the bus runs subscriber callbacks, and
-// holding the injector lock across arbitrary callbacks invites deadlock).
-// Deliveries from a single Publish/Flush call stay in schedule order; the
-// interleaving between racing callers is whatever the race resolves to,
-// exactly like racing Publish calls on the bare bus.
-class FaultyBus {
- public:
-  FaultyBus(events::EventBus& inner, FaultSchedule schedule);
-
-  // Applies the schedule to one live publication. Returns false only when
-  // a kPublishFail fault ate the event — the caller may retry (see
-  // ReliablePublisher); every other fault consumes the event silently.
-  bool Publish(const events::Event& event) JARVIS_EXCLUDES(mutex_);
-
-  // Delivers held-back events whose due time is <= now.
-  void Flush(util::SimTime now) JARVIS_EXCLUDES(mutex_);
-  // Delivers everything still pending (end of stream).
-  void FlushAll() JARVIS_EXCLUDES(mutex_);
-
-  std::size_t pending_delayed() const JARVIS_EXCLUDES(mutex_);
-  // Snapshot by value: a reference into guarded state would dangle the
-  // moment another thread publishes.
-  FaultCounters counters() const JARVIS_EXCLUDES(mutex_);
-  events::EventBus& inner() { return inner_; }
-
- private:
-  struct Pending {
-    util::SimTime due;
-    events::Event event;
-  };
-
-  // Moves every pending event with due <= now (in due order) into `out`;
-  // the caller delivers them after releasing the lock.
-  void CollectDueLocked(util::SimTime now, std::vector<events::Event>& out)
-      JARVIS_REQUIRES(mutex_);
-
-  events::EventBus& inner_;       // unguarded: thread-safe bus, const ref
-  const FaultSchedule schedule_;  // unguarded: fixed at construction
-  mutable util::Mutex mutex_;
-  util::Rng rng_ JARVIS_GUARDED_BY(mutex_);
-  FaultCounters counters_ JARVIS_GUARDED_BY(mutex_);
-  std::vector<Pending> pending_ JARVIS_GUARDED_BY(mutex_);
-  // Per-spec stuck values and per-device last sensor value (flap memory).
-  std::vector<std::unordered_map<std::string, std::string>> stuck_
-      JARVIS_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::string> last_value_
-      JARVIS_GUARDED_BY(mutex_);
-};
-
-// Fault-recovery path: publishes through a FaultyBus, retrying failed
-// publishes under util::Retry's bounded deterministic backoff.
-class ReliablePublisher {
- public:
-  explicit ReliablePublisher(FaultyBus& bus, util::RetryPolicy policy = {},
-                             util::SleepFn sleep = nullptr);
-
-  // True once the publish went through; false when the attempt budget ran
-  // out and the event was abandoned.
-  bool Publish(const events::Event& event);
-
-  std::size_t retried_publishes() const { return retried_; }
-  std::size_t abandoned_publishes() const { return abandoned_; }
-
- private:
-  FaultyBus& bus_;
-  util::RetryPolicy policy_;
-  util::SleepFn sleep_;
-  std::size_t retried_ = 0;
-  std::size_t abandoned_ = 0;
 };
 
 }  // namespace jarvis::faults

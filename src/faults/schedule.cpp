@@ -22,23 +22,8 @@ std::string FaultKindName(FaultKind kind) {
       return "device-flap";
     case FaultKind::kStuckSensor:
       return "stuck-sensor";
-    case FaultKind::kPublishFail:
-      return "publish-fail";
   }
   throw std::logic_error("unknown fault kind");
-}
-
-FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
-  dropped += other.dropped;
-  duplicated += other.duplicated;
-  delayed += other.delayed;
-  reordered += other.reordered;
-  corrupted += other.corrupted;
-  offline_drops += other.offline_drops;
-  flap_reports += other.flap_reports;
-  stuck_reports += other.stuck_reports;
-  publish_failures += other.publish_failures;
-  return *this;
 }
 
 }  // namespace jarvis::faults

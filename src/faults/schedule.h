@@ -26,8 +26,6 @@ enum class FaultKind {
   kDeviceFlap,    // a device rapidly re-reports its previous value before
                   // the current one (connectivity flapping)
   kStuckSensor,   // sensor reports freeze at the first in-window value
-  kPublishFail,   // live-bus publish fails outright (retryable; see
-                  // faults::ReliablePublisher) — batch injection ignores it
 };
 
 std::string FaultKindName(FaultKind kind);
@@ -71,13 +69,11 @@ struct FaultCounters {
   std::size_t offline_drops = 0;
   std::size_t flap_reports = 0;      // extra contradictory reports emitted
   std::size_t stuck_reports = 0;     // reports rewritten to the stuck value
-  std::size_t publish_failures = 0;  // failed live publishes (pre-retry)
 
   std::size_t total() const {
     return dropped + duplicated + delayed + reordered + corrupted +
-           offline_drops + flap_reports + stuck_reports + publish_failures;
+           offline_drops + flap_reports + stuck_reports;
   }
-  FaultCounters& operator+=(const FaultCounters& other);
   bool operator==(const FaultCounters&) const = default;
 };
 

@@ -1,7 +1,8 @@
 #include "serve/dispatcher.h"
 
-#include <cmath>
 #include <exception>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,30 +35,21 @@ const util::JsonValue* FindField(const util::JsonValue& body,
   return it == object.end() ? nullptr : &it->second;
 }
 
-std::int64_t RequireInt(const util::JsonValue& body, const char* key) {
-  const util::JsonValue* field = FindField(body, key);
-  if (field == nullptr || !field->is_number()) {
-    throw RequestError(kErrBadRequest,
-                       std::string("missing numeric '") + key + "'");
+// An integer from the wire, in [lo, hi]. JSON numbers are doubles, so a
+// fractional or out-of-range value is refused rather than rounded or
+// narrowed: 0.5 must not serve as 1, nor a minute of 1500 key P_safe with
+// an unlearned time bucket.
+int RequireInt(const util::JsonValue* value, const std::string& what,
+               int lo = std::numeric_limits<int>::min(),
+               int hi = std::numeric_limits<int>::max()) {
+  const std::optional<int> number =
+      value == nullptr ? std::nullopt : value->AsIntIn(lo, hi);
+  if (!number) {
+    throw RequestError(kErrBadRequest, what + " must be an integer in [" +
+                                           std::to_string(lo) + ", " +
+                                           std::to_string(hi) + "]");
   }
-  return field->AsInt();
-}
-
-// A minute of the day from the wire: an integer in [0, 1439]. P_safe is
-// keyed by the minute's time bucket, so a value outside the day (or one
-// that only narrows into it) is refused, never clamped or wrapped.
-int RequireMinute(const util::JsonValue& value, const char* what) {
-  if (value.is_number()) {
-    const double minute = value.AsNumber();
-    if (minute >= 0.0 && minute < util::kMinutesPerDay &&
-        std::floor(minute) == minute) {
-      return static_cast<int>(minute);
-    }
-  }
-  throw RequestError(kErrBadRequest,
-                     std::string(what) +
-                         " must be an integer minute of the day in [0, " +
-                         std::to_string(util::kMinutesPerDay - 1) + "]");
+  return *number;
 }
 
 util::JsonArray ActionToJson(const fsm::ActionVector& action) {
@@ -232,11 +224,8 @@ util::JsonObject Dispatcher::HandleIngest(const util::JsonValue& body) {
 
 util::JsonObject Dispatcher::HandleSuggestAction(const util::JsonValue& body) {
   const std::size_t tenant = ParseTenant(body);
-  const util::JsonValue* minute_field = FindField(body, "minute");
-  if (minute_field == nullptr) {
-    throw RequestError(kErrBadRequest, "missing numeric 'minute'");
-  }
-  const int minute = RequireMinute(*minute_field, "'minute'");
+  const int minute = RequireInt(FindField(body, "minute"), "'minute'", 0,
+                                util::kMinutesPerDay - 1);
   const fsm::StateVector state = ParseState(body);
   std::vector<fsm::ActionVector> actions;
   try {
@@ -264,7 +253,8 @@ util::JsonObject Dispatcher::HandleSuggestMinutes(
   std::vector<int> minutes;
   minutes.reserve(minutes_field->AsArray().size());
   for (const util::JsonValue& minute : minutes_field->AsArray()) {
-    minutes.push_back(RequireMinute(minute, "'minutes' entries"));
+    minutes.push_back(RequireInt(&minute, "'minutes' entries", 0,
+                                 util::kMinutesPerDay - 1));
   }
   const fsm::StateVector state = ParseState(body);
   std::vector<fsm::ActionVector> actions;
@@ -414,7 +404,7 @@ DrainFlushReport Dispatcher::FlushForDrain() {
 // --- Field parsing helpers ---------------------------------------------------
 
 std::size_t Dispatcher::ParseTenant(const util::JsonValue& body) const {
-  const std::int64_t tenant = RequireInt(body, "tenant");
+  const int tenant = RequireInt(FindField(body, "tenant"), "'tenant'");
   if (tenant < 0 || static_cast<std::size_t>(tenant) >= tenant_count_) {
     throw RequestError(kErrUnknownTenant,
                        "tenant " + std::to_string(tenant) +
@@ -439,10 +429,7 @@ fsm::StateVector Dispatcher::ParseState(const util::JsonValue& body) const {
   fsm::StateVector state;
   state.reserve(state_field->AsArray().size());
   for (const util::JsonValue& entry : state_field->AsArray()) {
-    if (!entry.is_number()) {
-      throw RequestError(kErrBadRequest, "'state' entries must be numbers");
-    }
-    state.push_back(static_cast<int>(entry.AsInt()));
+    state.push_back(RequireInt(&entry, "'state' entries"));
   }
   return state;
 }

@@ -110,9 +110,9 @@ class Dispatcher {
   util::JsonObject HandleShutdown() JARVIS_EXCLUDES(mutex_);
   util::JsonObject HandleStall() JARVIS_EXCLUDES(mutex_);
 
-  // Throws std::invalid_argument (→ bad_request) on shape errors; the
-  // tenant must be < tenant_count_ (→ unknown_tenant via a tagged throw in
-  // the helper).
+  // A tenant or state entry that is not an integer in int range is a
+  // bad_request; a whole-number tenant outside [0, tenant_count_) is an
+  // unknown_tenant.
   std::size_t ParseTenant(const util::JsonValue& body) const;
   fsm::StateVector ParseState(const util::JsonValue& body) const;
 

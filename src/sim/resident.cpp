@@ -82,8 +82,6 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
                  {}};
   trace.indoor_c.reserve(util::kMinutesPerDay);
 
-  auto handlers = events::MakeStandardHandlers(fsm_.devices());
-
   fsm::StateVector state = initial_state;
 
   // Pending timed actions: (minute, device, action_name, via_app).
@@ -169,12 +167,9 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
       action[idx] = *action_index;
       acted[idx] = true;
 
-      auto handler_it = handlers.find(device.label());
-      if (handler_it != handlers.end()) {
-        trace.events.push_back(handler_it->second.MakeEvent(
-            now, device.Transition(state[idx], *action_index), *action_index,
-            "user0", app, "home", "main"));
-      }
+      trace.events.push_back(events::MakeEvent(
+          device, now, device.Transition(state[idx], *action_index),
+          *action_index, "user0", app, "home", "main"));
     };
 
     // Departure / arrival routines (Apps 1, 3, 5 of Table II). The door
@@ -204,11 +199,8 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
       if (state[idx] != sensor_state &&
           state[idx] != *sensor.FindState("off")) {
         state[idx] = sensor_state;
-        auto handler_it = handlers.find(sensor.label());
-        if (handler_it != handlers.end()) {
-          trace.events.push_back(handler_it->second.MakeEvent(
-              now, sensor_state, fsm::kNoAction, "", "", "home", "main"));
-        }
+        trace.events.push_back(events::MakeEvent(
+            sensor, now, sensor_state, fsm::kNoAction, "", "", "home", "main"));
       }
     }
 
@@ -298,15 +290,14 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
       if (state[idx] != new_state && state[idx] != *sensor.FindState("off") &&
           state[idx] != *sensor.FindState("fire_alarm")) {
         state[idx] = new_state;
-        auto handler_it = handlers.find(sensor.label());
         // The reading changed *after* this minute's physics step, so the
         // event carries the next minute's timestamp — the state it
         // describes is the one recorded at minute + 1. A change after the
         // day's final minute has no step to describe and is not emitted.
-        if (handler_it != handlers.end() &&
-            minute + 1 < util::kMinutesPerDay) {
-          trace.events.push_back(handler_it->second.MakeEvent(
-              now + 1, new_state, fsm::kNoAction, "", "", "home", "main"));
+        if (minute + 1 < util::kMinutesPerDay) {
+          trace.events.push_back(events::MakeEvent(
+              sensor, now + 1, new_state, fsm::kNoAction, "", "", "home",
+              "main"));
         }
       }
     }

@@ -27,6 +27,14 @@ std::int64_t JsonValue::AsInt() const {
   return static_cast<std::int64_t>(std::llround(AsNumber()));
 }
 
+std::optional<int> JsonValue::AsIntIn(int lo, int hi) const {
+  if (type_ != Type::kNumber || !(number_ >= lo && number_ <= hi) ||
+      std::floor(number_) != number_) {
+    return std::nullopt;
+  }
+  return static_cast<int>(number_);
+}
+
 const std::string& JsonValue::AsString() const {
   if (type_ != Type::kString) throw JsonError("not a string");
   return string_;

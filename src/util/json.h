@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,6 +59,11 @@ class JsonValue {
   bool AsBool() const;
   double AsNumber() const;
   std::int64_t AsInt() const;
+  // The number as an int when it is whole and in [lo, hi]; nullopt when it
+  // is not a number, has a fraction or lies outside. AsInt rounds and its
+  // callers narrow; this refuses instead, so 4294967297 never becomes 1.
+  std::optional<int> AsIntIn(int lo = std::numeric_limits<int>::min(),
+                             int hi = std::numeric_limits<int>::max()) const;
   const std::string& AsString() const;
   const JsonArray& AsArray() const;
   const JsonObject& AsObject() const;

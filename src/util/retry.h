@@ -1,6 +1,5 @@
-// Bounded retry with capped exponential backoff, for the fault-recovery
-// paths (faults::ReliablePublisher, fleet checkpoint writes). Two backoff
-// flavors, both deterministic:
+// Bounded retry with capped exponential backoff, for the fleet's
+// checkpoint writes. Two backoff flavors, both deterministic:
 //
 //   * jitter_fraction == 0 (default): the exact schedule base * factor^k,
 //     capped — replayable with no state at all.

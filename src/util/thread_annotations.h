@@ -79,7 +79,7 @@
 
 // Caller must NOT hold the capability: the function takes it itself, so a
 // call from under the lock would self-deadlock. This is how a re-entrancy
-// contract (EventBus::Publish) becomes a compile-time error.
+// contract becomes a compile-time error.
 #define JARVIS_EXCLUDES(...) \
   JARVIS_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 

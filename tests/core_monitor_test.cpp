@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "events/handler.h"
 #include "sim/testbed.h"
+#include "util/json.h"
 
 namespace jarvis::core {
 namespace {
@@ -98,35 +98,14 @@ TEST_F(MonitorFixture, UnknownVocabularyCountedNotFatal) {
   EXPECT_EQ(monitor.commands_classified(), 0u);
 }
 
-TEST_F(MonitorFixture, AttachedToBusStreamsAlerts) {
-  OnlineMonitor monitor(testbed_->home_a(), *learner_,
-                        fsm::StateVector(11, 0));
-  events::EventBus bus;
-  std::vector<MonitorAlert> alerts;
-  monitor.Attach(bus,
-                 [&](const MonitorAlert& alert) { alerts.push_back(alert); });
-
-  // A normal sensor reading, a violation, then a safe arrival unlock.
-  bus.Publish(SensorEvent(2 * 60, "temp_sensor", "optimal"));
-  bus.Publish(CommandEvent(2 * 60 + 1, "temp_sensor", "off", "power_off"));
-  bus.Publish(SensorEvent(17 * 60, "door_sensor", "auth_user"));
-
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(alerts[0].device_label, "temp_sensor");
-  EXPECT_EQ(alerts[0].action_name, "power_off");
-  EXPECT_EQ(alerts[0].verdict, spl::Verdict::kViolation);
-}
-
 TEST_F(MonitorFixture, FailSafeDeniesCommandOnUndecodableState) {
   OnlineMonitor monitor(testbed_->home_a(), *learner_,
                         fsm::StateVector(11, 0));
-  std::vector<MonitorAlert> alerts;
-  events::EventBus bus;
-  monitor.Attach(bus,
-                 [&](const MonitorAlert& alert) { alerts.push_back(alert); });
 
   // A corrupted sensor report makes the device's tracked state untrusted.
-  bus.Publish(SensorEvent(60, "temp_sensor", "??corrupt??"));
+  EXPECT_FALSE(
+      monitor.Consume(SensorEvent(60, "temp_sensor", "??corrupt??"))
+          .has_value());
   EXPECT_EQ(monitor.unknown_events(), 1u);
 
   // Deny-unsafe-by-default: the follow-up command cannot be classified
@@ -140,12 +119,13 @@ TEST_F(MonitorFixture, FailSafeDeniesCommandOnUndecodableState) {
   EXPECT_EQ(monitor.failsafe_denials(), 1u);
   EXPECT_EQ(monitor.violations(), 0u);
   EXPECT_EQ(monitor.commands_classified(), 0u);
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(alerts[0].verdict, spl::Verdict::kViolation);
 
   // The next good report restores trust and normal classification.
-  bus.Publish(SensorEvent(62, "temp_sensor", "optimal"));
-  monitor.Consume(CommandEvent(63, "temp_sensor", "off", "power_off"));
+  EXPECT_FALSE(
+      monitor.Consume(SensorEvent(62, "temp_sensor", "optimal")).has_value());
+  EXPECT_TRUE(monitor.Consume(CommandEvent(63, "temp_sensor", "off",
+                                           "power_off"))
+                  .has_value());
   EXPECT_EQ(monitor.commands_classified(), 1u);
   EXPECT_EQ(monitor.failsafe_denials(), 1u);
 }
@@ -202,6 +182,27 @@ TEST_F(MonitorFixture, FailSafeOffPreservesLegacyBehavior) {
   monitor.Consume(CommandEvent(61, "temp_sensor", "off", "power_off"));
   EXPECT_EQ(monitor.failsafe_denials(), 0u);
   EXPECT_EQ(monitor.commands_classified(), 1u);
+}
+
+TEST_F(MonitorFixture, LoadJsonRefusesStateThatIsNotAnInt) {
+  // A checkpoint's tracked state must be an int as written: 4294967297
+  // used to narrow to state 1 (and 0.5 round to it) and pass ValidateState.
+  OnlineMonitor monitor(testbed_->home_a(), *learner_,
+                        fsm::StateVector(11, 0));
+  monitor.Consume(CommandEvent(2 * 60, "lock", "unlocked", "unlock"));
+  const std::string before = monitor.ToJson().Dump();
+  for (const double hostile : {4294967297.0, -4294967296.0, 1e300, 0.5}) {
+    SCOPED_TRACE(hostile);
+    util::JsonObject doc = monitor.ToJson().AsObject();
+    util::JsonArray state = doc.at("state").AsArray();
+    state[0] = util::JsonValue(hostile);
+    doc["state"] = util::JsonValue(std::move(state));
+    EXPECT_THROW(monitor.LoadJson(util::JsonValue(std::move(doc))),
+                 util::JsonError);
+    EXPECT_EQ(monitor.ToJson().Dump(), before);  // untouched
+  }
+  monitor.LoadJson(util::JsonValue::Parse(before));
+  EXPECT_EQ(monitor.ToJson().Dump(), before);
 }
 
 TEST_F(MonitorFixture, StreamingMatchesBatchAuditOnNaturalDay) {

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "events/bus.h"
 #include "events/event.h"
-#include "events/handler.h"
 #include "events/logger_app.h"
 #include "events/parser.h"
 #include "fsm/device_library.h"
@@ -45,137 +43,6 @@ TEST(Event, TimestampFieldRendered) {
   const auto doc = util::JsonValue::Parse(event.ToLogLine());
   EXPECT_EQ(doc.At("event_minute").AsInt(), 61);
   EXPECT_FALSE(doc.At("event_date").AsString().empty());
-}
-
-TEST(EventBus, WildcardSubscriptionSeesEverything) {
-  EventBus bus;
-  int count = 0;
-  bus.Subscribe("", "", [&](const Event&) { ++count; });
-  bus.Publish(MakeEvent("light", "lighting"));
-  bus.Publish(MakeEvent("lock", "security"));
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(bus.published_count(), 2u);
-}
-
-TEST(EventBus, FiltersByDeviceAndCapability) {
-  EventBus bus;
-  int light_events = 0, security_events = 0;
-  bus.Subscribe("light", "", [&](const Event&) { ++light_events; });
-  bus.Subscribe("", "security", [&](const Event&) { ++security_events; });
-  bus.Publish(MakeEvent("light", "lighting"));
-  bus.Publish(MakeEvent("lock", "security"));
-  bus.Publish(MakeEvent("light", "lighting"));
-  EXPECT_EQ(light_events, 2);
-  EXPECT_EQ(security_events, 1);
-}
-
-TEST(EventBus, DeliveryInSubscriptionOrder) {
-  EventBus bus;
-  std::vector<int> order;
-  bus.Subscribe("", "", [&](const Event&) { order.push_back(1); });
-  bus.Subscribe("", "", [&](const Event&) { order.push_back(2); });
-  bus.Publish(MakeEvent("x", "y"));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventBus, UnsubscribeStopsDelivery) {
-  EventBus bus;
-  int count = 0;
-  const auto id = bus.Subscribe("", "", [&](const Event&) { ++count; });
-  bus.Publish(MakeEvent("a", "b"));
-  bus.Unsubscribe(id);
-  bus.Publish(MakeEvent("a", "b"));
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(bus.subscription_count(), 0u);
-}
-
-TEST(EventBus, CallbackGrowingSubscriptionsDuringPublishIsSafe) {
-  // Regression: Publish used to hold a reference into the subscription
-  // vector across the callback, dangling when a callback's Subscribe
-  // reallocated it (visible under ASan).
-  EventBus bus;
-  int delivered = 0;
-  bus.Subscribe("", "", [&](const Event&) {
-    // Enough new subscriptions to force at least one reallocation.
-    for (int i = 0; i < 100; ++i) {
-      bus.Subscribe("none", "none", [](const Event&) {});
-    }
-    ++delivered;
-  });
-  bus.Subscribe("", "", [&](const Event&) { ++delivered; });
-  bus.Publish(MakeEvent("a", "b"));
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(bus.subscription_count(), 102u);
-}
-
-TEST(EventBus, SubscribingDuringPublishDoesNotSeeCurrentEvent) {
-  EventBus bus;
-  int late_count = 0;
-  bus.Subscribe("", "", [&](const Event&) {
-    bus.Subscribe("", "", [&](const Event&) { ++late_count; });
-  });
-  bus.Publish(MakeEvent("a", "b"));
-  EXPECT_EQ(late_count, 0);
-  bus.Publish(MakeEvent("a", "b"));
-  EXPECT_GT(late_count, 0);
-}
-
-TEST(DeviceHandler, NormalizesIdentityAndSynonyms) {
-  const auto devices = fsm::ExampleHomeDevices();
-  auto handlers = MakeStandardHandlers(devices);
-  auto& light = handlers.at("light");
-  EXPECT_EQ(light.NormalizeValue("on"), devices[2].FindState("on"));
-  EXPECT_EQ(light.NormalizeValue("ON"), devices[2].FindState("on"));
-  EXPECT_EQ(light.NormalizeValue("pwr:1"), devices[2].FindState("on"));
-  EXPECT_EQ(light.NormalizeValue(" pwr:0 "), devices[2].FindState("off"));
-  EXPECT_EQ(light.NormalizeCommand("turnOn"), devices[2].FindAction("power_on"));
-  EXPECT_FALSE(light.NormalizeValue("garbage").has_value());
-  EXPECT_FALSE(light.NormalizeCommand("garbage").has_value());
-}
-
-TEST(DeviceHandler, SynonymForUnknownTargetThrows) {
-  const auto devices = fsm::ExampleHomeDevices();
-  DeviceHandler handler(devices[2]);
-  EXPECT_THROW(handler.AddValueSynonym("X", "no-such-state"),
-               std::invalid_argument);
-  EXPECT_THROW(handler.AddCommandSynonym("X", "no-such-action"),
-               std::invalid_argument);
-}
-
-TEST(DeviceHandler, NormalizeFullMessage) {
-  const auto devices = fsm::ExampleHomeDevices();
-  auto handlers = MakeStandardHandlers(devices);
-  RawDeviceMessage message;
-  message.time = util::SimTime(100);
-  message.device_label = "light";
-  message.raw_attribute = "switch";
-  message.raw_value = "ON";
-  message.raw_command = "turnOn";
-  const auto event = handlers.at("light").Normalize(message, "user0", "app",
-                                                    "home", "main");
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->attribute_value, "on");
-  EXPECT_EQ(event->command, "power_on");
-  EXPECT_EQ(event->device_label, "light");
-
-  message.raw_value = "UNPARSEABLE";
-  EXPECT_FALSE(handlers.at("light")
-                   .Normalize(message, "u", "a", "l", "g")
-                   .has_value());
-}
-
-TEST(LoggerApp, CapturesAllPublications) {
-  EventBus bus;
-  LoggerApp logger(bus);
-  bus.Publish(MakeEvent("light", "lighting", 5));
-  bus.Publish(MakeEvent("lock", "security", 6));
-  EXPECT_EQ(logger.size(), 2u);
-  const std::string dump = logger.DumpLog();
-  std::size_t dropped = 99;
-  const auto parsed = LoggerApp::ParseLog(dump, &dropped);
-  EXPECT_EQ(dropped, 0u);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0], logger.events()[0]);
 }
 
 TEST(LoggerApp, MalformedLinesDroppedAndCounted) {

@@ -5,7 +5,6 @@
 
 #include "core/benefit_space.h"
 #include "core/jarvis.h"
-#include "events/bus.h"
 #include "events/logger_app.h"
 #include "sim/testbed.h"
 #include "util/stats.h"
@@ -132,24 +131,22 @@ TEST_F(EndToEnd, OptimizedDayBeatsNormalOnFocusedMetric) {
   EXPECT_EQ(plan.violations, 0u);
 }
 
-TEST_F(EndToEnd, EventBusPipelineFeedsJarvis) {
-  // Publish resident events through the bus; the logger app's log is then
-  // parsed into learning episodes via LearnFromEvents.
+TEST_F(EndToEnd, LogPipelineFeedsJarvis) {
+  // Resident events are written as log text (one JSON line per event), and
+  // that log is parsed back into learning episodes via LearnFromEvents.
   sim::ResidentSimulator resident(testbed_->home_a(), sim::ThermalConfig{},
                                   31, sim::BehaviorConfig{0.0, 1});
   const auto generator = testbed_->home_a_generator();
   const auto trace = resident.SimulateDay(generator.Generate(0),
                                           resident.OvernightState(), 21.0);
 
-  events::EventBus bus;
-  events::LoggerApp logger(bus);
-  for (const auto& event : trace.events) bus.Publish(event);
-  EXPECT_EQ(logger.size(), trace.events.size());
-
   // Round-trip through the on-disk format.
+  std::string log;
+  for (const auto& event : trace.events) log += event.ToLogLine() + "\n";
   std::size_t dropped = 0;
-  const auto reloaded = events::LoggerApp::ParseLog(logger.DumpLog(), &dropped);
+  const auto reloaded = events::LoggerApp::ParseLog(log, &dropped);
   EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(reloaded, trace.events);
 
   core::JarvisConfig config;
   core::Jarvis fresh(testbed_->home_a(), config);

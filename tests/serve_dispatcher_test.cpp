@@ -169,6 +169,32 @@ TEST_F(DispatcherTest, MinutesOutsideTheDayAreBadRequests) {
   }
 }
 
+TEST_F(DispatcherTest, TenantsAndStatesThatAreNotIntsAreBadRequests) {
+  // A tenant or state entry must be an int as sent, not rounded or
+  // narrowed: state 4294967297 used to be served as state 1, 0.5 as 1 and
+  // 1e300 as 0, and tenant 0.4 as tenant 0.
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  std::string other_entries;  // the overnight state after device 0
+  for (std::size_t d = 1; d < overnight_->size(); ++d) {
+    other_entries += ", " + std::to_string((*overnight_)[d]);
+  }
+  for (const char* value :
+       {"4294967297", "-4294967296", "1e300", "0.5", "0.4"}) {
+    SCOPED_TRACE(value);
+    auto response =
+        Call(dispatcher,
+             std::string(R"({"id": 1, "type": "suggest_action", "tenant": 0,)"
+                         R"( "minute": 480, "state": [)") +
+                 value + other_entries + "]}");
+    EXPECT_EQ(response.GetString("error", "served"), kErrBadRequest);
+    response = Call(dispatcher,
+                    std::string(R"({"id": 2, "type": "suggest_action",)"
+                                R"( "minute": 480, "tenant": )") +
+                        value + "}");
+    EXPECT_EQ(response.GetString("error", "served"), kErrBadRequest);
+  }
+}
+
 TEST_F(DispatcherTest, SuggestActionParityWithDirectFleetCall) {
   // The acceptance pin: a day of per-minute suggest_action requests
   // through the wire handlers must be bit-identical to one direct batched

@@ -2,17 +2,22 @@
 // ConnectTcp and FdTransport. serve_frame_test pins the decoder on
 // in-memory bytes; here the same hostile inputs arrive through the kernel,
 // cut wherever the socket cuts them, from a raw client socket that writes
-// bytes the framed transport never would.
+// bytes the framed transport never would. The FdTransport cases at the end
+// interrupt a blocked pipe read or write with a signal (EINTR).
 #include "serve/transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <memory>
@@ -244,6 +249,81 @@ TEST(TcpTransport, ConnectFailuresReturnNullWithADiagnostic) {
   error.clear();
   EXPECT_EQ(ConnectTcp("127.0.0.1", closed_port, &error), nullptr);
   EXPECT_FALSE(error.empty());
+}
+
+// SIGUSR1 with a handler installed WITHOUT SA_RESTART: a blocking read or
+// write on the signalled thread fails with EINTR instead of resuming in the
+// kernel. The previous action is restored on destruction.
+std::atomic<int> g_interrupts{0};  // lock-free, so async-signal-safe
+void CountInterrupt(int) { g_interrupts.fetch_add(1); }
+
+class InterruptingSignal {
+ public:
+  InterruptingSignal() {
+    struct sigaction action {};
+    action.sa_handler = CountInterrupt;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0;
+    ::sigaction(SIGUSR1, &action, &previous_);
+  }
+  ~InterruptingSignal() { ::sigaction(SIGUSR1, &previous_, nullptr); }
+  InterruptingSignal(const InterruptingSignal&) = delete;
+  InterruptingSignal& operator=(const InterruptingSignal&) = delete;
+
+  // Signals `thread` once it has had time to block in its syscall.
+  static void Interrupt(std::thread& thread) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int before = g_interrupts.load();
+    if (::pthread_kill(thread.native_handle(), SIGUSR1) != 0) {
+      ADD_FAILURE() << "pthread_kill failed";
+      return;
+    }
+    while (g_interrupts.load() == before) std::this_thread::yield();
+  }
+
+ private:
+  struct sigaction previous_ {};
+};
+
+TEST(FdTransport, ReadInterruptedBySignalStillReturnsTheFrame) {
+  InterruptingSignal signal;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  FdTransport transport(fds[0], fds[1], /*owns_fds=*/true);  // a loop
+
+  Read read{ReadResult::kClosed, ""};
+  std::thread reader([&] { read = ReadOne(transport); });
+  InterruptingSignal::Interrupt(reader);  // reader is blocked in ReadRaw
+  EXPECT_TRUE(transport.WritePayload("after the signal"));
+  reader.join();
+  EXPECT_EQ(read.result, ReadResult::kPayload);
+  EXPECT_EQ(read.data, "after the signal");
+}
+
+TEST(FdTransport, WriteInterruptedBySignalStillDeliversTheFrame) {
+  InterruptingSignal signal;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  FdTransport transport(fds[0], fds[1], /*owns_fds=*/true);  // a loop
+
+  // Fill the pipe exactly, so the next write blocks before moving a byte
+  // and the signal makes it fail with EINTR rather than return short.
+  const int capacity = ::fcntl(fds[1], F_GETPIPE_SZ);
+  ASSERT_GT(capacity, 0);
+  const std::string filler(
+      static_cast<std::size_t>(capacity) - EncodeFrame("").size(), 'f');
+  ASSERT_TRUE(transport.WritePayload(filler));
+
+  bool written = false;
+  std::thread writer(
+      [&] { written = transport.WritePayload("after the signal"); });
+  InterruptingSignal::Interrupt(writer);  // writer is blocked in WriteRaw
+  EXPECT_EQ(ReadOne(transport).data, filler);  // makes room for the frame
+  writer.join();
+  ASSERT_TRUE(written);
+  const Read read = ReadOne(transport);
+  EXPECT_EQ(read.result, ReadResult::kPayload);
+  EXPECT_EQ(read.data, "after the signal");
 }
 
 }  // namespace
