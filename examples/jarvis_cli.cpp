@@ -69,7 +69,7 @@ int Usage() {
       "  client   <ping|health|metrics|suggest|minutes|ingest|checkpoint|"
       "shutdown>\n"
       "           [--port P | --port-file FILE] [--host H] [--tenant N]\n"
-      "           [--minute M] [--minutes A,B,..] [--log FILE] [--dir D]\n");
+      "           [--minute M] [--minutes A,B,..] [--log FILE]\n");
   return 2;
 }
 
@@ -404,7 +404,6 @@ int Client(const util::Flags& flags) {
     request["type"] = action;
   } else if (action == "checkpoint") {
     request["type"] = "checkpoint";
-    if (flags.Has("dir")) request["dir"] = flags.GetString("dir", "");
   } else if (action == "suggest") {
     request["type"] = "suggest_action";
     request["tenant"] = flags.GetInt("tenant", 0);

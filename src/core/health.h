@@ -2,14 +2,12 @@
 // instance reports (DESIGN.md §9). The facade fills the parse/learn
 // sections in LearnFromEvents, accumulates trainer recoveries in
 // OptimizeDay and checkpoint outcomes in RestoreFrom/LoadCheckpoint, and
-// folds in externally observed degradation through NoteInjectedFaults and
-// NoteMonitor.
+// folds in a monitor's denials through NoteMonitor.
 #pragma once
 
 #include <cstddef>
 
 #include "events/parser.h"
-#include "faults/schedule.h"
 #include "spl/learner.h"
 
 namespace jarvis::core {
@@ -17,8 +15,6 @@ namespace jarvis::core {
 struct HealthReport {
   events::ParseReport parse;
   spl::LearnReport learn;
-  // Ground truth of what a fault injector put into the consumed streams.
-  faults::FaultCounters injected;
   std::size_t train_divergence_recoveries = 0;
   std::size_t train_poisoned_purged = 0;
   std::size_t monitor_failsafe_denials = 0;
@@ -31,8 +27,7 @@ struct HealthReport {
   // restored checkpoint sections are success, so neither counts.
   bool degraded() const {
     return parse.events_dropped() > 0 || learn.episodes_skipped > 0 ||
-           injected.total() > 0 || train_divergence_recoveries > 0 ||
-           train_poisoned_purged > 0 ||
+           train_divergence_recoveries > 0 || train_poisoned_purged > 0 ||
            monitor_failsafe_denials > 0 || monitor_unknown_events > 0 ||
            checkpoint_sections_failed > 0;
   }

@@ -1,5 +1,6 @@
 #include "core/jarvis.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -17,7 +18,6 @@ Jarvis::Jarvis(const fsm::EnvironmentFsm& fsm, JarvisConfig config)
 
 void Jarvis::LearnPolicies(const std::vector<fsm::Episode>& learning_episodes,
                            const std::vector<sim::LabeledSample>& labeled) {
-  obs::ScopedSpan span(&tracer_, "learn.spl");
   learner_.Learn(learning_episodes, labeled);
   health_.learn = learner_.learn_report();
   learn_counter_->Increment();
@@ -27,13 +27,9 @@ std::size_t Jarvis::LearnFromEvents(
     const std::vector<events::Event>& events,
     const fsm::StateVector& initial_state, util::SimTime start,
     const std::vector<sim::LabeledSample>& labeled) {
-  obs::ScopedSpan span(&tracer_, "learn");
   events::LogParser parser(fsm_, config_.episode, config_.parse_drop_budget);
   parser.SetMetrics(&registry_);
-  const auto episodes = [&] {
-    obs::ScopedSpan parse_span(&tracer_, "learn.parse");
-    return parser.Parse(events, initial_state, start);
-  }();
+  const auto episodes = parser.Parse(events, initial_state, start);
   health_.parse = parser.report();
   if (!health_.parse.WithinBudget()) {
     throw std::runtime_error(
@@ -53,7 +49,6 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
   if (!learner_.learned()) {
     throw std::logic_error("Jarvis::OptimizeDay: learning phase not done");
   }
-  obs::ScopedSpan span(&tracer_, "optimize");
   optimize_counter_->Increment();
   rl::IoTEnvConfig env_config = config_.env;
   env_config.weights = weights;
@@ -93,8 +88,6 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
         ++health_.checkpoint_sections_failed;
       }
     }
-    obs::ScopedSpan restart_span(
-        &tracer_, "optimize.restart." + std::to_string(restart));
     rl::TrainResult result =
         rl::Train(*last_env_, *agent, config_.trainer, &registry_);
     // Health accumulates across every restart, not just the winner: a
@@ -125,8 +118,8 @@ constexpr std::int64_t kCheckpointMetaVersion = 1;
 
 }  // namespace
 
-persist::Checkpoint Jarvis::MakeCheckpoint(const OnlineMonitor* monitor,
-                                           bool include_replay) const {
+persist::Checkpoint Jarvis::MakeCheckpoint(
+    const OnlineMonitor* monitor) const {
   persist::Checkpoint checkpoint;
   util::JsonObject meta;
   meta["format_version"] = util::JsonValue(kCheckpointMetaVersion);
@@ -139,9 +132,7 @@ persist::Checkpoint Jarvis::MakeCheckpoint(const OnlineMonitor* monitor,
     checkpoint.AddSection(kSplSection, learner_.ToJsonString());
   }
   if (agent_ != nullptr) {
-    rl::AgentSerializeOptions options;
-    options.include_replay = include_replay;
-    checkpoint.AddSection(kDqnSection, agent_->ToJson(options).Dump());
+    checkpoint.AddSection(kDqnSection, agent_->ToJson().Dump());
   }
   if (monitor != nullptr) {
     checkpoint.AddSection(kMonitorSection, monitor->ToJson().Dump());
@@ -260,12 +251,16 @@ Jarvis::RestoreReport Jarvis::LoadCheckpoint(const std::string& path,
   }
   RestoreReport report = RestoreFrom(checkpoint, monitor);
   // Prepend container-level diagnostics (bad magic, version skew,
-  // truncation, CRC drops) so the report carries the full story.
+  // truncation, CRC drops, trailing bytes) so the report carries the full
+  // story; only those that lost data count as failed sections.
   report.issues.insert(report.issues.begin(), issues.begin(), issues.end());
-  if (!issues.empty()) {
-    health_.checkpoint_sections_failed += issues.size();
-    report.sections_failed += issues.size();
-  }
+  const auto lost = static_cast<std::size_t>(
+      std::count_if(issues.begin(), issues.end(),
+                    [](const persist::CheckpointIssue& issue) {
+                      return issue.section_lost;
+                    }));
+  health_.checkpoint_sections_failed += lost;
+  report.sections_failed += lost;
   return report;
 }
 

@@ -37,7 +37,6 @@
 #include "events/logger_app.h"
 #include "events/parser.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "persist/checkpoint.h"
 #include "rl/trainer.h"
 #include "sim/resident.h"
@@ -164,8 +163,8 @@ class Jarvis {
   // checkpoint: "meta" (home-compatibility guard), "spl" (whitelist + ANN,
   // when learned), "dqn" (trained agent + optimizer state, when present),
   // and "monitor" (tracked FSM state, when a monitor is passed).
-  persist::Checkpoint MakeCheckpoint(const OnlineMonitor* monitor = nullptr,
-                                     bool include_replay = false) const;
+  persist::Checkpoint MakeCheckpoint(
+      const OnlineMonitor* monitor = nullptr) const;
   // MakeCheckpoint + atomic durable write (util::io::AtomicWriteFile; the
   // interceptor seam is for storage-fault injection in chaos tests).
   void SaveCheckpoint(const std::string& path,
@@ -190,18 +189,9 @@ class Jarvis {
 
   // Aggregated counters from every stage run so far on this instance:
   // LearnFromEvents fills the parse/learn sections, OptimizeDay accumulates
-  // the trainer's divergence recoveries, and the Note* calls fold in
-  // externally-observed degradation.
+  // the trainer's divergence recoveries, and NoteMonitor folds in a
+  // monitor's denials.
   const HealthReport& Health() const { return health_; }
-  void ResetHealth() { health_ = {}; }
-
-  // Records what a fault injector actually injected into the streams this
-  // instance consumed (chaos tests compare these against stage counters).
-  // The injector's counters accumulate across its Apply calls, so this
-  // replaces the previous snapshot, like NoteMonitor.
-  void NoteInjectedFaults(const faults::FaultCounters& counters) {
-    health_.injected = counters;
-  }
 
   // Snapshots a monitor's fail-safe and unknown-event counters into the
   // health report (replaces the previous snapshot of the same monitor).
@@ -221,10 +211,6 @@ class Jarvis {
   obs::MetricsSnapshot TakeMetricsSnapshot() const {
     return registry_.TakeSnapshot();
   }
-  // Span tree of the pipeline phases run so far (learn.parse, learn.spl,
-  // optimize.restart.N, ...); FlushSpans drains it.
-  obs::Tracer& SpanTracer() { return tracer_; }
-  std::vector<obs::SpanRecord> FlushSpans() { return tracer_.Flush(); }
 
   const JarvisConfig& config() const { return config_; }
   const fsm::EnvironmentFsm& fsm() const { return fsm_; }
@@ -235,7 +221,6 @@ class Jarvis {
   // Declared before every component that may cache instrument pointers
   // into it, so those components are destroyed first.
   obs::Registry registry_;
-  obs::Tracer tracer_;
   spl::SafetyPolicyLearner learner_;
   HealthReport health_;
   std::unique_ptr<rl::DqnAgent> agent_;

@@ -144,7 +144,6 @@ void OnlineMonitor::LoadJson(const util::JsonValue& doc) {
 
 bool OnlineMonitor::StateUntrusted(std::size_t device_index,
                                    util::SimTime now) const {
-  if (!config_.fail_safe) return false;
   if (!state_known_[device_index]) return true;
   if (config_.staleness_limit_minutes > 0 && last_seen_[device_index] &&
       now - *last_seen_[device_index] > config_.staleness_limit_minutes) {
@@ -176,9 +175,9 @@ std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
     if (!new_state) {
       ++unknown_events_;
       // A report arrived but is undecodable (e.g. corrupted in transit):
-      // under fail-safe the device's tracked state can no longer be
-      // trusted until the next good report.
-      if (config_.fail_safe) state_known_[device_index] = false;
+      // the device's tracked state can no longer be trusted until the next
+      // good report.
+      state_known_[device_index] = false;
       return std::nullopt;
     }
     state_[device_index] = *new_state;

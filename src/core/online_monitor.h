@@ -21,12 +21,10 @@ namespace jarvis::core {
 // the monitor no longer trusts. See DESIGN.md "Fault model & degradation
 // behavior".
 struct MonitorConfig {
-  bool fail_safe = true;
   // Staleness clock: a device whose last accepted event is older than this
   // many minutes has untrusted state. 0 disables the clock (unknown-state
-  // denial still applies while fail_safe is on). The clock starts at a
-  // device's first accepted event; until then the constructor-supplied
-  // initial state is trusted.
+  // denial still applies). The clock starts at a device's first accepted
+  // event; until then the constructor-supplied initial state is trusted.
   int staleness_limit_minutes = 0;
 };
 
@@ -41,9 +39,8 @@ class OnlineMonitor {
   // Consumes one event: sensor (command-less) events update the tracked
   // state; command events are classified against it. Returns the verdict
   // for command events, nullopt otherwise. Unknown devices/vocabulary are
-  // counted and skipped; in fail-safe mode an unparseable sensor value
-  // additionally marks the device's state unknown until the next good
-  // report.
+  // counted and skipped; an unparseable sensor value additionally marks
+  // the device's state unknown until the next good report.
   std::optional<spl::Verdict> Consume(const events::Event& event);
 
   // Externally marks a device's tracked state untrusted (e.g. a health

@@ -77,9 +77,9 @@ struct Reader {
 };
 
 void Report(std::vector<CheckpointIssue>* issues, std::string section,
-            std::string detail) {
+            std::string detail, bool section_lost = true) {
   if (issues != nullptr) {
-    issues->push_back({std::move(section), std::move(detail)});
+    issues->push_back({std::move(section), std::move(detail), section_lost});
   }
 }
 
@@ -205,7 +205,8 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
   if (reader.pos != bytes.size()) {
     Report(issues, "",
            std::to_string(bytes.size() - reader.pos) +
-               " trailing byte(s) after the last section (ignored)");
+               " trailing byte(s) after the last section (ignored)",
+           /*section_lost=*/false);
   }
   return ckpt;
 }

@@ -53,6 +53,9 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 struct CheckpointIssue {
   std::string section;
   std::string detail;
+  // False only for a diagnostic that lost no data: trailing bytes after
+  // the last section, which are ignored.
+  bool section_lost = true;
 };
 
 std::string FormatIssues(const std::vector<CheckpointIssue>& issues);
@@ -77,8 +80,8 @@ class Checkpoint {
                           std::vector<CheckpointIssue>* issues = nullptr);
 
   // Atomic durable write via util::io::AtomicWriteFile. Throws
-  // util::io::IoError on filesystem failure (callers retry via
-  // util::Retry); `interceptor` is the chaos-suite fault seam.
+  // util::io::IoError on filesystem failure (callers may retry the
+  // write); `interceptor` is the chaos-suite fault seam.
   void WriteFile(const std::string& path,
                  util::io::WriteInterceptor* interceptor = nullptr) const;
 

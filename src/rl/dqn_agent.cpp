@@ -289,7 +289,7 @@ double DqnAgent::Replay() {
   return last_loss_;
 }
 
-util::JsonValue DqnAgent::ToJson(const AgentSerializeOptions& options) const {
+util::JsonValue DqnAgent::ToJson() const {
   util::JsonObject obj;
   obj["format_version"] = util::JsonValue(std::int64_t{1});
   obj["feature_width"] =
@@ -299,8 +299,7 @@ util::JsonValue DqnAgent::ToJson(const AgentSerializeOptions& options) const {
   obj["epsilon"] = util::JsonValue(config_.epsilon);
   obj["last_loss"] = util::JsonValue(last_loss_);
   obj["network"] = neural::ToJson(
-      network_, neural::SerializeOptions{options.include_optimizer});
-  if (options.include_replay) obj["replay"] = buffer_.ToJson();
+      network_, neural::SerializeOptions{.include_optimizer = true});
   return util::JsonValue(std::move(obj));
 }
 
@@ -348,18 +347,13 @@ void DqnAgent::LoadJson(const util::JsonValue& doc) {
         "DqnAgent::LoadJson: network document shape does not match this "
         "agent");
   }
-  if (doc.AsObject().count("replay") != 0) {
-    buffer_.LoadJson(doc.At("replay"), network_.input_features(),
-                     codec_.mini_action_count());
-  } else {
-    buffer_.Clear();
-  }
   // Commit point: everything validated.
+  buffer_.Clear();
   network_ = std::move(restored);
   network_.SetMetrics(metrics_registry_);
   config_.epsilon = epsilon;
   last_loss_ = last_loss;
-  // Transients reset: sticky exploration restarts.
+  // Transients reset: replay memory empty, sticky exploration restarts.
   last_explore_slot_.clear();
   snapshot_.clear();
 }

@@ -46,16 +46,6 @@ struct DqnConfig {
   std::uint64_t seed = 99;
 };
 
-// What DqnAgent::ToJson carries beyond the Q-network parameters.
-struct AgentSerializeOptions {
-  // Adam moments + step count, so a restored agent resumes mid-anneal
-  // instead of re-warming the optimizer.
-  bool include_optimizer = true;
-  // The replay memory. Off by default: it dominates checkpoint size and a
-  // warm-started tenant regenerates experience quickly.
-  bool include_replay = false;
-};
-
 class DqnAgent {
  public:
   DqnAgent(std::size_t feature_width, const fsm::StateCodec& codec,
@@ -113,15 +103,16 @@ class DqnAgent {
   // cascades to the network (neural.predict_batch.rows). Null disables.
   void SetMetrics(obs::Registry* registry);
 
-  // Checkpoint persistence. ToJson captures the learnt state (Q-network,
-  // optionally optimizer moments and replay memory) plus the exploration
-  // point (epsilon, last loss). LoadJson restores into an agent built with
-  // the same widths — feature width and mini-action count are recorded and
-  // verified, and every numeric field is validated (util::JsonError on
-  // hostile documents) before any state is replaced. Sticky-exploration
-  // memory is transient and resets on load; metrics wiring survives
+  // Checkpoint persistence. ToJson captures the learnt state (Q-network
+  // with its Adam moments, so a restored agent resumes mid-anneal) plus the
+  // exploration point (epsilon, last loss); the replay memory is not
+  // persisted. LoadJson restores into an agent built with the same widths
+  // — feature width and mini-action count are recorded and verified, and
+  // every numeric field is validated (util::JsonError on hostile
+  // documents) before any state is replaced. Replay memory and
+  // sticky-exploration memory reset on load; metrics wiring survives
   // (SetMetrics state is re-applied to the restored network).
-  util::JsonValue ToJson(const AgentSerializeOptions& options = {}) const;
+  util::JsonValue ToJson() const;
   void LoadJson(const util::JsonValue& doc);
 
   double epsilon() const { return config_.epsilon; }

@@ -1,11 +1,11 @@
-// The simulated RL environment of Section V-A-5: a Gym-style day-long
-// episode over the smart-home FSM, with physics (thermal model, power
-// draw, day-ahead prices), exogenous resident behavior, the R_smart reward,
-// and optional P_safe constraint enforcement.
+// The simulated RL environment of Section V-A-5 (the paper builds it on
+// OpenAI Gym): a day-long episode over the smart-home FSM, with physics
+// (thermal model, power draw, day-ahead prices), exogenous resident
+// behavior, the R_smart reward, and optional P_safe constraint enforcement.
 //
 // Episode structure: T = 1 day. The environment integrates physics at
 // minute resolution (I = 1 min, matching the paper); the agent submits a
-// joint action every `decision_interval_minutes` (default 15) — a
+// joint action every `decision_interval_minutes` (default 10) — a
 // computational batching of Algorithm 2's per-instance loop documented in
 // DESIGN.md. Exogenous resident actions (leaving/arriving, cooking, meals,
 // entertainment) replay from the day's *natural* trace so that normal and
@@ -15,13 +15,13 @@
 // conflicts first-come-first-served (constraint 4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "fsm/episode.h"
-#include "rl/env.h"
 #include "rl/reward.h"
 #include "sim/resident.h"
 #include "spl/learner.h"
@@ -37,7 +37,12 @@ struct IoTEnvConfig {
   bool constrained = true;
 };
 
-class IoTEnv final : public Environment {
+struct StepResult {
+  double reward = 0.0;
+  bool done = false;
+};
+
+class IoTEnv {
  public:
   // `natural` must be the resident trace for the same scenario the agent
   // will optimize; `learner` may be null only when unconstrained.
@@ -46,32 +51,32 @@ class IoTEnv final : public Environment {
          IoTEnvConfig config);
 
   // Restarts the episode; returns nothing (query state()/Features()).
-  void Reset() override;
+  void Reset();
 
   // Applies the agent's joint action at the current decision instant, then
   // integrates exogenous behavior and physics until the next one.
-  StepResult Step(const fsm::ActionVector& agent_action) override;
+  StepResult Step(const fsm::ActionVector& agent_action);
 
-  bool done() const override { return minute_ >= util::kMinutesPerDay; }
+  bool done() const { return minute_ >= util::kMinutesPerDay; }
   int current_minute() const { return minute_; }
   const fsm::StateVector& state() const { return state_; }
-  int steps_per_episode() const override {
+  int steps_per_episode() const {
     return util::kMinutesPerDay / config_.decision_interval_minutes;
   }
 
   // DQN featurization of the current observation.
-  std::vector<double> Features() const override;
+  std::vector<double> Features() const;
   // Featurization of an arbitrary (state, minute) under this env's
   // scenario (the SuggestAction path; indoor temperature uses the env's
   // current thermal state).
   std::vector<double> FeaturesFor(const fsm::StateVector& state,
                                   int minute) const;
-  std::size_t feature_width() const override;
+  std::size_t feature_width() const;
 
   // Availability mask over mini-action slots for the current observation:
   // no-ops always on; actions without effect off; and, when constrained,
   // only P_safe-whitelisted mini-actions on.
-  std::vector<bool> SafeSlotMask() const override;
+  std::vector<bool> SafeSlotMask() const;
   // The same mask for an arbitrary (state, minute), used when computing
   // replay targets.
   std::vector<bool> SafeSlotMaskFor(const fsm::StateVector& state,
@@ -92,7 +97,7 @@ class IoTEnv final : public Environment {
   // Raw count of executed agent mini-actions judged kViolation.
   std::size_t violation_events() const { return violation_events_; }
   // Episode cumulative reward so far (sum of per-minute rewards).
-  double cumulative_reward() const override { return cumulative_reward_; }
+  double cumulative_reward() const { return cumulative_reward_; }
 
   // Minute-resolution record of the episode (for audits and metrics).
   const fsm::Episode& episode() const { return episode_; }

@@ -76,108 +76,4 @@ void ReplayBuffer::Clear() {
   next_ = 0;
 }
 
-namespace {
-
-util::JsonValue DoublesToJson(const std::vector<double>& values) {
-  util::JsonArray arr;
-  arr.reserve(values.size());
-  for (double v : values) arr.emplace_back(v);
-  return util::JsonValue(std::move(arr));
-}
-
-std::vector<double> DoublesFromJson(const util::JsonValue& doc,
-                                    std::size_t expected_width,
-                                    const char* what) {
-  const auto& arr = doc.AsArray();
-  if (arr.size() != expected_width) {
-    throw util::JsonError(std::string("ReplayBuffer::LoadJson: ") + what +
-                          " width mismatch");
-  }
-  std::vector<double> values;
-  values.reserve(arr.size());
-  for (const auto& entry : arr) {
-    const double v = entry.AsNumber();
-    if (!std::isfinite(v)) {
-      throw util::JsonError(std::string("ReplayBuffer::LoadJson: ") + what +
-                            " non-finite");
-    }
-    values.push_back(v);
-  }
-  return values;
-}
-
-}  // namespace
-
-util::JsonValue ReplayBuffer::ToJson() const {
-  util::JsonArray experiences;
-  experiences.reserve(buffer_.size());
-  // Oldest-first: once the ring is full, next_ points at the oldest slot.
-  const std::size_t start = buffer_.size() == capacity_ ? next_ : 0;
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    const Experience& exp = buffer_[(start + i) % buffer_.size()];
-    util::JsonObject obj;
-    obj["features"] = DoublesToJson(exp.features);
-    util::JsonArray slots;
-    slots.reserve(exp.taken_slots.size());
-    for (std::size_t slot : exp.taken_slots) {
-      slots.emplace_back(static_cast<std::int64_t>(slot));
-    }
-    obj["taken_slots"] = util::JsonValue(std::move(slots));
-    obj["reward"] = util::JsonValue(exp.reward);
-    obj["next_features"] = DoublesToJson(exp.next_features);
-    util::JsonArray mask;
-    mask.reserve(exp.next_mask.size());
-    for (const bool bit : exp.next_mask) mask.emplace_back(bit);
-    obj["next_mask"] = util::JsonValue(std::move(mask));
-    obj["done"] = util::JsonValue(exp.done);
-    experiences.push_back(util::JsonValue(std::move(obj)));
-  }
-  return util::JsonValue(std::move(experiences));
-}
-
-void ReplayBuffer::LoadJson(const util::JsonValue& doc,
-                            std::size_t feature_width,
-                            std::size_t slot_count) {
-  const auto& arr = doc.AsArray();
-  if (arr.size() > capacity_) {
-    throw util::JsonError(
-        "ReplayBuffer::LoadJson: document holds more experiences than "
-        "capacity");
-  }
-  // Validate the whole document into a staging vector before committing:
-  // a rejected load must leave the existing experience intact.
-  std::vector<Experience> staged;
-  staged.reserve(arr.size());
-  for (const auto& entry : arr) {
-    Experience exp;
-    exp.features =
-        DoublesFromJson(entry.At("features"), feature_width, "features");
-    for (const auto& slot_doc : entry.At("taken_slots").AsArray()) {
-      const std::int64_t slot = slot_doc.AsInt();
-      if (slot < 0 || static_cast<std::size_t>(slot) >= slot_count) {
-        throw util::JsonError(
-            "ReplayBuffer::LoadJson: taken slot out of range");
-      }
-      exp.taken_slots.push_back(static_cast<std::size_t>(slot));
-    }
-    const double reward = entry.At("reward").AsNumber();
-    if (!std::isfinite(reward)) {
-      throw util::JsonError("ReplayBuffer::LoadJson: reward non-finite");
-    }
-    exp.reward = reward;
-    exp.next_features = DoublesFromJson(entry.At("next_features"),
-                                        feature_width, "next_features");
-    const auto& mask = entry.At("next_mask").AsArray();
-    if (mask.size() != slot_count) {
-      throw util::JsonError("ReplayBuffer::LoadJson: next_mask width mismatch");
-    }
-    exp.next_mask.reserve(mask.size());
-    for (const auto& bit : mask) exp.next_mask.push_back(bit.AsBool());
-    exp.done = entry.At("done").AsBool();
-    staged.push_back(std::move(exp));
-  }
-  Clear();
-  for (Experience& exp : staged) Add(std::move(exp));
-}
-
 }  // namespace jarvis::rl

@@ -63,18 +63,6 @@ class ReplayBuffer {
 
   void Clear();
 
-  // Persistence for checkpointing. ToJson emits experiences oldest-first
-  // regardless of where the ring cursor sits, so a LoadJson round-trip
-  // (which re-Adds in order) reproduces the same overwrite order and the
-  // same index->experience mapping for a given sample stream. LoadJson
-  // validates every entry against the agent's widths (features ==
-  // `feature_width`, masks == `slot_count`, slots < `slot_count`, finite
-  // numerics) and throws util::JsonError before touching the buffer —
-  // hostile documents must not evict real experience.
-  util::JsonValue ToJson() const;
-  void LoadJson(const util::JsonValue& doc, std::size_t feature_width,
-                std::size_t slot_count);
-
  private:
   std::size_t capacity_;
   std::size_t next_ = 0;

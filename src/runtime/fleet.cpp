@@ -23,8 +23,10 @@ enum TenantStream : std::uint64_t {
   kResidentStream = 3,
   kScenarioStream = 4,
   kAnomalyStream = 5,
-  kCheckpointStream = 6,  // jitter for checkpoint-write retries
 };
+
+// Tries per tenant checkpoint write in SaveCheckpoints, back to back.
+constexpr int kCheckpointWriteAttempts = 3;
 
 core::JarvisConfig MakeTenantConfig(const core::JarvisConfig& base,
                                     std::uint64_t tenant_seed) {
@@ -325,7 +327,7 @@ FleetCheckpointReport Fleet::SaveCheckpoints(
   for (std::size_t i = 0; i < report.tenants.size(); ++i) {
     TenantCheckpointResult& result = report.tenants[i];
     result.tenant = i;
-    // Pinned across the (retried) write: a re-Run mid-save only replaces
+    // Pinned across the write attempts: a re-Run mid-save only replaces
     // the slot, it cannot free the pipeline being serialized.
     std::shared_ptr<const core::Jarvis> jarvis;
     {
@@ -337,28 +339,21 @@ FleetCheckpointReport Fleet::SaveCheckpoints(
       continue;
     }
     result.attempted = true;
-    // Per-tenant jitter stream: decorrelates the fleet's retries against a
-    // shared failing store while keeping each tenant's backoff sequence a
-    // pure function of the fleet seed.
-    util::RetryPolicy policy = config_.checkpoint_retry;
-    policy.jitter_seed = util::DeriveSeed(TenantSeed(i), kCheckpointStream);
-    std::string error;
-    const util::RetryResult retry = util::Retry(policy, [&] {
+    while (!result.succeeded &&
+           result.write_attempts < kCheckpointWriteAttempts) {
+      ++result.write_attempts;
       try {
         jarvis->SaveCheckpoint(TenantCheckpointPath(dir, i), nullptr,
                                interceptor);
-        return true;
+        result.succeeded = true;
+        result.error.clear();
       } catch (const util::io::IoError& io_error) {
-        error = io_error.what();
-        return false;
+        result.error = io_error.what();
       }
-    });
-    result.write_attempts = retry.attempts;
-    if (retry.succeeded) {
-      result.succeeded = true;
+    }
+    if (result.succeeded) {
       ++report.succeeded;
     } else {
-      result.error = error;
       ++report.failed;
     }
   }

@@ -26,14 +26,12 @@
 // job start (read the quarantine flag) and job end (store the trained
 // pipeline), so the lock never serializes the pipelines themselves.
 // Accessors (report(), TenantMetrics(), SuggestMinutes()) are safe to
-// call concurrently with Run — report() used to hand out a reference into
-// state Run was concurrently reassigning, a latent race the annotation
-// pass surfaced; it now snapshots by value under the lock. Accessors that
-// use a tenant's trained pipeline (SuggestMinutes, TenantMetrics,
-// SaveCheckpoints) pin it with a shared_ptr for the duration of the call,
-// so a concurrent re-Run cannot destroy it under them. Caveat: tenant()
-// still returns a raw pointer whose object the NEXT Run of that tenant
-// replaces — don't hold it across a re-run.
+// call concurrently with Run; report() snapshots by value under the lock.
+// Accessors that use a tenant's trained pipeline (SuggestMinutes,
+// TenantMetrics, SaveCheckpoints) pin it with a shared_ptr for the
+// duration of the call, so a concurrent re-Run cannot destroy it under
+// them. Caveat: tenant() still returns a raw pointer whose object the
+// NEXT Run of that tenant replaces — don't hold it across a re-run.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +47,6 @@
 #include "runtime/thread_pool.h"
 #include "util/io.h"
 #include "util/mutex.h"
-#include "util/retry.h"
 #include "util/thread_annotations.h"
 
 namespace jarvis::runtime {
@@ -68,12 +65,6 @@ struct FleetConfig {
   core::JarvisConfig tenant_config;
   // Backpressure bound on the scheduler queue.
   std::size_t queue_capacity = 256;
-  // Retry policy for per-tenant checkpoint writes (SaveCheckpoints):
-  // storage faults are often transient, and the jitter fields decorrelate
-  // many tenants retrying against one failing store. Each tenant's jitter
-  // stream is seeded from its tenant seed, so retry timing stays a pure
-  // function of the fleet seed.
-  util::RetryPolicy checkpoint_retry{};
 };
 
 // Everything one tenant's learn+optimize job consumes. Produced per tenant
@@ -142,7 +133,7 @@ struct TenantCheckpointResult {
   std::size_t tenant = 0;
   bool attempted = false;  // false: no pipeline to save / no file
   bool succeeded = false;
-  int write_attempts = 0;  // save: tries the retry loop spent (0 if skipped)
+  int write_attempts = 0;  // save: writes tried (0 if skipped)
   std::string error;
   core::Jarvis::RestoreReport restore;  // restore only
 };
@@ -170,10 +161,10 @@ class Fleet {
   // --- Checkpoint lifecycle -----------------------------------------------
 
   // Writes one checkpoint per completed tenant into `dir`
-  // (tenant-<i>.ckpt), each through the atomic write path under the
-  // config's retry policy (per-tenant seeded jitter). The interceptor seam
-  // injects storage faults in chaos tests. Tenants without a run pipeline
-  // are skipped.
+  // (tenant-<i>.ckpt), each through the atomic write path, trying a
+  // failing write at most three times back to back (storage faults are
+  // often transient). The interceptor seam injects storage faults in chaos
+  // tests. Tenants without a run pipeline are skipped.
   FleetCheckpointReport SaveCheckpoints(
       const std::string& dir,
       util::io::WriteInterceptor* interceptor = nullptr)

@@ -19,9 +19,7 @@
 // member is either guarded or explicitly justified. Shutdown is safe to
 // race from any number of threads: exactly one caller swaps the workers
 // out and joins them; the others block until the join completes, so the
-// "all tasks finished" postcondition holds for every caller (a concurrent
-// Shutdown/destructor pair used to double-join the same std::thread — a
-// latent race the annotation pass surfaced).
+// "all tasks finished" postcondition holds for every caller.
 //
 // The pool is deliberately minimal: no futures, no priorities, no work
 // stealing. Fleet jobs are coarse (a whole tenant pipeline), so a mutex +

@@ -284,17 +284,16 @@ util::JsonObject Dispatcher::HandleMetrics() {
 }
 
 util::JsonObject Dispatcher::HandleCheckpoint(const util::JsonValue& body) {
-  std::string dir = options_.checkpoint_dir;
-  const util::JsonValue* dir_field = FindField(body, "dir");
-  if (dir_field != nullptr) {
-    if (!dir_field->is_string()) {
-      throw RequestError(kErrBadRequest, "'dir' must be a string");
-    }
-    dir = dir_field->AsString();
-  }
-  if (dir.empty()) {
+  // The destination is the daemon's own; a client must not pick a path
+  // the daemon would create and write.
+  if (FindField(body, "dir") != nullptr) {
     throw RequestError(kErrBadRequest,
-                       "no 'dir' and the daemon has no checkpoint dir");
+                       "'dir' is not accepted; checkpoints go to the daemon's "
+                       "checkpoint dir");
+  }
+  const std::string& dir = options_.checkpoint_dir;
+  if (dir.empty()) {
+    throw RequestError(kErrBadRequest, "the daemon has no checkpoint dir");
   }
   const runtime::FleetCheckpointReport report = fleet_.SaveCheckpoints(dir);
   util::JsonObject fields;
@@ -367,8 +366,8 @@ DrainFlushReport Dispatcher::FlushForDrain() {
   }
 
   // Buffered ingest first: grab the buffers under the lock, write outside
-  // it (AtomicWriteFile can retry-sleep; holding mutex_ across that would
-  // stall any late stall/ingest bookkeeping for no reason).
+  // it (AtomicWriteFile fsyncs; holding mutex_ across that would stall any
+  // late stall/ingest bookkeeping for no reason).
   std::vector<std::vector<events::Event>> drained;
   {
     util::MutexLock lock(mutex_);

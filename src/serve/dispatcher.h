@@ -43,9 +43,9 @@ struct DispatcherOptions {
   // daemon owner knows the home model; thin clients often don't). Empty =
   // state is required on the wire.
   fsm::StateVector default_state;
-  // Where `checkpoint` requests without a "dir" field and the final drain
-  // flush write (empty = checkpoint requests must carry "dir" and drain
-  // flushes nothing).
+  // Where `checkpoint` requests and the final drain flush write (empty =
+  // checkpoint requests are refused and drain flushes nothing). Clients
+  // cannot choose another destination.
   std::string checkpoint_dir;
   // Per-tenant cap on buffered ingested events; events past the cap are
   // rejected (counted), not queued — bounded memory under a log flood.

@@ -173,17 +173,6 @@ TEST_F(MonitorFixture, StalenessClockDeniesOldContext) {
   EXPECT_EQ(monitor.stale_denials(), 1u);
 }
 
-TEST_F(MonitorFixture, FailSafeOffPreservesLegacyBehavior) {
-  MonitorConfig config;
-  config.fail_safe = false;
-  OnlineMonitor monitor(testbed_->home_a(), *learner_,
-                        fsm::StateVector(11, 0), config);
-  monitor.Consume(SensorEvent(60, "temp_sensor", "plasma"));
-  monitor.Consume(CommandEvent(61, "temp_sensor", "off", "power_off"));
-  EXPECT_EQ(monitor.failsafe_denials(), 0u);
-  EXPECT_EQ(monitor.commands_classified(), 1u);
-}
-
 TEST_F(MonitorFixture, LoadJsonRefusesStateThatIsNotAnInt) {
   // A checkpoint's tracked state must be an int as written: 4294967297
   // used to narrow to state 1 (and 0.5 round to it) and pass ValidateState.

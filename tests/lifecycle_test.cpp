@@ -157,6 +157,32 @@ TEST_F(LifecycleFixture, JarvisCheckpointRoundTripRestoresLearnedState) {
   EXPECT_FALSE(cold.learned());
 }
 
+TEST_F(LifecycleFixture, TrailingBytesAreIgnoredWithoutDegradingHealth) {
+  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
+  const TenantWorkload workload = factory(0, 13);
+  JarvisConfig config = CheapConfig(1, 1).tenant_config;
+  Jarvis original(Home(), config);
+  ASSERT_GT(original.LearnFromEvents(workload.events, workload.initial_state,
+                                     workload.start, workload.labeled),
+            0u);
+
+  // Every section verifies; only bytes after the last one are extra.
+  const std::string dir = ScratchDir("trailing");
+  util::io::CreateDirectories(dir);
+  const std::string path = dir + "/jarvis.ckpt";
+  util::io::AtomicWriteFile(path,
+                            original.MakeCheckpoint().Serialize() + "junk");
+
+  Jarvis restored(Home(), config);
+  const Jarvis::RestoreReport report = restored.LoadCheckpoint(path);
+  EXPECT_TRUE(report.meta_valid);
+  EXPECT_TRUE(report.spl_restored);
+  EXPECT_EQ(report.sections_failed, 0u);
+  EXPECT_EQ(report.issues.size(), 1u) << persist::FormatIssues(report.issues);
+  EXPECT_EQ(restored.Health().checkpoint_sections_failed, 0u);
+  EXPECT_FALSE(restored.Health().degraded());
+}
+
 TEST_F(LifecycleFixture, CrashRecoveryMatchesUninterruptedOracle) {
   const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
   const std::string dir = ScratchDir("crash");
@@ -235,11 +261,11 @@ TEST_F(LifecycleFixture, EveryStorageFaultKindIsDetectedAndDegradesFailSafe) {
     EXPECT_GE(injector.counters().total(), 1u);
 
     if (entry.kind == faults::StorageFaultKind::kRenameFail) {
-      // Crash-before-commit: the write fails visibly after exhausting its
-      // retries and no file exists — restore is a clean cold start.
+      // Crash-before-commit: the write fails visibly after its three
+      // attempts and no file exists — restore is a clean cold start.
       ASSERT_EQ(saved.failed, 1u);
       EXPECT_FALSE(saved.tenants[0].error.empty());
-      EXPECT_GT(saved.tenants[0].write_attempts, 1);
+      EXPECT_EQ(saved.tenants[0].write_attempts, 3);
       EXPECT_FALSE(
           util::io::FileExists(Fleet::TenantCheckpointPath(dir, 0)));
 

@@ -6,13 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/jarvis.h"
 #include "obs/snapshot.h"
-#include "obs/tracer.h"
 #include "sim/testbed.h"
 
 namespace jarvis::core {
@@ -126,24 +124,6 @@ TEST_F(ObsPipelineFixture, CounterInvariantsAcrossStages) {
   EXPECT_GT(snapshot.CounterValue("rl.agent.replay_batches"), 0u);
   EXPECT_EQ(snapshot.FindHistogram("rl.agent.replay_loss").count,
             snapshot.CounterValue("rl.agent.replay_batches"));
-}
-
-TEST_F(ObsPipelineFixture, SpanTreeShapesThePipeline) {
-  const PipelineRun run = RunPipeline();
-  const std::vector<obs::SpanRecord> spans = run.jarvis->FlushSpans();
-  ASSERT_FALSE(spans.empty());
-
-  std::set<std::string> roots;
-  std::set<std::string> children;
-  for (const obs::SpanRecord& span : spans) {
-    (span.depth == 0 ? roots : children).insert(span.name);
-  }
-  EXPECT_TRUE(roots.count("learn") == 1);
-  EXPECT_TRUE(roots.count("optimize") == 1);
-  EXPECT_TRUE(children.count("learn.parse") == 1);
-  EXPECT_TRUE(children.count("optimize.restart.0") == 1);
-  // Flush drained everything.
-  EXPECT_TRUE(run.jarvis->FlushSpans().empty());
 }
 
 }  // namespace

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "json_edit.h"
 #include "util/check.h"
 
 #include <limits>
 #include <set>
-#include <string>
 
 namespace jarvis::rl {
 namespace {
@@ -163,86 +161,6 @@ TEST(ReplayBuffer, SampledIndicesOutliveMutationsDetectably) {
   buffer.Add(MakeExperience(2.0));
   buffer.SampleInto(2, rng_a, via_into);
   EXPECT_EQ(via_into, buffer.Sample(2, rng_b));
-}
-
-TEST(ReplayBuffer, JsonRoundTripPreservesRingOrderAfterWrap) {
-  ReplayBuffer original(3);
-  for (int i = 0; i < 5; ++i) original.Add(MakeExperience(i));  // wraps twice
-
-  const util::JsonValue doc = original.ToJson();
-  // Oldest-first export regardless of where the ring cursor sits.
-  ASSERT_EQ(doc.AsArray().size(), 3u);
-  EXPECT_DOUBLE_EQ(doc.AsArray()[0].At("reward").AsNumber(), 2.0);
-  EXPECT_DOUBLE_EQ(doc.AsArray()[2].At("reward").AsNumber(), 4.0);
-
-  ReplayBuffer restored(3);
-  restored.LoadJson(doc, /*feature_width=*/1, /*slot_count=*/1);
-  EXPECT_EQ(restored.size(), 3u);
-  EXPECT_EQ(restored.ToJson().Dump(), doc.Dump());
-
-  // The restored ring must also *overwrite* in the same order: the next Add
-  // evicts reward 2.0 from both buffers, even though their internal cursors
-  // started from different histories.
-  original.Add(MakeExperience(5));
-  restored.Add(MakeExperience(5));
-  EXPECT_EQ(restored.ToJson().Dump(), original.ToJson().Dump());
-  EXPECT_DOUBLE_EQ(restored.ToJson().AsArray()[0].At("reward").AsNumber(),
-                   3.0);
-}
-
-TEST(ReplayBuffer, LoadJsonRejectsMoreExperiencesThanCapacity) {
-  ReplayBuffer big(3);
-  for (int i = 0; i < 3; ++i) big.Add(MakeExperience(i));
-  ReplayBuffer small(2);
-  EXPECT_THROW(small.LoadJson(big.ToJson(), 1, 1), util::JsonError);
-  EXPECT_EQ(small.size(), 0u);
-}
-
-TEST(ReplayBuffer, LoadJsonValidatesWidthsSlotsAndFiniteness) {
-  ReplayBuffer source(4);
-  source.Add(MakeExperience(1.0));
-  const util::JsonValue good = source.ToJson();
-
-  ReplayBuffer target(4);
-  // Width guards: the document's vectors must match the agent this buffer
-  // will feed, feature- and mask-wise.
-  EXPECT_THROW(target.LoadJson(good, /*feature_width=*/2, /*slot_count=*/1),
-               util::JsonError);
-  EXPECT_THROW(target.LoadJson(good, /*feature_width=*/1, /*slot_count=*/2),
-               util::JsonError);
-
-  // A taken slot beyond the agent's mini-action count would index out of
-  // the Q-row during replay.
-  const util::JsonValue bad_slot = json_edit::SetJson(
-      source.ToJson(), {0u, "taken_slots"},
-      util::JsonValue(util::JsonArray{util::JsonValue(std::int64_t{7})}));
-  EXPECT_THROW(target.LoadJson(bad_slot, 1, 1), util::JsonError);
-
-  const util::JsonValue nan_reward = json_edit::SetJson(
-      source.ToJson(), {0u, "reward"},
-      util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_THROW(target.LoadJson(nan_reward, 1, 1), util::JsonError);
-
-  const util::JsonValue inf_feature = json_edit::SetJson(
-      source.ToJson(), {0u, "features", 0u},
-      util::JsonValue(std::numeric_limits<double>::infinity()));
-  EXPECT_THROW(target.LoadJson(inf_feature, 1, 1), util::JsonError);
-  EXPECT_EQ(target.size(), 0u);
-}
-
-TEST(ReplayBuffer, RejectedLoadLeavesExistingExperienceIntact) {
-  ReplayBuffer buffer(4);
-  buffer.Add(MakeExperience(1.0));
-  buffer.Add(MakeExperience(2.0));
-  const std::string before = buffer.ToJson().Dump();
-
-  const util::JsonValue hostile = json_edit::SetJson(
-      buffer.ToJson(), {1u, "reward"},
-      util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_THROW(buffer.LoadJson(hostile, 1, 1), util::JsonError);
-  // Validation happens before the commit: the real memory survives.
-  EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.ToJson().Dump(), before);
 }
 
 }  // namespace

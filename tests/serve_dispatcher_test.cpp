@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -334,17 +335,35 @@ TEST_F(DispatcherTest, CheckpointRequestWritesTenantFiles) {
   for (std::size_t i = 0; i < 4; ++i) {
     util::io::RemoveFile(runtime::Fleet::TenantCheckpointPath(dir, i));
   }
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
-  const auto response = Call(
-      dispatcher,
-      R"({"id": 1, "type": "checkpoint", "dir": ")" + dir + R"("})");
+  DispatcherOptions options = DefaultOptions();
+  options.checkpoint_dir = dir;
+  Dispatcher dispatcher(*fleet_, options, nullptr);
+  const auto response = Call(dispatcher, R"({"id": 1, "type": "checkpoint"})");
   ASSERT_TRUE(ResponseOk(response));
+  EXPECT_EQ(response.At("dir").AsString(), dir);
   EXPECT_EQ(response.At("saved").AsInt(), 2);
   EXPECT_EQ(response.At("failed").AsInt(), 0);
   EXPECT_TRUE(
       util::io::FileExists(runtime::Fleet::TenantCheckpointPath(dir, 0)));
   EXPECT_TRUE(
       util::io::FileExists(runtime::Fleet::TenantCheckpointPath(dir, 1)));
+}
+
+TEST_F(DispatcherTest, CheckpointRequestCarryingDirIsRefused) {
+  // A client-chosen destination would let anyone who reaches the daemon
+  // make it create directories and write files at any path it can write.
+  const std::string target = testing::TempDir() + "/serve_dispatcher_foreign";
+  std::filesystem::remove_all(target);
+  DispatcherOptions options = DefaultOptions();
+  options.checkpoint_dir = testing::TempDir() + "/serve_dispatcher_own";
+  Dispatcher dispatcher(*fleet_, options, nullptr);
+  const auto response = Call(
+      dispatcher,
+      R"({"id": 1, "type": "checkpoint", "dir": ")" + target + R"("})");
+  EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+  EXPECT_FALSE(util::io::FileExists(target));
+  EXPECT_FALSE(
+      util::io::FileExists(runtime::Fleet::TenantCheckpointPath(target, 0)));
 }
 
 TEST_F(DispatcherTest, CheckpointWithoutDirAnywhereIsBadRequest) {
