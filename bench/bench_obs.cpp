@@ -9,7 +9,6 @@
 
 #include "fsm/device_library.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "rl/dqn_agent.h"
 
 namespace {
@@ -78,24 +77,6 @@ void BM_RegistrySnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegistrySnapshot)->Unit(benchmark::kMicrosecond);
-
-void BM_ScopedSpan(benchmark::State& state) {
-  obs::Tracer tracer;
-  for (auto _ : state) {
-    obs::ScopedSpan span(&tracer, "bench.span");
-    benchmark::ClobberMemory();
-  }
-  benchmark::DoNotOptimize(tracer.Flush());
-}
-BENCHMARK(BM_ScopedSpan);
-
-void BM_ScopedSpanNull(benchmark::State& state) {
-  for (auto _ : state) {
-    obs::ScopedSpan span(nullptr, "bench.span");
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_ScopedSpanNull);
 
 // --- The acceptance gate: DQN hot loops, wired vs unwired ----------------
 

@@ -15,10 +15,10 @@
 //   jarvis_cli fleet --fleet 8 --jobs 4
 //       Run a multi-tenant fleet (one Jarvis pipeline per simulated home)
 //       across a worker pool and print the per-tenant and aggregate report.
-//   jarvis_cli metrics --fleet 2 --format json
-//       Run a small instrumented fleet and dump the observability export:
-//       fleet-level metrics, aggregated tenant metrics, and the span tree.
-//       CI validates this output with tools/check_metrics.py.
+//   jarvis_cli metrics --fleet 2
+//       Run a small instrumented fleet and dump the observability export as
+//       JSON: fleet-level metrics (run counters, per-phase timers) and
+//       aggregated tenant metrics. tools/check_metrics.py validates it.
 //   jarvis_cli checkpoint --log events.log --out home.ckpt
 //       Run the learning phase and save the full learnt state (whitelist,
 //       ANN filter, optionally a trained DQN with --day) as a versioned,
@@ -62,7 +62,7 @@ int Usage() {
       "  fleet    [--fleet N] [--jobs N] [--days N] [--episodes N] "
       "[--seed S]\n"
       "  metrics  [--fleet N] [--jobs N] [--days N] [--episodes N] "
-      "[--seed S] [--format json|csv] [--out FILE]\n"
+      "[--seed S] [--out FILE]\n"
       "  checkpoint --log FILE --out FILE [--day N] [--episodes N] "
       "[--seed S]\n"
       "  restore  --checkpoint FILE [--day N] [--minute M] [--episodes N]\n"
@@ -294,29 +294,18 @@ int Metrics(const util::Flags& flags) {
   runtime::Fleet fleet(home, config);
   fleet.Run(runtime::SimulatedWorkloadFactory(home, workload));
 
-  const obs::MetricsSnapshot aggregate = fleet.AggregateTenantMetrics();
-  const std::string format = flags.GetString("format", "json");
-  std::string output;
-  if (format == "json") {
-    util::JsonObject document;
-    document["fleet"] = fleet.TakeMetricsSnapshot().ToJson();
-    document["tenants"] = aggregate.ToJson();
-    document["spans"] = obs::SpansToJson(fleet.FlushSpans());
-    output = util::JsonValue(std::move(document)).Dump(2);
-    output.push_back('\n');
-  } else if (format == "csv") {
-    output = aggregate.ToCsv();
-  } else {
-    std::fprintf(stderr, "unknown --format %s (json|csv)\n", format.c_str());
-    return 2;
-  }
+  util::JsonObject document;
+  document["fleet"] = fleet.TakeMetricsSnapshot().ToJson();
+  document["tenants"] = fleet.AggregateTenantMetrics().ToJson();
+  std::string output = util::JsonValue(std::move(document)).Dump(2);
+  output.push_back('\n');
 
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fputs(output.c_str(), stdout);
   } else {
     WriteFile(out, output);
-    std::printf("metrics (%s) -> %s\n", format.c_str(), out.c_str());
+    std::printf("metrics -> %s\n", out.c_str());
   }
   return 0;
 }

@@ -252,13 +252,18 @@ Jarvis::RestoreReport Jarvis::LoadCheckpoint(const std::string& path,
   RestoreReport report = RestoreFrom(checkpoint, monitor);
   // Prepend container-level diagnostics (bad magic, version skew,
   // truncation, CRC drops, trailing bytes) so the report carries the full
-  // story; only those that lost data count as failed sections.
+  // story; the sections they lost count as failed. A cut at section i of
+  // count loses count - i sections, so the sum is clamped to the sections
+  // this class writes that did not parse: a corrupt count cannot inflate
+  // it.
   report.issues.insert(report.issues.begin(), issues.begin(), issues.end());
-  const auto lost = static_cast<std::size_t>(
-      std::count_if(issues.begin(), issues.end(),
-                    [](const persist::CheckpointIssue& issue) {
-                      return issue.section_lost;
-                    }));
+  std::size_t lost = 0;
+  for (const persist::CheckpointIssue& issue : issues) {
+    lost += issue.sections_lost;
+  }
+  constexpr std::size_t kSectionCount = 4;  // meta, spl, dqn, monitor
+  lost = std::min(lost, kSectionCount - std::min(kSectionCount,
+                                                 checkpoint.section_count()));
   health_.checkpoint_sections_failed += lost;
   report.sections_failed += lost;
   return report;

@@ -1,23 +1,10 @@
 #include "obs/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 
-#include "util/csv.h"
-
 namespace jarvis::obs {
-
-namespace {
-
-std::string FormatDouble(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
 
 MetricsSnapshot MetricsSnapshot::DeterministicOnly() const {
   MetricsSnapshot out;
@@ -147,36 +134,6 @@ util::JsonValue MetricsSnapshot::ToJson() const {
   doc["gauges"] = util::JsonValue(std::move(gauge_rows));
   doc["histograms"] = util::JsonValue(std::move(histogram_rows));
   return util::JsonValue(std::move(doc));
-}
-
-std::string MetricsSnapshot::ToCsv() const {
-  util::CsvWriter writer({"name", "kind", "le", "value", "deterministic"});
-  const auto det = [](bool deterministic) {
-    return std::string(deterministic ? "1" : "0");
-  };
-  for (const auto& sample : counters) {
-    writer.AddRow({sample.name, "counter", "", std::to_string(sample.value),
-                   det(sample.deterministic)});
-  }
-  for (const auto& sample : gauges) {
-    writer.AddRow({sample.name, "gauge", "", FormatDouble(sample.value),
-                   det(sample.deterministic)});
-  }
-  for (const auto& sample : histograms) {
-    writer.AddRow({sample.name, "hist_count", "", std::to_string(sample.count),
-                   det(sample.deterministic)});
-    writer.AddRow({sample.name, "hist_sum", "", FormatDouble(sample.sum),
-                   det(sample.deterministic)});
-    for (std::size_t i = 0; i < sample.bucket_counts.size(); ++i) {
-      const std::string le = i < sample.upper_bounds.size()
-                                 ? FormatDouble(sample.upper_bounds[i])
-                                 : "+inf";
-      writer.AddRow({sample.name, "hist_bucket", le,
-                     std::to_string(sample.bucket_counts[i]),
-                     det(sample.deterministic)});
-    }
-  }
-  return writer.ToString();
 }
 
 }  // namespace jarvis::obs

@@ -1,9 +1,9 @@
 // Point-in-time export of an obs::Registry: plain-data samples of every
-// registered counter, gauge, and histogram, with JSON and CSV writers
-// reusing util::json / util::csv. Snapshots are value types — they can be
-// compared (the golden-determinism tests do), filtered down to the
-// deterministic subset, and merged across registries (fleet aggregation
-// sums per-tenant snapshots).
+// registered counter, gauge, and histogram, with a JSON writer reusing
+// util::json. Snapshots are value types — they can be compared (the
+// golden-determinism tests do), filtered down to the deterministic subset,
+// and merged across registries (fleet aggregation sums per-tenant
+// snapshots).
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,6 @@ struct MetricsSnapshot {
 
   // {"counters": [...], "gauges": [...], "histograms": [...]}.
   util::JsonValue ToJson() const;
-  // Rows of name,kind,le,value,deterministic; histograms expand into
-  // hist_count / hist_sum / hist_bucket rows (le = bucket upper bound).
-  std::string ToCsv() const;
 
   bool operator==(const MetricsSnapshot&) const = default;
 };

@@ -77,9 +77,9 @@ struct Reader {
 };
 
 void Report(std::vector<CheckpointIssue>* issues, std::string section,
-            std::string detail, bool section_lost = true) {
+            std::string detail, std::size_t sections_lost = 1) {
   if (issues != nullptr) {
-    issues->push_back({std::move(section), std::move(detail), section_lost});
+    issues->push_back({std::move(section), std::move(detail), sections_lost});
   }
 }
 
@@ -172,7 +172,8 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
       Report(issues, "",
              "section " + std::to_string(i) + " of " + std::to_string(count) +
                  ": corrupt or truncated section header; remaining sections "
-                 "unrecoverable");
+                 "unrecoverable",
+             count - i);
       return ckpt;
     }
     const std::string name = reader.Bytes(name_len);
@@ -182,7 +183,8 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
       Report(issues, name.empty() ? "" : name,
              "section " + std::to_string(i) + " of " + std::to_string(count) +
                  ": corrupt or truncated section header; remaining sections "
-                 "unrecoverable");
+                 "unrecoverable",
+             count - i);
       return ckpt;
     }
     const std::string payload =
@@ -190,7 +192,8 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
     if (!reader.ok) {
       Report(issues, name,
              "payload truncated (wanted " + std::to_string(payload_len) +
-                 " bytes); this and remaining sections unrecoverable");
+                 " bytes); this and remaining sections unrecoverable",
+             count - i);
       return ckpt;
     }
     const std::uint32_t actual = util::io::Crc32(payload);
@@ -206,7 +209,7 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
     Report(issues, "",
            std::to_string(bytes.size() - reader.pos) +
                " trailing byte(s) after the last section (ignored)",
-           /*section_lost=*/false);
+           /*sections_lost=*/0);
   }
   return ckpt;
 }

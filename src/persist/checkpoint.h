@@ -35,6 +35,7 @@
 // interceptor so the chaos suite can corrupt checkpoints deterministically.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -53,9 +54,10 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 struct CheckpointIssue {
   std::string section;
   std::string detail;
-  // False only for a diagnostic that lost no data: trailing bytes after
-  // the last section, which are ignored.
-  bool section_lost = true;
+  // Sections this issue lost: 0 for a diagnostic that lost no data
+  // (trailing bytes after the last section, which are ignored); count - i
+  // when parsing stops early at section i of the header's count.
+  std::size_t sections_lost = 1;
 };
 
 std::string FormatIssues(const std::vector<CheckpointIssue>& issues);

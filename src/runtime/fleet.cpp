@@ -114,10 +114,10 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     }
     warm = std::move(shard.warm_start);
   }
-  obs::ScopedSpan tenant_span(&tracer_, "tenant." + std::to_string(index));
   try {
     const TenantWorkload workload = [&] {
-      obs::ScopedSpan span(&tracer_, "workload");
+      obs::ScopedTimer timer(
+          registry_.GetTimerUs("runtime.fleet.workload_us"));
       return factory(index, seed);
     }();
     // A staged pipeline (checkpoint restore) replaces the cold
@@ -133,13 +133,14 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     if (jarvis->learned()) {
       result.warm_started = true;
     } else {
-      obs::ScopedSpan span(&tracer_, "learn");
+      obs::ScopedTimer timer(registry_.GetTimerUs("runtime.fleet.learn_us"));
       result.learning_episodes =
           jarvis->LearnFromEvents(workload.events, workload.initial_state,
                                   workload.start, workload.labeled);
     }
     {
-      obs::ScopedSpan span(&tracer_, "optimize");
+      obs::ScopedTimer timer(
+          registry_.GetTimerUs("runtime.fleet.optimize_us"));
       result.plan = jarvis->OptimizeDay(workload.day, workload.weights);
     }
     result.health = jarvis->Health();

@@ -42,7 +42,6 @@
 
 #include "core/jarvis.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "persist/checkpoint.h"
 #include "runtime/thread_pool.h"
 #include "util/io.h"
@@ -204,7 +203,9 @@ class Fleet {
   // --- Observability ------------------------------------------------------
   //
   // Two metric scopes, deliberately separate:
-  //   * Fleet-level (this registry): runtime.fleet.* run counters plus the
+  //   * Fleet-level (this registry): runtime.fleet.* run counters, the
+  //     per-phase timers runtime.fleet.{workload,learn,optimize}_us (one
+  //     observation per tenant that entered the phase), plus the
   //     runtime.pool.* instruments of the scheduling pool. Mostly kTiming
   //     or scheduling-shaped — never compared across worker counts.
   //   * Tenant-level: each tenant Jarvis owns its OWN registry, so
@@ -223,9 +224,6 @@ class Fleet {
   // Element-wise sum of every completed tenant's snapshot — the fleet-wide
   // pipeline totals (events parsed, violations filtered, DQN steps, ...).
   obs::MetricsSnapshot AggregateTenantMetrics() const JARVIS_EXCLUDES(mutex_);
-  // Per-tenant span trees recorded during Run ("tenant.N" roots with
-  // workload/learn/optimize children); draining returns them sorted.
-  std::vector<obs::SpanRecord> FlushSpans() { return tracer_.Flush(); }
 
  private:
   struct TenantShard {
@@ -258,7 +256,6 @@ class Fleet {
   // they own their registries) and any cached instrument pointers die
   // first on destruction.
   obs::Registry registry_;  // unguarded: internally synchronized
-  obs::Tracer tracer_;      // unguarded: internally synchronized
   mutable util::Mutex mutex_;
   // One shard per tenant, sized at construction and never resized;
   // elements are written only by their own tenant's job (start/end, under

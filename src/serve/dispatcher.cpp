@@ -78,20 +78,7 @@ Dispatcher::Dispatcher(runtime::Fleet& fleet, DispatcherOptions options,
     }
     responses_ok_ = registry->GetCounter("serve.responses_ok");
     responses_error_ = registry->GetCounter("serve.responses_error");
-    bad_requests_ = registry->GetCounter("serve.bad_request");
   }
-}
-
-std::string Dispatcher::HandlePayload(const std::string& payload) {
-  std::string parse_error;
-  const auto request = ParseRequest(payload, &parse_error);
-  if (!request.has_value()) {
-    if (bad_requests_ != nullptr) bad_requests_->Increment();
-    if (responses_error_ != nullptr) responses_error_->Increment();
-    return MakeErrorResponse(SalvageRequestId(payload), kErrBadRequest,
-                             parse_error);
-  }
-  return Dispatch(*request);
 }
 
 std::string Dispatcher::Dispatch(const Request& request) {

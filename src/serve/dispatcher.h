@@ -1,17 +1,19 @@
-// Request dispatch for the serving daemon: decode → Fleet call → encode.
+// Request dispatch for the serving daemon: parsed request → Fleet call →
+// encode.
 //
 // The Dispatcher is the handler half of the transport/handler split
-// (DESIGN.md §15): it consumes frame PAYLOADS (strings) and produces
-// response payloads, with no knowledge of sockets, fds, or framing — which
-// is exactly what makes every handler unit-testable against an in-memory
-// Fleet. The Server owns admission and I/O; this class owns semantics.
+// (DESIGN.md §15): it consumes parsed Requests and produces response
+// payloads, with no knowledge of sockets, fds, or framing — which is
+// exactly what makes every handler unit-testable against an in-memory
+// Fleet. The Server owns admission, I/O and request decoding
+// (ParseRequest); this class owns semantics.
 //
 // Failure discipline (the persist::Checkpoint rule applied to requests):
-// Dispatch NEVER throws and never kills the daemon. Hostile payloads
-// (garbage JSON, unknown types, wrong field shapes, out-of-range tenants,
-// invalid states) each produce one error response with a stable error code
-// and one counter increment; a handler that throws internally (e.g. a
-// Fleet contract check) is caught and reported as handler_failed.
+// Dispatch NEVER throws and never kills the daemon. Hostile request bodies
+// (wrong field shapes, out-of-range tenants, invalid states) each produce
+// one error response with a stable error code and one counter increment;
+// a handler that throws internally (e.g. a Fleet contract check) is caught
+// and reported as handler_failed.
 //
 // Concurrency: Dispatch runs on ThreadPool workers, many at once.
 //   * Suggestion handlers call Fleet::SuggestMinutes concurrently — it is
@@ -73,9 +75,7 @@ class Dispatcher {
   Dispatcher(runtime::Fleet& fleet, DispatcherOptions options,
              obs::Registry* registry);
 
-  // Full path: parse payload → route → encode. Never throws.
-  std::string HandlePayload(const std::string& payload);
-  // Routes an already-parsed request. Never throws.
+  // Routes a parsed request and encodes the response. Never throws.
   std::string Dispatch(const Request& request);
 
   // Invoked (at most once) when a shutdown request is accepted; the Server
@@ -134,7 +134,6 @@ class Dispatcher {
   std::vector<obs::Histogram*> handle_timers_;   // unguarded: wired in ctor
   obs::Counter* responses_ok_ = nullptr;         // unguarded: wired in ctor
   obs::Counter* responses_error_ = nullptr;      // unguarded: wired in ctor
-  obs::Counter* bad_requests_ = nullptr;         // unguarded: wired in ctor
 };
 
 }  // namespace jarvis::serve

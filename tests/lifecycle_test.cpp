@@ -20,6 +20,7 @@
 #include "fsm/device_library.h"
 #include "persist/checkpoint.h"
 #include "runtime/fleet.h"
+#include "scratch_dir.h"
 #include "util/io.h"
 #include "util/rng.h"
 
@@ -65,15 +66,14 @@ class LifecycleFixture : public ::testing::Test {
     return home;
   }
 
-  // A fresh per-test scratch directory under the gtest temp root.
+  // A directory under this test's own scratch root (removed when the
+  // test ends).
   std::string ScratchDir(const std::string& tag) const {
-    const std::string dir = testing::TempDir() + "/lifecycle_" + tag;
-    // Clear any stale tenant files from a previous run of this binary.
-    for (std::size_t i = 0; i < 8; ++i) {
-      util::io::RemoveFile(Fleet::TenantCheckpointPath(dir, i));
-    }
-    return dir;
+    return scratch_.path() + "/" + tag;
   }
+
+ private:
+  const testing_util::ScratchDir scratch_{"lifecycle"};
 };
 
 // Restored-vs-oracle comparison: learning_episodes is deliberately absent
@@ -181,6 +181,38 @@ TEST_F(LifecycleFixture, TrailingBytesAreIgnoredWithoutDegradingHealth) {
   EXPECT_EQ(report.issues.size(), 1u) << persist::FormatIssues(report.issues);
   EXPECT_EQ(restored.Health().checkpoint_sections_failed, 0u);
   EXPECT_FALSE(restored.Health().degraded());
+}
+
+TEST_F(LifecycleFixture, TruncationCountsEverySectionItLost) {
+  // A file cut inside the spl payload loses spl AND the dqn section after
+  // it: two failed sections, not one container issue.
+  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
+  const TenantWorkload workload = factory(0, 17);
+  JarvisConfig config = CheapConfig(1, 1).tenant_config;
+  Jarvis original(Home(), config);
+  ASSERT_GT(original.LearnFromEvents(workload.events, workload.initial_state,
+                                     workload.start, workload.labeled),
+            0u);
+  original.OptimizeDay(workload.day, workload.weights);
+  const persist::Checkpoint checkpoint = original.MakeCheckpoint();
+  ASSERT_TRUE(checkpoint.HasSection("dqn"));
+  const std::string bytes = checkpoint.Serialize();
+  const std::string& spl = *checkpoint.FindSection("spl");
+  const std::size_t spl_at = bytes.find(spl);
+  ASSERT_NE(spl_at, std::string::npos);
+
+  const std::string dir = ScratchDir("truncated");
+  util::io::CreateDirectories(dir);
+  const std::string path = dir + "/jarvis.ckpt";
+  util::io::AtomicWriteFile(path, bytes.substr(0, spl_at + spl.size() / 2));
+
+  Jarvis restored(Home(), config);
+  const Jarvis::RestoreReport report = restored.LoadCheckpoint(path);
+  EXPECT_TRUE(report.meta_valid);
+  EXPECT_FALSE(report.spl_restored);
+  EXPECT_FALSE(report.dqn_staged);
+  EXPECT_EQ(report.sections_failed, 2u) << persist::FormatIssues(report.issues);
+  EXPECT_EQ(restored.Health().checkpoint_sections_failed, 2u);
 }
 
 TEST_F(LifecycleFixture, CrashRecoveryMatchesUninterruptedOracle) {

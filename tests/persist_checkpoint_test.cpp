@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.h"
 #include "util/io.h"
 
 namespace jarvis::persist {
@@ -81,7 +82,18 @@ TEST(Checkpoint, TruncationSalvagesIntactPrefix) {
   EXPECT_TRUE(parsed.HasSection("meta"));
   EXPECT_TRUE(parsed.HasSection("spl"));
   EXPECT_FALSE(parsed.HasSection("dqn"));
-  ASSERT_FALSE(issues.empty());
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].sections_lost, 1u);
+
+  // Cut inside the middle section: it and the section after it are lost.
+  issues.clear();
+  const std::size_t spl_at = bytes.find(std::string(512, 'a'));
+  ASSERT_NE(spl_at, std::string::npos);
+  EXPECT_EQ(Checkpoint::Parse(bytes.substr(0, spl_at + 256), &issues)
+                .section_count(),
+            1u);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].sections_lost, 2u);
 }
 
 TEST(Checkpoint, BitFlipDropsOnlyTheCorruptSection) {
@@ -117,22 +129,22 @@ TEST(Checkpoint, TrailingBytesAreReportedAndIgnored) {
   const Checkpoint parsed = Checkpoint::Parse(bytes, &issues);
   EXPECT_EQ(parsed.section_count(), 3u);
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_FALSE(issues[0].section_lost);  // reported, but nothing was lost
+  EXPECT_EQ(issues[0].sections_lost, 0u);  // reported, but nothing was lost
 }
 
 TEST(Checkpoint, WriteAndReadFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/ckpt_roundtrip.ckpt";
+  const testing_util::ScratchDir scratch("persist_checkpoint_test");
+  const std::string path = scratch.path() + "/roundtrip.ckpt";
   MakeCheckpoint().WriteFile(path);
   std::vector<CheckpointIssue> issues;
   const Checkpoint parsed = Checkpoint::ReadFile(path, &issues);
   EXPECT_TRUE(issues.empty()) << FormatIssues(issues);
   EXPECT_EQ(parsed.section_count(), 3u);
-  util::io::RemoveFile(path);
 }
 
 TEST(Checkpoint, MissingFileThrowsIoError) {
-  EXPECT_THROW(Checkpoint::ReadFile(testing::TempDir() + "/no_such.ckpt",
-                                    nullptr),
+  const testing_util::ScratchDir scratch("persist_checkpoint_test");
+  EXPECT_THROW(Checkpoint::ReadFile(scratch.path() + "/no_such.ckpt", nullptr),
                util::io::IoError);
 }
 
@@ -145,7 +157,8 @@ class RenameFailInterceptor : public util::io::WriteInterceptor {
 };
 
 TEST(Checkpoint, FailedRenameLeavesOldCheckpointIntact) {
-  const std::string path = testing::TempDir() + "/ckpt_atomic.ckpt";
+  const testing_util::ScratchDir scratch("persist_checkpoint_test");
+  const std::string path = scratch.path() + "/atomic.ckpt";
   Checkpoint old_checkpoint;
   old_checkpoint.AddSection("meta", "old");
   old_checkpoint.WriteFile(path);
@@ -160,7 +173,6 @@ TEST(Checkpoint, FailedRenameLeavesOldCheckpointIntact) {
   ASSERT_NE(survivor.FindSection("meta"), nullptr);
   EXPECT_EQ(*survivor.FindSection("meta"), "old");
   EXPECT_FALSE(util::io::FileExists(path + ".tmp"));  // temp cleaned up
-  util::io::RemoveFile(path);
 }
 
 }  // namespace

@@ -7,13 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <filesystem>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "fsm/device_library.h"
 #include "runtime/fleet.h"
+#include "scratch_dir.h"
 #include "serve/protocol.h"
 #include "sim/resident.h"
 #include "util/io.h"
@@ -70,9 +72,16 @@ class DispatcherTest : public ::testing::Test {
     return options;
   }
 
+  // Decodes `payload` the way the Server does, then dispatches it. Every
+  // payload here is a well-formed request; hostile payloads are the
+  // Server's to answer (serve_server_test).
   static util::JsonValue Call(Dispatcher& dispatcher,
                               const std::string& payload) {
-    return util::JsonValue::Parse(dispatcher.HandlePayload(payload));
+    std::string error;
+    const std::optional<Request> request = ParseRequest(payload, &error);
+    EXPECT_TRUE(request.has_value()) << payload << ": " << error;
+    if (!request.has_value()) return util::JsonValue();
+    return util::JsonValue::Parse(dispatcher.Dispatch(*request));
   }
 
   static fsm::EnvironmentFsm* home_;
@@ -91,35 +100,6 @@ TEST_F(DispatcherTest, PingEchoesIdAndProtocol) {
   EXPECT_TRUE(ResponseOk(response));
   EXPECT_EQ(response.At("id").AsInt(), 17);
   EXPECT_EQ(response.At("protocol").AsInt(), kProtocolVersion);
-}
-
-TEST_F(DispatcherTest, HostilePayloadsAreErrorResponsesNeverThrows) {
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
-  const std::vector<std::string> hostile = {
-      "",                                       // empty
-      "not json at all {{{",                    // garbage
-      "[1,2,3]",                                // not an object
-      R"({"id": 1})",                           // no type
-      R"({"id": 1, "type": "frobnicate"})",     // unknown type
-      R"({"id": "x", "type": "ping"})",         // non-numeric id
-      R"({"id": 2, "type": 42})",               // non-string type
-      std::string(300, '\xff'),                 // binary noise
-  };
-  for (const std::string& payload : hostile) {
-    const auto response = Call(dispatcher, payload);
-    EXPECT_FALSE(ResponseOk(response)) << payload;
-    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest) << payload;
-  }
-  // The dispatcher still serves after all of that.
-  EXPECT_TRUE(Call(dispatcher, R"({"id": 3, "type": "ping"})").At("ok")
-                  .AsBool());
-}
-
-TEST_F(DispatcherTest, UnknownTypeStillEchoesItsId) {
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
-  const auto response =
-      Call(dispatcher, R"({"id": 99, "type": "frobnicate"})");
-  EXPECT_EQ(response.At("id").AsInt(), 99);
 }
 
 TEST_F(DispatcherTest, SuggestValidation) {
@@ -306,8 +286,24 @@ TEST_F(DispatcherTest, MetricsAndHealthReportFleetShape) {
   Dispatcher dispatcher(fleet, DefaultOptions(), &fleet.Metrics());
   auto response = Call(dispatcher, R"({"id": 1, "type": "metrics"})");
   ASSERT_TRUE(ResponseOk(response));
-  EXPECT_TRUE(response.At("fleet").is_object());
   EXPECT_TRUE(response.At("tenants").is_object());
+  // The fleet snapshot carries the per-phase run timers and exactly one
+  // bad-request count: the Server's serve.bad_requests, not a dispatcher
+  // twin.
+  std::set<std::string> histograms;
+  for (const util::JsonValue& entry :
+       response.At("fleet").At("histograms").AsArray()) {
+    histograms.insert(entry.At("name").AsString());
+  }
+  for (const char* timer : {"runtime.fleet.workload_us",
+                            "runtime.fleet.learn_us",
+                            "runtime.fleet.optimize_us"}) {
+    EXPECT_EQ(histograms.count(timer), 1u) << timer;
+  }
+  for (const util::JsonValue& entry :
+       response.At("fleet").At("counters").AsArray()) {
+    EXPECT_NE(entry.At("name").AsString(), "serve.bad_request");
+  }
 
   response = Call(dispatcher, R"({"id": 2, "type": "health"})");
   ASSERT_TRUE(ResponseOk(response));
@@ -322,19 +318,18 @@ TEST_F(DispatcherTest, RequestCountersTrackDispatches) {
   Call(dispatcher, R"({"id": 1, "type": "ping"})");
   Call(dispatcher, R"({"id": 2, "type": "ping"})");
   Call(dispatcher, R"({"id": 3, "type": "health"})");
-  Call(dispatcher, "garbage");
+  Call(dispatcher, R"({"id": 4, "type": "stall"})");  // refused: disabled
   EXPECT_EQ(registry.GetCounter("serve.req.ping")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.req.health")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("serve.req.stall")->Value(), 1u);
   EXPECT_EQ(registry.GetCounter("serve.responses_ok")->Value(), 3u);
   EXPECT_EQ(registry.GetCounter("serve.responses_error")->Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("serve.bad_request")->Value(), 1u);
+  EXPECT_FALSE(registry.TakeSnapshot().HasCounter("serve.bad_request"));
 }
 
 TEST_F(DispatcherTest, CheckpointRequestWritesTenantFiles) {
-  const std::string dir = testing::TempDir() + "/serve_dispatcher_ckpt";
-  for (std::size_t i = 0; i < 4; ++i) {
-    util::io::RemoveFile(runtime::Fleet::TenantCheckpointPath(dir, i));
-  }
+  const testing_util::ScratchDir scratch("serve_dispatcher_ckpt");
+  const std::string& dir = scratch.path();
   DispatcherOptions options = DefaultOptions();
   options.checkpoint_dir = dir;
   Dispatcher dispatcher(*fleet_, options, nullptr);
@@ -352,10 +347,10 @@ TEST_F(DispatcherTest, CheckpointRequestWritesTenantFiles) {
 TEST_F(DispatcherTest, CheckpointRequestCarryingDirIsRefused) {
   // A client-chosen destination would let anyone who reaches the daemon
   // make it create directories and write files at any path it can write.
-  const std::string target = testing::TempDir() + "/serve_dispatcher_foreign";
-  std::filesystem::remove_all(target);
+  const testing_util::ScratchDir scratch("serve_dispatcher_dir");
+  const std::string target = scratch.path() + "/foreign";
   DispatcherOptions options = DefaultOptions();
-  options.checkpoint_dir = testing::TempDir() + "/serve_dispatcher_own";
+  options.checkpoint_dir = scratch.path() + "/own";
   Dispatcher dispatcher(*fleet_, options, nullptr);
   const auto response = Call(
       dispatcher,
@@ -390,12 +385,8 @@ TEST_F(DispatcherTest, ShutdownFiresCallbackOnce) {
 }
 
 TEST_F(DispatcherTest, FlushForDrainWritesCheckpointsAndIngest) {
-  const std::string dir = testing::TempDir() + "/serve_dispatcher_drain";
-  for (std::size_t i = 0; i < 4; ++i) {
-    util::io::RemoveFile(runtime::Fleet::TenantCheckpointPath(dir, i));
-    util::io::RemoveFile(dir + "/ingest-tenant-" + std::to_string(i) +
-                         ".log");
-  }
+  const testing_util::ScratchDir scratch("serve_dispatcher_drain");
+  const std::string& dir = scratch.path();
   DispatcherOptions options = DefaultOptions();
   options.checkpoint_dir = dir;
   Dispatcher dispatcher(*fleet_, options, nullptr);

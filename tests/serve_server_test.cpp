@@ -17,6 +17,7 @@
 
 #include "fsm/device_library.h"
 #include "runtime/fleet.h"
+#include "scratch_dir.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "sim/resident.h"
@@ -134,6 +135,71 @@ TEST_F(ServerTest, HostileBytesGetErrorResponsesThenServingContinues) {
   EXPECT_EQ(registry.GetCounter("serve.malformed_frames")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.bad_requests")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.accepted")->Value(), 2u);
+}
+
+// Framed payloads that are not requests: each must decode to a parse
+// failure (never an exception) and get one bad_request answer.
+std::vector<std::string> HostilePayloads() {
+  return {
+      "",                                    // empty
+      "not json at all {{{",                 // garbage
+      "[1,2,3]",                             // not an object
+      R"({"id": 1})",                        // no type
+      R"({"id": 99, "type": "frobnicate"})", // unknown type
+      R"({"id": "x", "type": "ping"})",      // non-numeric id
+      R"({"id": 2, "type": 42})",            // non-string type
+      std::string(300, '\xff'),              // binary noise
+  };
+}
+
+TEST(ParseRequest, HostilePayloadsAreParseFailuresNeverThrows) {
+  for (const std::string& payload : HostilePayloads()) {
+    std::string error;
+    EXPECT_FALSE(ParseRequest(payload, &error).has_value()) << payload;
+    EXPECT_FALSE(error.empty()) << payload;
+  }
+  // An unknown type that carried an id still has it salvaged, so the
+  // error response correlates.
+  EXPECT_EQ(SalvageRequestId(R"({"id": 99, "type": "frobnicate"})"), 99);
+  EXPECT_EQ(SalvageRequestId("garbage"), 0);
+}
+
+TEST_F(ServerTest, HostilePayloadsGetOneBadRequestEachThenServingContinues) {
+  DispatcherOptions options;
+  Dispatcher dispatcher(*fleet_, options, nullptr);
+  obs::Registry registry;
+  Server server(dispatcher, ServerConfig{}, &registry);
+
+  LoopbackPair pair = MakeLoopbackPair();
+  const std::vector<std::string> hostile = HostilePayloads();
+  for (const std::string& payload : hostile) {
+    pair.client->WritePayload(payload);
+  }
+  pair.client->WritePayload(PingRequest(3));
+  pair.client->CloseWrite();
+  const ConnectionStats stats = server.Serve(*pair.server);
+  pair.server->CloseWrite();
+
+  const std::vector<util::JsonValue> responses = ReadAll(*pair.client);
+  ASSERT_EQ(responses.size(), hostile.size() + 1);
+  std::size_t bad = 0;
+  bool unknown_type_echoed = false;
+  for (const auto& response : responses) {
+    if (ResponseOk(response)) {
+      EXPECT_EQ(response.At("id").AsInt(), 3);  // still serving
+      continue;
+    }
+    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+    ++bad;
+    if (response.At("id").AsInt() == 99) unknown_type_echoed = true;
+  }
+  EXPECT_EQ(bad, hostile.size());
+  EXPECT_TRUE(unknown_type_echoed);
+  EXPECT_EQ(stats.bad_requests, hostile.size());
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(registry.GetCounter("serve.bad_requests")->Value(),
+            hostile.size());
+  EXPECT_FALSE(registry.TakeSnapshot().HasCounter("serve.bad_request"));
 }
 
 TEST_F(ServerTest, MidStreamDisconnectThenANewConnectionServes) {
@@ -256,8 +322,8 @@ TEST_F(ServerTest, ShutdownRequestStartsDrainAndLaterRequestsAreRefused) {
 }
 
 TEST_F(ServerTest, DrainUnderLoadAnswersEveryRequestAndFlushes) {
-  const std::string dir = testing::TempDir() + "/serve_server_drain";
-  util::io::RemoveFile(runtime::Fleet::TenantCheckpointPath(dir, 0));
+  const testing_util::ScratchDir scratch("serve_server_drain");
+  const std::string& dir = scratch.path();
 
   DispatcherOptions options;
   options.allow_stall = true;

@@ -3,8 +3,7 @@
 
 Reads the JSON document from stdin (or a file argument) and checks:
 
-  1. Top-level shape: `fleet` and `tenants` are metric snapshots, `spans`
-     is a list of span records.
+  1. Top-level shape: `fleet` and `tenants` are metric snapshots.
   2. Snapshot shape: `counters` / `gauges` / `histograms` arrays whose
      entries carry the expected typed fields; counter values are
      non-negative integers; `deterministic` flags are booleans; names are
@@ -12,21 +11,23 @@ Reads the JSON document from stdin (or a file argument) and checks:
   3. Histogram integrity: `bucket_counts` has exactly
      len(upper_bounds) + 1 entries (the +inf overflow bucket is implicit),
      upper bounds strictly increase, and the bucket counts sum to `count`.
-  4. Span integrity: non-negative start/duration, depth >= 0, and at least
-     one root (depth 0) span when any spans are present.
+  4. Fleet phase timers: runtime.fleet.{workload,learn,optimize}_us are
+     present in `fleet`, each observed at most once per tenant run
+     (count <= runtime.fleet.tenants_run).
   5. Pipeline invariants mirrored from the obs counter contracts:
      events_seen == events_accepted + events_dropped and
      monitor decisions == allowed + denied + benign_anomalies, whenever
      those counters are present in the tenant aggregate.
 
 Exit status 0 when the document is well-formed; 1 with a readable report
-otherwise. Wired into CI right after the `jarvis_cli metrics` smoke run.
+otherwise. Registered as the `metrics_schema` ctest (label `obs`) and run
+in CI right after the `jarvis_cli metrics` smoke run.
 """
 
 import json
 import sys
 
-REQUIRED_TOP_LEVEL = ("fleet", "tenants", "spans")
+REQUIRED_TOP_LEVEL = ("fleet", "tenants")
 
 COUNTER_FIELDS = {"name": str, "value": int, "deterministic": bool}
 GAUGE_FIELDS = {"name": str, "value": (int, float), "deterministic": bool}
@@ -39,13 +40,9 @@ HISTOGRAM_FIELDS = {
     "nan_ignored": int,
     "deterministic": bool,
 }
-SPAN_FIELDS = {
-    "name": str,
-    "thread": int,
-    "depth": int,
-    "start_ns": int,
-    "duration_ns": int,
-}
+# One observation per tenant that entered the phase (Fleet::RunTenant).
+FLEET_PHASE_TIMERS = ("runtime.fleet.workload_us", "runtime.fleet.learn_us",
+                      "runtime.fleet.optimize_us")
 
 # (total, [parts]) counter identities the instrumented pipeline guarantees;
 # checked only when every involved counter is present in the snapshot.
@@ -85,15 +82,17 @@ def check_name(name, where, errors):
 
 
 def check_snapshot(snapshot, where, errors):
-    """Validates one MetricsSnapshot JSON object; returns its counter map."""
+    """Validates one MetricsSnapshot JSON object; returns its counter and
+    histogram-count maps."""
     counters = {}
+    histogram_counts = {}
     if not isinstance(snapshot, dict):
         errors.append(f"{where}: expected an object")
-        return counters
+        return counters, histogram_counts
     for kind in ("counters", "gauges", "histograms"):
         if not isinstance(snapshot.get(kind), list):
             errors.append(f"{where}.{kind}: missing or not a list")
-            return counters
+            return counters, histogram_counts
 
     seen = set()
     for i, entry in enumerate(snapshot["counters"]):
@@ -134,24 +133,21 @@ def check_snapshot(snapshot, where, errors):
                 f"{entry['count']}")
         if entry["count"] < 0 or entry["nan_ignored"] < 0:
             errors.append(f"{tag}: negative count/nan_ignored")
-    return counters
+        histogram_counts[entry["name"]] = entry["count"]
+    return counters, histogram_counts
 
 
-def check_spans(spans, errors):
-    if not isinstance(spans, list):
-        errors.append("spans: missing or not a list")
-        return
-    for i, span in enumerate(spans):
-        tag = f"spans[{i}]"
-        if not check_fields(span, SPAN_FIELDS, tag, errors):
-            continue
-        if span["depth"] < 0 or span["start_ns"] < 0 or span["duration_ns"] < 0:
-            errors.append(f"{tag}: negative depth/start_ns/duration_ns")
-        if not span["name"]:
-            errors.append(f"{tag}: empty span name")
-    if spans and not any(
-            isinstance(s, dict) and s.get("depth") == 0 for s in spans):
-        errors.append("spans: no root (depth 0) span in a non-empty trace")
+def check_phase_timers(counters, histogram_counts, errors):
+    runs = counters.get("runtime.fleet.tenants_run")
+    if runs is None:
+        errors.append("fleet: missing counter 'runtime.fleet.tenants_run'")
+    for name in FLEET_PHASE_TIMERS:
+        if name not in histogram_counts:
+            errors.append(f"fleet: missing phase timer '{name}'")
+        elif runs is not None and histogram_counts[name] > runs:
+            errors.append(
+                f"fleet: {name} count {histogram_counts[name]} exceeds "
+                f"runtime.fleet.tenants_run={runs}")
 
 
 def check_identities(counters, where, errors):
@@ -188,10 +184,11 @@ def main():
         for key in REQUIRED_TOP_LEVEL:
             if key not in document:
                 errors.append(f"top level: missing '{key}'")
-        check_snapshot(document.get("fleet", {}), "fleet", errors)
-        tenant_counters = check_snapshot(
+        fleet_counters, fleet_histograms = check_snapshot(
+            document.get("fleet", {}), "fleet", errors)
+        check_phase_timers(fleet_counters, fleet_histograms, errors)
+        tenant_counters, _ = check_snapshot(
             document.get("tenants", {}), "tenants", errors)
-        check_spans(document.get("spans", []), errors)
         check_identities(tenant_counters, "tenants", errors)
 
     if errors:
