@@ -155,19 +155,13 @@ bool OnlineMonitor::StateUntrusted(std::size_t device_index,
 std::optional<spl::Verdict> OnlineMonitor::Consume(const events::Event& event) {
   ++events_consumed_;
 
-  const fsm::Device* device = nullptr;
-  std::size_t device_index = 0;
-  for (std::size_t i = 0; i < fsm_.device_count(); ++i) {
-    if (fsm_.devices()[i].label() == event.device_label) {
-      device = &fsm_.devices()[i];
-      device_index = i;
-      break;
-    }
-  }
-  if (device == nullptr) {
+  const auto id = fsm_.FindDevice(event.device_label);
+  if (!id) {
     ++unknown_events_;
     return std::nullopt;
   }
+  const auto device_index = static_cast<std::size_t>(*id);
+  const fsm::Device* device = &fsm_.device(*id);
 
   if (event.command.empty()) {
     // Sensor reading: update the tracked state.

@@ -1,47 +1,93 @@
 #include "events/event.h"
 
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <optional>
+
+#include "util/json.h"
+
 namespace jarvis::events {
 
-using util::JsonObject;
-using util::JsonValue;
+namespace {
 
-JsonValue Event::ToJson() const {
-  JsonObject obj;
-  obj["event_date"] = JsonValue(date.ToTimestamp());
-  obj["event_minute"] = JsonValue(static_cast<std::int64_t>(date.minutes()));
-  obj["event_data"] = JsonValue(data);
-  obj["user_info"] = JsonValue(user_info);
-  obj["app_info"] = JsonValue(app_info);
-  obj["group_info"] = JsonValue(group_info);
-  obj["location_info"] = JsonValue(location_info);
-  obj["device_label"] = JsonValue(device_label);
-  obj["capability_name"] = JsonValue(capability);
-  obj["attribute_name"] = JsonValue(attribute);
-  obj["attribute_value"] = JsonValue(attribute_value);
-  obj["capability_command"] = JsonValue(command);
-  return JsonValue(std::move(obj));
+// The log line's keys in sorted order, each with the string field it
+// carries; event_date and event_minute both render `date`, and only
+// event_minute is read back.
+struct LogField {
+  std::string_view key;
+  std::string Event::*text;
+};
+constexpr LogField kLogFields[] = {
+    {"app_info", &Event::app_info},
+    {"attribute_name", &Event::attribute},
+    {"attribute_value", &Event::attribute_value},
+    {"capability_command", &Event::command},
+    {"capability_name", &Event::capability},
+    {"device_label", &Event::device_label},
+    {"event_data", &Event::data},
+    {"event_date", nullptr},
+    {"event_minute", nullptr},
+    {"group_info", &Event::group_info},
+    {"location_info", &Event::location_info},
+    {"user_info", &Event::user_info},
+};
+constexpr std::size_t kFieldCount = std::size(kLogFields);
+constexpr std::string_view kDateKey = "event_date";
+constexpr std::string_view kMinuteKey = "event_minute";
+
+}  // namespace
+
+std::string Event::ToLogLine() const {
+  std::string line;
+  for (const LogField& field : kLogFields) {
+    line += line.empty() ? '{' : ',';
+    line += '"';
+    line += field.key;
+    line += "\":";
+    if (field.text != nullptr) {
+      line += util::JsonEscape(this->*field.text);
+    } else if (field.key == kDateKey) {
+      line += util::JsonEscape(date.ToTimestamp());
+    } else {
+      line += std::to_string(date.minutes());
+    }
+  }
+  line += '}';
+  return line;
 }
 
-Event Event::FromJson(const JsonValue& doc) {
+Event Event::FromLogLine(std::string_view line) {
   Event event;
-  event.date = util::SimTime(doc.At("event_minute").AsInt());
-  event.data = doc.GetString("event_data", "");
-  event.user_info = doc.GetString("user_info", "");
-  event.app_info = doc.GetString("app_info", "");
-  event.group_info = doc.GetString("group_info", "");
-  event.location_info = doc.GetString("location_info", "");
-  event.device_label = doc.GetString("device_label", "");
-  event.capability = doc.GetString("capability_name", "");
-  event.attribute = doc.GetString("attribute_name", "");
-  event.attribute_value = doc.GetString("attribute_value", "");
-  event.command = doc.GetString("capability_command", "");
+  std::optional<double> minute;
+  std::uint32_t seen = 0;  // bit i: kLogFields[i] read (the first key wins)
+  std::string key;
+  util::JsonReader reader(line);
+  if (reader.BeginObject()) {
+    do {
+      reader.ReadKey(&key);
+      std::size_t i = 0;
+      while (i < kFieldCount && kLogFields[i].key != key) ++i;
+      const bool first = i < kFieldCount && (seen >> i & 1U) == 0;
+      if (first) seen |= 1U << i;
+      if (first && kLogFields[i].key == kMinuteKey) {
+        minute = reader.ReadNumber();
+      } else if (first && kLogFields[i].text != nullptr &&
+                 reader.Peek() == '"') {
+        reader.ReadString(&(event.*kLogFields[i].text));
+      } else {
+        reader.SkipValue();
+      }
+    } while (reader.NextMember());
+  }
+  reader.ExpectEnd();
+  // Past 2^53 a double no longer holds every whole minute.
+  if (!minute || std::floor(*minute) != *minute ||
+      std::fabs(*minute) > 0x1p53) {
+    throw util::JsonError("event_minute: missing, or not whole within 2^53");
+  }
+  event.date = util::SimTime(static_cast<std::int64_t>(*minute));
   return event;
-}
-
-std::string Event::ToLogLine() const { return ToJson().Dump(); }
-
-Event Event::FromLogLine(const std::string& line) {
-  return FromJson(JsonValue::Parse(line));
 }
 
 }  // namespace jarvis::events

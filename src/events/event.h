@@ -9,8 +9,8 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
-#include "util/json.h"
 #include "util/timeofday.h"
 
 namespace jarvis::events {
@@ -28,12 +28,14 @@ struct Event {
   std::string attribute_value; // Attribute.value: the new (raw) value
   std::string command;         // Capability.command that caused the change
 
-  util::JsonValue ToJson() const;
-  static Event FromJson(const util::JsonValue& doc);
-
-  // One JSON object per line, the on-disk log format.
+  // One JSON object per line, the on-disk log format: the eleven fields
+  // plus event_minute (date in minutes), keys in sorted order.
   std::string ToLogLine() const;
-  static Event FromLogLine(const std::string& line);
+  // Decodes one line without building a JSON DOM. Throws util::JsonError
+  // on malformed JSON, a non-object, or an event_minute that is missing
+  // or not a whole number within +-2^53. A field that is absent or not a
+  // string reads as ""; of duplicate keys the first wins.
+  static Event FromLogLine(std::string_view line);
 
   bool operator==(const Event&) const = default;
 };

@@ -56,17 +56,17 @@ std::vector<fsm::Episode> LogParser::Parse(
   fsm::StateVector state = initial_state;
   std::size_t cursor = 0;
   util::SimTime t = start;
+  const std::vector<fsm::Device>& devices = fsm_.devices();
+  // Per-interval scratch, reused across steps. A device has acted this
+  // interval iff its action slot is set.
+  fsm::ActionVector action(devices.size(), fsm::kNoAction);
+  bool any_action = false;
 
   while (cursor < events.size() || (t - start) == 0) {
     fsm::Episode episode(config_, t, state);
     const int steps = config_.StepsPerEpisode();
     for (int step = 0; step < steps; ++step) {
       const util::SimTime interval_end = t + config_.interval_minutes;
-
-      fsm::ActionVector action(fsm_.device_count(), fsm::kNoAction);
-      std::vector<bool> acted(fsm_.device_count(), false);
-      // Exogenous state overrides observed this interval (device -> state).
-      std::vector<std::pair<std::size_t, fsm::StateIndex>> overrides;
 
       while (cursor < events.size() && events[cursor].date < interval_end) {
         const Event& event = events[cursor];
@@ -79,52 +79,48 @@ std::vector<fsm::Episode> LogParser::Parse(
         }
         ++stats.events_consumed;
 
-        const fsm::Device* device = nullptr;
-        std::size_t device_index = 0;
-        for (std::size_t i = 0; i < fsm_.device_count(); ++i) {
-          if (fsm_.devices()[i].label() == event.device_label) {
-            device = &fsm_.devices()[i];
-            device_index = i;
-            break;
-          }
-        }
-        if (device == nullptr) {
+        const auto id = fsm_.FindDevice(event.device_label);
+        if (!id) {
           ++stats.unknown_device;
           continue;
         }
+        const auto device_index = static_cast<std::size_t>(*id);
+        const fsm::Device& device = devices[device_index];
 
         if (!event.command.empty()) {
-          const auto action_index = device->FindAction(event.command);
+          const auto action_index = device.FindAction(event.command);
           if (!action_index) {
             ++stats.unknown_command;
             continue;
           }
-          if (acted[device_index]) {
+          if (action[device_index] != fsm::kNoAction) {
             ++stats.conflicting_commands;  // first command wins
             continue;
           }
-          acted[device_index] = true;
           action[device_index] = *action_index;
+          any_action = true;
         } else {
           // Exogenous attribute change (sensor flips, user arrives, ...).
-          const auto state_index = device->FindState(event.attribute_value);
+          // It describes the state *at* its timestamp (sensors report
+          // readings, they do not cause them), so it lands before the step
+          // is recorded; commands then act on the updated state.
+          const auto state_index = device.FindState(event.attribute_value);
           if (!state_index) {
             ++stats.unknown_state;
             continue;
           }
-          overrides.emplace_back(device_index, *state_index);
+          state[device_index] = *state_index;
         }
       }
 
-      // Command-less events describe the state *at* their timestamp
-      // (sensors report readings, they do not cause them), so overrides
-      // apply before the step is recorded; commands then act on the
-      // updated state.
-      for (const auto& [device_index, new_state] : overrides) {
-        state[device_index] = new_state;
-      }
       episode.Record(t, state, action);
-      state = fsm_.Apply(state, action);
+      if (any_action) {
+        for (std::size_t i = 0; i < state.size(); ++i) {
+          state[i] = devices[i].Transition(state[i], action[i]);
+        }
+        std::fill(action.begin(), action.end(), fsm::kNoAction);
+        any_action = false;
+      }
       t = interval_end;
     }
     const bool complete = episode.IsComplete();

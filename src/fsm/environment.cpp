@@ -11,6 +11,9 @@ EnvironmentFsm::EnvironmentFsm(std::vector<Device> devices,
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     JARVIS_CHECK(devices_[i].id() == static_cast<DeviceId>(i),
                  "EnvironmentFsm: device ids must be dense and ordered");
+    const std::string& label = devices_[i].label();
+    JARVIS_CHECK(by_label_.emplace(label, devices_[i].id()).second,
+                 "EnvironmentFsm: duplicate device label ", label);
   }
 }
 
@@ -20,11 +23,17 @@ const Device& EnvironmentFsm::device(DeviceId id) const {
   return devices_[static_cast<std::size_t>(id)];
 }
 
+std::optional<DeviceId> EnvironmentFsm::FindDevice(
+    const std::string& label) const {
+  const auto it = by_label_.find(label);
+  if (it == by_label_.end()) return std::nullopt;
+  return it->second;
+}
+
 const Device& EnvironmentFsm::DeviceByLabel(const std::string& label) const {
-  for (const auto& d : devices_) {
-    if (d.label() == label) return d;
-  }
-  JARVIS_CHECK(false, "unknown device label: ", label);
+  const auto id = FindDevice(label);
+  JARVIS_CHECK(id.has_value(), "unknown device label: ", label);
+  return device(*id);
 }
 
 DeviceId EnvironmentFsm::DeviceIdByLabel(const std::string& label) const {

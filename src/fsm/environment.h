@@ -3,7 +3,9 @@
 // constraints of Section III-B.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fsm/authorization.h"
@@ -48,6 +50,8 @@ class EnvironmentFsm {
   const AuthorizationModel& auth() const { return auth_; }
   const StateCodec& codec() const { return codec_; }
 
+  // The device with this label; nullopt when there is none.
+  std::optional<DeviceId> FindDevice(const std::string& label) const;
   // Finds a device by label; throws if absent.
   const Device& DeviceByLabel(const std::string& label) const;
   DeviceId DeviceIdByLabel(const std::string& label) const;
@@ -71,6 +75,7 @@ class EnvironmentFsm {
   std::vector<Device> devices_;
   AuthorizationModel auth_;
   StateCodec codec_;
+  std::unordered_map<std::string, DeviceId> by_label_;
 };
 
 }  // namespace jarvis::fsm

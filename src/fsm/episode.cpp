@@ -14,6 +14,7 @@ Episode::Episode(EpisodeConfig config, util::SimTime start,
                config_.period_minutes, ", I=", config_.interval_minutes, ")");
   JARVIS_CHECK_LE(config_.interval_minutes, config_.period_minutes,
                   "Episode: I > T");
+  steps_.reserve(static_cast<std::size_t>(config_.StepsPerEpisode()));
 }
 
 void Episode::Record(util::SimTime time, StateVector state,

@@ -71,11 +71,8 @@ void IoTEnv::Reset() {
     if (demand.device_label != "washer" && demand.device_label != "dishwasher") {
       continue;  // only deferrable appliances become agent demands
     }
-    for (const auto& device : fsm_.devices()) {
-      if (device.label() == demand.device_label) {
-        demands_.push_back({demand, device.id(), false, -1});
-        break;
-      }
+    if (const auto id = fsm_.FindDevice(demand.device_label)) {
+      demands_.push_back({demand, *id, false, -1});
     }
   }
 }

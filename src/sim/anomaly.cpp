@@ -4,33 +4,25 @@
 
 namespace jarvis::sim {
 
-namespace {
-
-std::optional<fsm::DeviceId> Find(const fsm::EnvironmentFsm& fsm,
-                                  const std::string& label) {
-  for (const auto& device : fsm.devices()) {
-    if (device.label() == label) return device.id();
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 AnomalyGenerator::AnomalyGenerator(const fsm::EnvironmentFsm& fsm,
                                    std::uint64_t seed)
     : fsm_(fsm), rng_(seed) {}
 
 std::vector<AnomalyKind> AnomalyGenerator::SupportedKinds() const {
   std::vector<AnomalyKind> kinds;
-  if (Find(fsm_, "fridge")) kinds.push_back(AnomalyKind::kFridgeDoorLeftOpen);
-  if (Find(fsm_, "oven")) kinds.push_back(AnomalyKind::kOvenLeftOnShort);
-  if (Find(fsm_, "tv")) kinds.push_back(AnomalyKind::kTvLeftOnShort);
-  if (Find(fsm_, "light")) kinds.push_back(AnomalyKind::kOutOfScheduleLight);
-  if (Find(fsm_, "washer") || Find(fsm_, "dishwasher") ||
-      Find(fsm_, "coffee_maker")) {
+  if (fsm_.FindDevice("fridge")) {
+    kinds.push_back(AnomalyKind::kFridgeDoorLeftOpen);
+  }
+  if (fsm_.FindDevice("oven")) kinds.push_back(AnomalyKind::kOvenLeftOnShort);
+  if (fsm_.FindDevice("tv")) kinds.push_back(AnomalyKind::kTvLeftOnShort);
+  if (fsm_.FindDevice("light")) {
+    kinds.push_back(AnomalyKind::kOutOfScheduleLight);
+  }
+  if (fsm_.FindDevice("washer") || fsm_.FindDevice("dishwasher") ||
+      fsm_.FindDevice("coffee_maker")) {
     kinds.push_back(AnomalyKind::kOddHourAppliance);
   }
-  if (Find(fsm_, "light") || Find(fsm_, "tv")) {
+  if (fsm_.FindDevice("light") || fsm_.FindDevice("tv")) {
     kinds.push_back(AnomalyKind::kDoubleToggle);
   }
   if (kinds.empty()) {
@@ -60,7 +52,7 @@ AnomalyInstance AnomalyGenerator::GenerateOfKind(
   fsm_.ValidateState(state);
   switch (kind) {
     case AnomalyKind::kFridgeDoorLeftOpen: {
-      const auto fridge = Find(fsm_, "fridge");
+      const auto fridge = fsm_.FindDevice("fridge");
       if (!fridge) break;
       // The door is opened at an unusual minute and (by virtue of no
       // close action following) left open.
@@ -69,21 +61,21 @@ AnomalyInstance AnomalyGenerator::GenerateOfKind(
               "fridge door opened at night and left open"};
     }
     case AnomalyKind::kOvenLeftOnShort: {
-      const auto oven = Find(fsm_, "oven");
+      const auto oven = fsm_.FindDevice("oven");
       if (!oven) break;
       const int minute = static_cast<int>(rng_.NextInt(14 * 60, 16 * 60));
       return {kind, minute, SingleAction(*oven, "start_preheat"),
               "oven preheated mid-afternoon with no meal"};
     }
     case AnomalyKind::kTvLeftOnShort: {
-      const auto tv = Find(fsm_, "tv");
+      const auto tv = fsm_.FindDevice("tv");
       if (!tv) break;
       const int minute = static_cast<int>(rng_.NextInt(2 * 60, 5 * 60));
       return {kind, minute, SingleAction(*tv, "power_on"),
               "TV switched on in the small hours"};
     }
     case AnomalyKind::kOutOfScheduleLight: {
-      const auto light = Find(fsm_, "light");
+      const auto light = fsm_.FindDevice("light");
       if (!light) break;
       const int minute = static_cast<int>(rng_.NextInt(1 * 60, 5 * 60));
       return {kind, minute, SingleAction(*light, "power_on"),
@@ -91,7 +83,7 @@ AnomalyInstance AnomalyGenerator::GenerateOfKind(
     }
     case AnomalyKind::kOddHourAppliance: {
       for (const char* label : {"washer", "dishwasher", "coffee_maker"}) {
-        const auto device = Find(fsm_, label);
+        const auto device = fsm_.FindDevice(label);
         if (!device) continue;
         const auto& dev = fsm_.device(*device);
         const std::string action =
@@ -106,7 +98,7 @@ AnomalyInstance AnomalyGenerator::GenerateOfKind(
     }
     case AnomalyKind::kDoubleToggle: {
       for (const char* label : {"light", "tv"}) {
-        const auto device = Find(fsm_, label);
+        const auto device = fsm_.FindDevice(label);
         if (!device) continue;
         const int minute = static_cast<int>(rng_.NextInt(9 * 60, 21 * 60));
         return {kind, minute, SingleAction(*device, "power_on"),
@@ -161,7 +153,7 @@ std::vector<LabeledSample> AnomalyGenerator::BuildTrainingSet(
   }
 
   const auto kinds = SupportedKinds();
-  const auto lock = Find(fsm_, "lock");
+  const auto lock = fsm_.FindDevice("lock");
   const auto home_lock_state =
       lock ? fsm_.device(*lock).FindState("unlocked") : std::nullopt;
   for (std::size_t i = 0; i < anomaly_count; ++i) {

@@ -7,30 +7,18 @@
 
 namespace jarvis::sim {
 
-namespace {
-
-std::optional<fsm::DeviceId> Find(const fsm::EnvironmentFsm& fsm,
-                                  const std::string& label) {
-  for (const auto& device : fsm.devices()) {
-    if (device.label() == label) return device.id();
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 HomeRefs::HomeRefs(const fsm::EnvironmentFsm& fsm)
-    : lock(Find(fsm, "lock")),
-      door_sensor(Find(fsm, "door_sensor")),
-      light(Find(fsm, "light")),
-      thermostat(Find(fsm, "thermostat")),
-      temp_sensor(Find(fsm, "temp_sensor")),
-      fridge(Find(fsm, "fridge")),
-      oven(Find(fsm, "oven")),
-      tv(Find(fsm, "tv")),
-      washer(Find(fsm, "washer")),
-      dishwasher(Find(fsm, "dishwasher")),
-      coffee_maker(Find(fsm, "coffee_maker")) {}
+    : lock(fsm.FindDevice("lock")),
+      door_sensor(fsm.FindDevice("door_sensor")),
+      light(fsm.FindDevice("light")),
+      thermostat(fsm.FindDevice("thermostat")),
+      temp_sensor(fsm.FindDevice("temp_sensor")),
+      fridge(fsm.FindDevice("fridge")),
+      oven(fsm.FindDevice("oven")),
+      tv(fsm.FindDevice("tv")),
+      washer(fsm.FindDevice("washer")),
+      dishwasher(fsm.FindDevice("dishwasher")),
+      coffee_maker(fsm.FindDevice("coffee_maker")) {}
 
 ResidentSimulator::ResidentSimulator(const fsm::EnvironmentFsm& fsm,
                                      ThermalConfig thermal, std::uint64_t seed,
@@ -100,7 +88,7 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
 
   // Demands turn into start + finish actions.
   for (const auto& demand : scenario.demands) {
-    const auto device = Find(fsm_, demand.device_label);
+    const auto device = fsm_.FindDevice(demand.device_label);
     if (!device) continue;
     schedule(demand.preferred_minute, device, demand.action_name, "manual");
     const int finish = demand.preferred_minute + demand.duration_minutes;
@@ -122,8 +110,8 @@ DayTrace ResidentSimulator::SimulateDay(const DayScenario& scenario,
   // Washers/dishwashers need power_on before their cycle.
   for (const auto& demand : scenario.demands) {
     if (demand.device_label == "dishwasher" || demand.device_label == "washer") {
-      schedule(demand.preferred_minute - 1, Find(fsm_, demand.device_label),
-               "power_on", "manual");
+      schedule(demand.preferred_minute - 1,
+               fsm_.FindDevice(demand.device_label), "power_on", "manual");
     }
   }
   // Fridge opens briefly around meals.

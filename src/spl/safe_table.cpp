@@ -58,24 +58,15 @@ SafeTransitionTable::SafeTransitionTable(const fsm::EnvironmentFsm& fsm,
   // MakeKey): its state is safety-relevant for the thermostat ("heater cut
   // while cold") but merely fragments keys for lights and appliances.
   for (const char* label : {"lock", "door_sensor"}) {
-    for (const auto& device : fsm_.devices()) {
-      if (device.label() == label) {
-        context_devices_.push_back(device.id());
-        break;
-      }
+    if (const auto id = fsm_.FindDevice(label)) context_devices_.push_back(*id);
+  }
+  if (const auto id = fsm_.FindDevice("temp_sensor")) {
+    temp_sensor_ = *id;
+    if (const auto fire = fsm_.device(*id).FindState("fire_alarm")) {
+      fire_state_ = *fire;
     }
   }
-  for (const auto& device : fsm_.devices()) {
-    if (device.label() == "temp_sensor") {
-      temp_sensor_ = device.id();
-      if (const auto fire = device.FindState("fire_alarm")) {
-        fire_state_ = *fire;
-      }
-    }
-    if (device.label() == "thermostat") {
-      thermostat_ = device.id();
-    }
-  }
+  if (const auto id = fsm_.FindDevice("thermostat")) thermostat_ = *id;
 }
 
 std::uint64_t SafeTransitionTable::MakeKey(const fsm::StateVector& state,

@@ -64,14 +64,6 @@ double JsonValue::GetNumber(const std::string& key, double fallback) const {
   return it->second.AsNumber();
 }
 
-std::string JsonValue::GetString(const std::string& key,
-                                 const std::string& fallback) const {
-  const auto& obj = AsObject();
-  auto it = obj.find(key);
-  if (it == obj.end() || !it->second.is_string()) return fallback;
-  return it->second.AsString();
-}
-
 bool JsonValue::operator==(const JsonValue& other) const {
   if (type_ != other.type_) return false;
   switch (type_) {
@@ -206,216 +198,269 @@ std::string JsonValue::Dump(int indent) const {
   return out;
 }
 
+void JsonReader::Fail(const std::string& why) const {
+  throw JsonError("JSON parse error at offset " + std::to_string(pos_) + ": " +
+                  why);
+}
+
+void JsonReader::SkipWhitespace() {
+  // The C locale's isspace set.
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && (c < '\t' || c > '\r')) break;
+    ++pos_;
+  }
+}
+
+char JsonReader::Peek() {
+  SkipWhitespace();
+  if (pos_ >= text_.size()) Fail("unexpected end of input");
+  return text_[pos_];
+}
+
+char JsonReader::Take() {
+  if (pos_ >= text_.size()) Fail("unexpected end of input");
+  return text_[pos_++];
+}
+
+void JsonReader::Expect(char c) {
+  if (Take() != c) Fail(std::string("expected '") + c + "'");
+}
+
+void JsonReader::ExpectLiteral(std::string_view literal) {
+  SkipWhitespace();
+  if (text_.substr(pos_, literal.size()) != literal) Fail("bad literal");
+  pos_ += literal.size();
+}
+
+bool JsonReader::BeginObject() {
+  SkipWhitespace();
+  Expect('{');
+  if (Peek() != '}') return true;
+  ++pos_;
+  return false;
+}
+
+bool JsonReader::BeginArray() {
+  SkipWhitespace();
+  Expect('[');
+  if (Peek() != ']') return true;
+  ++pos_;
+  return false;
+}
+
+void JsonReader::ReadKey(std::string* key) {
+  ReadString(key);
+  SkipWhitespace();
+  Expect(':');
+}
+
+bool JsonReader::NextOrClose(char close) {
+  SkipWhitespace();
+  const char c = Take();
+  if (c == ',') return true;
+  if (c != close) Fail(std::string("expected ',' or '") + close + "'");
+  return false;
+}
+
+bool JsonReader::NextMember() { return NextOrClose('}'); }
+
+bool JsonReader::NextElement() { return NextOrClose(']'); }
+
+void JsonReader::ReadString(std::string* out) {
+  out->clear();
+  ScanString(out);
+}
+
+void JsonReader::ScanString(std::string* out) {
+  SkipWhitespace();
+  Expect('"');
+  while (true) {
+    // Plain bytes up to the next quote or backslash go over in one append.
+    const std::size_t run = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (out != nullptr) out->append(text_.substr(run, pos_ - run));
+    if (Take() == '"') return;
+    char decoded;
+    switch (Take()) {
+      case '"':
+        decoded = '"';
+        break;
+      case '\\':
+        decoded = '\\';
+        break;
+      case '/':
+        decoded = '/';
+        break;
+      case 'n':
+        decoded = '\n';
+        break;
+      case 'r':
+        decoded = '\r';
+        break;
+      case 't':
+        decoded = '\t';
+        break;
+      case 'b':
+        decoded = '\b';
+        break;
+      case 'f':
+        decoded = '\f';
+        break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = Take();
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            Fail("bad \\u escape");
+          }
+        }
+        if (out == nullptr) continue;
+        // UTF-8 encode the BMP code point (surrogate pairs are out of
+        // scope for log records, which are ASCII).
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        continue;
+      }
+      default:
+        Fail("bad escape");
+    }
+    if (out != nullptr) out->push_back(decoded);
+  }
+}
+
+double JsonReader::ReadNumber() {
+  const bool negative = Peek() == '-';
+  const std::size_t start = pos_;
+  if (negative) ++pos_;
+  while (pos_ < text_.size() &&
+         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
+          text_[pos_] == '+' || text_[pos_] == '-')) {
+    ++pos_;
+  }
+  if (pos_ == start) Fail("expected a value");
+  try {
+    return std::stod(std::string(text_.substr(start, pos_ - start)));
+  } catch (const std::exception&) {
+    Fail("bad number");
+  }
+}
+
+bool JsonReader::ReadBool() {
+  if (Peek() == 't') {
+    ExpectLiteral("true");
+    return true;
+  }
+  ExpectLiteral("false");
+  return false;
+}
+
+void JsonReader::ReadNull() { ExpectLiteral("null"); }
+
+void JsonReader::SkipValue() {
+  switch (Peek()) {
+    case '{':
+      if (BeginObject()) {
+        do {
+          ScanString(nullptr);
+          SkipWhitespace();
+          Expect(':');
+          SkipValue();
+        } while (NextMember());
+      }
+      return;
+    case '[':
+      if (BeginArray()) {
+        do {
+          SkipValue();
+        } while (NextElement());
+      }
+      return;
+    case '"':
+      ScanString(nullptr);
+      return;
+    case 't':
+    case 'f':
+      ReadBool();
+      return;
+    case 'n':
+      ReadNull();
+      return;
+    default:
+      ReadNumber();
+  }
+}
+
+void JsonReader::ExpectEnd() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) Fail("trailing characters");
+}
+
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  JsonValue ParseDocument() {
-    SkipWhitespace();
-    JsonValue value = ParseValue();
-    SkipWhitespace();
-    if (pos_ != text_.size()) Fail("trailing characters");
-    return value;
-  }
-
- private:
-  [[noreturn]] void Fail(const std::string& why) {
-    throw JsonError("JSON parse error at offset " + std::to_string(pos_) +
-                    ": " + why);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    if (pos_ >= text_.size()) Fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char Take() {
-    char c = Peek();
-    ++pos_;
-    return c;
-  }
-
-  void Expect(char c) {
-    if (Take() != c) Fail(std::string("expected '") + c + "'");
-  }
-
-  void ExpectLiteral(const std::string& literal) {
-    if (text_.compare(pos_, literal.size(), literal) != 0) {
-      Fail("bad literal");
-    }
-    pos_ += literal.size();
-  }
-
-  JsonValue ParseValue() {
-    switch (Peek()) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"':
-        return JsonValue(ParseString());
-      case 't':
-        ExpectLiteral("true");
-        return JsonValue(true);
-      case 'f':
-        ExpectLiteral("false");
-        return JsonValue(false);
-      case 'n':
-        ExpectLiteral("null");
-        return JsonValue();
-      default:
-        return ParseNumber();
-    }
-  }
-
-  JsonValue ParseObject() {
-    Expect('{');
-    JsonObject obj;
-    SkipWhitespace();
-    if (Peek() == '}') {
-      ++pos_;
+JsonValue ReadValue(JsonReader& reader) {
+  switch (reader.Peek()) {
+    case '{': {
+      JsonObject obj;
+      if (reader.BeginObject()) {
+        do {
+          std::string key;
+          reader.ReadKey(&key);
+          obj.emplace(std::move(key), ReadValue(reader));
+        } while (reader.NextMember());
+      }
       return JsonValue(std::move(obj));
     }
-    while (true) {
-      SkipWhitespace();
-      std::string key = ParseString();
-      SkipWhitespace();
-      Expect(':');
-      SkipWhitespace();
-      obj.emplace(std::move(key), ParseValue());
-      SkipWhitespace();
-      char c = Take();
-      if (c == '}') break;
-      if (c != ',') Fail("expected ',' or '}'");
-    }
-    return JsonValue(std::move(obj));
-  }
-
-  JsonValue ParseArray() {
-    Expect('[');
-    JsonArray arr;
-    SkipWhitespace();
-    if (Peek() == ']') {
-      ++pos_;
+    case '[': {
+      JsonArray arr;
+      if (reader.BeginArray()) {
+        do {
+          arr.push_back(ReadValue(reader));
+        } while (reader.NextElement());
+      }
       return JsonValue(std::move(arr));
     }
-    while (true) {
-      SkipWhitespace();
-      arr.push_back(ParseValue());
-      SkipWhitespace();
-      char c = Take();
-      if (c == ']') break;
-      if (c != ',') Fail("expected ',' or ']'");
+    case '"': {
+      std::string text;
+      reader.ReadString(&text);
+      return JsonValue(std::move(text));
     }
-    return JsonValue(std::move(arr));
+    case 't':
+    case 'f':
+      return JsonValue(reader.ReadBool());
+    case 'n':
+      reader.ReadNull();
+      return JsonValue();
+    default:
+      return JsonValue(reader.ReadNumber());
   }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (true) {
-      char c = Take();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = Take();
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = Take();
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                Fail("bad \\u escape");
-              }
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs are out of
-            // scope for log records, which are ASCII).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            Fail("bad escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  JsonValue ParseNumber() {
-    std::size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) Fail("expected a value");
-    try {
-      return JsonValue(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      Fail("bad number");
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
-JsonValue JsonValue::Parse(const std::string& text) {
-  return Parser(text).ParseDocument();
+JsonValue JsonValue::Parse(std::string_view text) {
+  JsonReader reader(text);
+  JsonValue value = ReadValue(reader);
+  reader.ExpectEnd();
+  return value;
 }
 
 }  // namespace jarvis::util

@@ -1,10 +1,11 @@
-// Minimal JSON value model, writer, and recursive-descent parser.
+// Minimal JSON value model, writer, and pull reader.
 //
 // The events module logs device events as JSON records in the 11-field
 // schema the paper describes (Section V-A-1), and the log parser reads them
 // back. We implement the small JSON subset needed for that round trip:
 // objects, arrays, strings, numbers, booleans, and null, with standard
-// escape handling.
+// escape handling. JsonReader is the one scanner: JsonValue::Parse builds a
+// DOM on it, and hot decoders read straight into their own fields.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace jarvis::util {
@@ -70,15 +72,14 @@ class JsonValue {
 
   // Object field lookup; throws JsonError if absent or not an object.
   const JsonValue& At(const std::string& key) const;
-  // Returns fallback when the key is absent.
+  // Returns fallback when the key is absent or not a number.
   double GetNumber(const std::string& key, double fallback) const;
-  std::string GetString(const std::string& key, const std::string& fallback) const;
 
   // Serializes compactly (no whitespace). `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;
 
   // Parses a complete JSON document; throws JsonError on malformed input.
-  static JsonValue Parse(const std::string& text);
+  static JsonValue Parse(std::string_view text);
 
   bool operator==(const JsonValue& other) const;
 
@@ -91,6 +92,59 @@ class JsonValue {
   std::string string_;
   std::shared_ptr<JsonArray> array_;
   std::shared_ptr<JsonObject> object_;
+};
+
+// A pull reader over one JSON document. The caller walks it value by value
+// and decodes only what it keeps; every method skips leading whitespace and
+// throws JsonError on malformed input, so a decoder that reads or skips
+// every value accepts exactly the texts JsonValue::Parse accepts.
+//
+//   if (reader.BeginObject()) {
+//     do {
+//       reader.ReadKey(&key);
+//       ...read or SkipValue() the member's value...
+//     } while (reader.NextMember());
+//   }
+//   reader.ExpectEnd();
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  // The first byte of the next value, not consumed.
+  char Peek();
+
+  // Consumes '{' (or '['); false when the container is empty, its closing
+  // bracket consumed too.
+  bool BeginObject();
+  bool BeginArray();
+  // Reads a member's key and the ':' after it into *key.
+  void ReadKey(std::string* key);
+  // After a member (element): true on ',', false on the closing bracket.
+  bool NextMember();
+  bool NextElement();
+
+  // Decodes a string into *out, replacing its contents.
+  void ReadString(std::string* out);
+  double ReadNumber();
+  bool ReadBool();
+  void ReadNull();
+  // Validates and discards one value of any type.
+  void SkipValue();
+  // Requires that only whitespace remains.
+  void ExpectEnd();
+
+ private:
+  [[noreturn]] void Fail(const std::string& why) const;
+  void SkipWhitespace();
+  char Take();
+  void Expect(char c);
+  void ExpectLiteral(std::string_view literal);
+  bool NextOrClose(char close);
+  // Reads a string; appends its decoded bytes to *out unless out is null.
+  void ScanString(std::string* out);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
 };
 
 // Escapes a string for embedding in JSON output (adds surrounding quotes).

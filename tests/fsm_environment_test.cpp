@@ -48,6 +48,11 @@ TEST(EnvironmentFsm, DeviceLookupByLabel) {
   const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
   EXPECT_EQ(fsm.DeviceIdByLabel("thermostat"), 3);
   EXPECT_EQ(fsm.DeviceByLabel("light").label(), "light");
+  for (const Device& device : fsm.devices()) {
+    EXPECT_EQ(fsm.FindDevice(device.label()), device.id());
+  }
+  EXPECT_EQ(fsm.FindDevice("toaster"), std::nullopt);
+  EXPECT_EQ(fsm.FindDevice(""), std::nullopt);
   EXPECT_THROW(fsm.DeviceByLabel("toaster"), util::CheckError);
   EXPECT_THROW(fsm.device(99), util::CheckError);
 }
@@ -132,6 +137,14 @@ TEST(EnvironmentFsmConstruction, RejectsEmptyAndMisnumbered) {
                util::CheckError);
   std::vector<Device> devices;
   devices.push_back(MakeSmartLight(3));  // id 3 but index 0
+  EXPECT_THROW(EnvironmentFsm(std::move(devices), AuthorizationModel{}),
+               util::CheckError);
+}
+
+TEST(EnvironmentFsmConstruction, RejectsDuplicateLabels) {
+  std::vector<Device> devices;
+  devices.push_back(MakeSmartLight(0));
+  devices.push_back(MakeSmartLight(1));  // a second "light"
   EXPECT_THROW(EnvironmentFsm(std::move(devices), AuthorizationModel{}),
                util::CheckError);
 }

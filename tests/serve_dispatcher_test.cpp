@@ -167,12 +167,12 @@ TEST_F(DispatcherTest, TenantsAndStatesThatAreNotIntsAreBadRequests) {
              std::string(R"({"id": 1, "type": "suggest_action", "tenant": 0,)"
                          R"( "minute": 480, "state": [)") +
                  value + other_entries + "]}");
-    EXPECT_EQ(response.GetString("error", "served"), kErrBadRequest);
+    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
     response = Call(dispatcher,
                     std::string(R"({"id": 2, "type": "suggest_action",)"
                                 R"( "minute": 480, "tenant": )") +
                         value + "}");
-    EXPECT_EQ(response.GetString("error", "served"), kErrBadRequest);
+    EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
   }
 }
 
@@ -257,6 +257,26 @@ TEST_F(DispatcherTest, IngestCountsGoodAndBadLines) {
   EXPECT_EQ(response.At("buffered").AsInt(), 2);
   EXPECT_EQ(dispatcher.ingested_events(0), 2u);
   EXPECT_EQ(dispatcher.ingested_events(1), 0u);
+}
+
+TEST_F(DispatcherTest, IngestRejectsMinutesThatAreNotWholeWithin2To53) {
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  util::JsonArray lines;
+  lines.emplace_back(R"({"event_minute":480,"device_label":"light"})");
+  lines.emplace_back(R"({"event_minute":1e300,"device_label":"light"})");
+  lines.emplace_back(R"({"event_minute":480.5,"device_label":"light"})");
+  lines.emplace_back(R"({"event_minute":9007199254740994})");
+  util::JsonObject request;
+  request["id"] = 6;
+  request["type"] = "ingest";
+  request["tenant"] = 0;
+  request["lines"] = util::JsonValue(std::move(lines));
+  const auto response =
+      Call(dispatcher, util::JsonValue(std::move(request)).Dump());
+  ASSERT_TRUE(ResponseOk(response));
+  EXPECT_EQ(response.At("accepted").AsInt(), 1);
+  EXPECT_EQ(response.At("rejected").AsInt(), 3);
+  EXPECT_EQ(dispatcher.ingested_events(0), 1u);
 }
 
 TEST_F(DispatcherTest, IngestCapBoundsTheBuffer) {

@@ -94,8 +94,6 @@ TEST(Json, MissingKeyThrowsAndFallbacksWork) {
   EXPECT_THROW(doc.At("missing"), JsonError);
   EXPECT_DOUBLE_EQ(doc.GetNumber("a", -1.0), 1.0);
   EXPECT_DOUBLE_EQ(doc.GetNumber("missing", -1.0), -1.0);
-  EXPECT_EQ(doc.GetString("s", "d"), "x");
-  EXPECT_EQ(doc.GetString("missing", "d"), "d");
   // Wrong-typed field also falls back.
   EXPECT_DOUBLE_EQ(doc.GetNumber("s", -1.0), -1.0);
 }
@@ -119,6 +117,50 @@ TEST(Json, PrettyPrintRoundTrips) {
   const std::string pretty = doc.Dump(2);
   EXPECT_NE(pretty.find('\n'), std::string::npos);
   EXPECT_EQ(JsonValue::Parse(pretty), doc);
+}
+
+TEST(JsonReader, WalksAnObjectKeyByKey) {
+  JsonReader reader(R"( {"s": "a\"b\\c\u00e9", "n": -2.5e1,
+                         "skip": {"x": [1, "two", null, {}]}, "b": false} )");
+  std::string key;
+  std::string text = "stale";
+  ASSERT_TRUE(reader.BeginObject());
+  reader.ReadKey(&key);
+  EXPECT_EQ(key, "s");
+  reader.ReadString(&text);
+  EXPECT_EQ(text, "a\"b\\c\xc3\xa9");
+  ASSERT_TRUE(reader.NextMember());
+  reader.ReadKey(&key);
+  EXPECT_EQ(key, "n");
+  EXPECT_DOUBLE_EQ(reader.ReadNumber(), -25.0);
+  ASSERT_TRUE(reader.NextMember());
+  reader.ReadKey(&key);
+  EXPECT_EQ(reader.Peek(), '{');
+  reader.SkipValue();
+  ASSERT_TRUE(reader.NextMember());
+  reader.ReadKey(&key);
+  EXPECT_FALSE(reader.ReadBool());
+  EXPECT_FALSE(reader.NextMember());
+  reader.ExpectEnd();
+}
+
+TEST(JsonReader, EmptyContainersCloseAtOnce) {
+  JsonReader reader("[ ] { }");
+  EXPECT_FALSE(reader.BeginArray());
+  EXPECT_FALSE(reader.BeginObject());
+  reader.ExpectEnd();
+}
+
+TEST(JsonReader, SkipValueRejectsWhatParseRejects) {
+  for (const char* bad : {"[1,]", "{\"a\" 1}", "\"\\q\"", "\"\\u12G4\"",
+                          "tru", "-", "1e999", "{\"a\":1,}", "\"open"}) {
+    EXPECT_THROW(JsonValue::Parse(bad), JsonError) << bad;
+    JsonReader reader(bad);
+    EXPECT_THROW(reader.SkipValue(), JsonError) << bad;
+  }
+  JsonReader reader("{} x");
+  reader.SkipValue();
+  EXPECT_THROW(reader.ExpectEnd(), JsonError);
 }
 
 }  // namespace
