@@ -19,7 +19,7 @@ int main() {
 
   std::printf("=== Jarvis quickstart ===\n\n");
 
-  // The evaluation testbed: 5 users, Home A (OpenSHS-style), Home B
+  // The evaluation testbed: Home A (OpenSHS-style) and Home B
   // (Smart*-style).
   sim::TestbedConfig testbed_config;
   testbed_config.benign_anomaly_samples = 4000;  // keep the demo snappy

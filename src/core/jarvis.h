@@ -108,8 +108,6 @@ class Jarvis {
 
   bool learned() const { return learner_.learned(); }
   const spl::SafetyPolicyLearner& learner() const { return learner_; }
-  // Mutable access for manual policies / active learning.
-  spl::SafetyPolicyLearner& mutable_learner() { return learner_; }
 
   // --- Optimization phase ---------------------------------------------—--
 

@@ -319,73 +319,6 @@ std::vector<Device> LargeHomeDevices() {
   return devices;
 }
 
-std::vector<std::string> TableTwoAppNames() {
-  return {
-      "unlock-door-on-auth-user",      // App 1
-      "maintain-optimal-temperature",  // App 2
-      "lights-on-arrival",             // App 3
-      "fire-alarm-open-door-lights",   // App 4
-      "leave-home-shutdown",           // App 5
-  };
-}
-
-EnvironmentFsm BuildHome(std::vector<Device> devices, int user_count) {
-  AuthorizationModel auth;
-  const LocationId home = auth.AddLocation("home");
-  const GroupId main_group = auth.AddGroup("main", home);
-
-  const AppId manual = auth.AddApp("manual", "human operation");
-  (void)manual;  // manual == kManualApp == 0 by construction
-
-  std::vector<AppId> apps;
-  for (const auto& name : TableTwoAppNames()) {
-    apps.push_back(auth.AddApp(name));
-  }
-
-  std::vector<UserId> users;
-  for (int u = 0; u < user_count; ++u) {
-    users.push_back(auth.AddUser("user" + std::to_string(u)));
-  }
-
-  for (const auto& device : devices) {
-    auth.PlaceDevice(device.id(), home, main_group);
-    auth.GrantAppDevice(kManualApp, device.id());
-  }
-  for (UserId user : users) {
-    auth.GrantUserLocation(user, home);
-    auth.GrantUserApp(user, kManualApp);
-    for (AppId app : apps) auth.GrantUserApp(user, app);
-  }
-
-  // Device subscriptions per Table II's "Devices Involved" column; grant
-  // only for devices that exist in this home.
-  auto grant_if_present = [&](AppId app, DeviceId device) {
-    if (device >= 0 && static_cast<std::size_t>(device) < devices.size()) {
-      auth.GrantAppDevice(app, device);
-    }
-  };
-  if (apps.size() >= 5 && devices.size() >= 5) {
-    grant_if_present(apps[0], 0);  // App 1: D0, D1
-    grant_if_present(apps[0], 1);
-    grant_if_present(apps[1], 3);  // App 2: D3, D4
-    grant_if_present(apps[1], 4);
-    grant_if_present(apps[2], 0);  // App 3: D0, D1, D2
-    grant_if_present(apps[2], 1);
-    grant_if_present(apps[2], 2);
-    grant_if_present(apps[3], 0);  // App 4: D0, D2, D4
-    grant_if_present(apps[3], 2);
-    grant_if_present(apps[3], 4);
-    grant_if_present(apps[4], 0);  // App 5: D0, D1, D3
-    grant_if_present(apps[4], 1);
-    grant_if_present(apps[4], 2);  // App 5 also turns lights off
-    grant_if_present(apps[4], 3);
-  }
-
-  return EnvironmentFsm(std::move(devices), std::move(auth));
-}
-
-EnvironmentFsm BuildFullHome(int user_count) {
-  return BuildHome(FullHomeDevices(), user_count);
-}
+EnvironmentFsm BuildFullHome() { return EnvironmentFsm(FullHomeDevices()); }
 
 }  // namespace jarvis::fsm

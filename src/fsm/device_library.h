@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "fsm/authorization.h"
 #include "fsm/device.h"
 #include "fsm/environment.h"
 
@@ -97,17 +96,7 @@ std::vector<Device> FullHomeDevices();
 // The k = 16 large home (scalability studies): D0..D15.
 std::vector<Device> LargeHomeDevices();
 
-// Names of the five IFTTT-style apps from Table II, in order (app ids 1..5;
-// app 0 is manual operation).
-std::vector<std::string> TableTwoAppNames();
-
-// Builds an EnvironmentFsm around the given devices with a single-location,
-// single-group container setup, `user_count` users all authorized for every
-// device, manual app 0, and the five Table II apps subscribed to the
-// devices they involve (when those devices exist).
-EnvironmentFsm BuildHome(std::vector<Device> devices, int user_count);
-
-// Convenience: the full home.
-EnvironmentFsm BuildFullHome(int user_count = 2);
+// The full home as an EnvironmentFsm.
+EnvironmentFsm BuildFullHome();
 
 }  // namespace jarvis::fsm

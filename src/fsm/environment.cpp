@@ -4,9 +4,8 @@
 
 namespace jarvis::fsm {
 
-EnvironmentFsm::EnvironmentFsm(std::vector<Device> devices,
-                               AuthorizationModel auth)
-    : devices_(std::move(devices)), auth_(std::move(auth)), codec_(devices_) {
+EnvironmentFsm::EnvironmentFsm(std::vector<Device> devices)
+    : devices_(std::move(devices)), codec_(devices_) {
   JARVIS_CHECK(!devices_.empty(), "EnvironmentFsm: no devices");
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     JARVIS_CHECK(devices_[i].id() == static_cast<DeviceId>(i),
@@ -68,42 +67,6 @@ StateVector EnvironmentFsm::Apply(const StateVector& state,
     next[i] = devices_[i].Transition(state[i], action[i]);
   }
   return next;
-}
-
-ActionVector EnvironmentFsm::ResolveRequests(
-    const std::vector<ActionRequest>& requests,
-    std::vector<RequestOutcome>* outcomes) const {
-  ActionVector action(devices_.size(), kNoAction);
-  std::vector<bool> device_taken(devices_.size(), false);
-
-  for (const auto& request : requests) {
-    RejectReason reason = RejectReason::kAccepted;
-    if (request.device < 0 ||
-        static_cast<std::size_t>(request.device) >= devices_.size()) {
-      reason = RejectReason::kUnknownDevice;
-    } else if (request.action != kNoAction &&
-               (request.action < 0 ||
-                request.action >=
-                    devices_[static_cast<std::size_t>(request.device)]
-                        .action_count())) {
-      reason = RejectReason::kInvalidAction;
-    } else if (!auth_.UserMayUseApp(request.user, request.app)) {
-      reason = RejectReason::kUnauthorizedUserApp;
-    } else if (!auth_.AppMayActOnDevice(request.app, request.device)) {
-      reason = RejectReason::kUnauthorizedAppDevice;
-    } else if (!auth_.UserMayAccessDevice(request.user, request.device)) {
-      reason = RejectReason::kUnauthorizedUserDevice;
-    } else if (device_taken[static_cast<std::size_t>(request.device)]) {
-      // Constraint 4: one app per device per interval, first come first
-      // served.
-      reason = RejectReason::kDeviceBusy;
-    } else if (request.action != kNoAction) {
-      device_taken[static_cast<std::size_t>(request.device)] = true;
-      action[static_cast<std::size_t>(request.device)] = request.action;
-    }
-    if (outcomes != nullptr) outcomes->push_back({request, reason});
-  }
-  return action;
 }
 
 }  // namespace jarvis::fsm

@@ -107,13 +107,13 @@ std::vector<Violation> AttackGenerator::GenerateAll(
   };
 
   auto emit = [&](ViolationType type, std::string description,
-                  fsm::StateVector state, fsm::ActionVector action, int minute,
-                  fsm::AppId app, fsm::UserId user) -> bool {
+                  fsm::StateVector state, fsm::ActionVector action,
+                  int minute) -> bool {
     const auto key = std::make_pair(fsm_.codec().Encode(state),
                                     action_fingerprint(action));
     if (!seen.insert(key).second) return false;
     violations.push_back({type, std::move(description), std::move(state),
-                          std::move(action), minute, app, user});
+                          std::move(action), minute});
     return true;
   };
 
@@ -207,7 +207,7 @@ std::vector<Violation> AttackGenerator::GenerateAll(
           rng.NextInt(pattern.minute_lo, pattern.minute_hi));
       if (emit(ViolationType::kTriggerActionSafety, pattern.description,
                std::move(state), single(pattern.device, pattern.action),
-               minute, fsm::kManualApp, 0)) {
+               minute)) {
         ++produced;
       }
     }
@@ -236,8 +236,7 @@ std::vector<Violation> AttackGenerator::GenerateAll(
                       : "unauthorized user at door, lock power-cycled via "
                         "non-subscribed app",
                std::move(state),
-               single(refs.lock, unlock ? "unlock" : "power_off"), minute,
-               /*via_app=*/2, /*via_user=*/1)) {
+               single(refs.lock, unlock ? "unlock" : "power_off"), minute)) {
         ++produced;
       }
     }
@@ -290,7 +289,7 @@ std::vector<Violation> AttackGenerator::GenerateAll(
       const int minute = static_cast<int>(rng.NextInt(0, 23 * 60));
       if (emit(ViolationType::kConflictRace,
                "conflicting joint action race", std::move(state),
-               std::move(action), minute, fsm::kManualApp, 0)) {
+               std::move(action), minute)) {
         ++produced;
       }
     }
@@ -316,8 +315,7 @@ std::vector<Violation> AttackGenerator::GenerateAll(
       const int minute = static_cast<int>(rng.NextInt(1 * 60, 5 * 60));
       if (emit(ViolationType::kMaliciousApp,
                "trojan app suppresses fire sensor then heats oven",
-               std::move(state), std::move(action), minute,
-               /*via_app=*/3, /*via_user=*/0)) {
+               std::move(state), std::move(action), minute)) {
         ++produced;
       }
     }
@@ -346,7 +344,7 @@ std::vector<Violation> AttackGenerator::GenerateAll(
       }
       if (emit(ViolationType::kInsider,
                "insider unlocks door during sleep hours", std::move(state),
-               std::move(action), minute, fsm::kManualApp, /*via_user=*/1)) {
+               std::move(action), minute)) {
         ++produced;
       }
     }

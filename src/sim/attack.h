@@ -19,8 +19,8 @@
 //   Type 5 (10): insider attacks — authorized users acting at hours and in
 //           contexts that natural behavior never produces (3am unlocks).
 //
-// Every instance is a concrete unsafe state transition (S, A) plus attack
-// metadata, injectable into episodes to build the 21,400 malicious
+// Every instance is a concrete unsafe state transition (S, A) at a minute
+// of day, injectable into episodes to build the 21,400 malicious
 // episodes of the evaluation.
 #pragma once
 
@@ -49,8 +49,6 @@ struct Violation {
   fsm::StateVector state;    // the trigger context S
   fsm::ActionVector action;  // the unsafe action A
   int minute;                // minute-of-day the attack fires
-  fsm::AppId via_app = fsm::kManualApp;
-  fsm::UserId via_user = 0;
 };
 
 // Paper-exact counts per type.

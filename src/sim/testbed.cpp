@@ -5,8 +5,8 @@ namespace jarvis::sim {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config),
-      home_a_(fsm::BuildFullHome(config.users)),
-      home_b_(fsm::BuildFullHome(config.users)),
+      home_a_(fsm::BuildFullHome()),
+      home_b_(fsm::BuildFullHome()),
       home_b_data_(std::make_unique<SmartStarDataset>(home_b_,
                                                       config.seed ^ 0xb0bULL)) {}
 

@@ -1,4 +1,4 @@
-// The virtual evaluation testbed of Fig. 4: five users and two locations.
+// The virtual evaluation testbed of Fig. 4: two full 11-device homes.
 // Home A runs on OpenSHS-style simulated daily activities; Home B is the
 // Smart*-calibrated dataset. The SPL training set TD combines learning-
 // episode behavior with 55,156 user-generated benign anomaly samples
@@ -18,7 +18,6 @@ namespace jarvis::sim {
 
 struct TestbedConfig {
   std::uint64_t seed = 42;
-  int users = 5;
   int learning_days = 14;       // L: 14 days spread across the year (see DESIGN.md)
   std::size_t benign_anomaly_samples = 55156;
 };

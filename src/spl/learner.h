@@ -103,12 +103,6 @@ class SafetyPolicyLearner {
   const SplConfig& config() const { return config_; }
   const fsm::EnvironmentFsm& fsm() const { return fsm_; }
 
-  // Manual-policy / active-learning write access (Sections V-B-1, VI-F):
-  // admit a user-approved behavior that the learning phase could not
-  // observe (e.g. fire-alarm reactions) or that user feedback reclassified
-  // from the unsafe benefit space.
-  SafeTransitionTable& mutable_table() { return table_; }
-
   // Wires spl.learner.* counters (episodes offered/used/skipped,
   // observations, anomalies filtered, ANN epochs) bumped per Learn call,
   // and spl.classify.* verdict counters bumped per ClassifyMini (the

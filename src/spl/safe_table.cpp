@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 #include <utility>
 
 #include "util/check.h"
@@ -94,9 +93,8 @@ std::uint64_t SafeTransitionTable::MakeKey(const fsm::StateVector& state,
                        0x1000);
   }
   // ...except for the emergency flag, which keys *every* device: behavior
-  // appropriate during a fire alarm (unlock the doors, Section V-B-1's
-  // manual policies) must never generalize to ordinary contexts or vice
-  // versa.
+  // appropriate during a fire alarm (unlock the doors, Section V-B-1) must
+  // never generalize to ordinary contexts or vice versa.
   if (temp_sensor_ >= 0 && fire_state_ >= 0) {
     const bool emergency =
         state[static_cast<std::size_t>(temp_sensor_)] == fire_state_;
@@ -124,18 +122,7 @@ void SafeTransitionTable::Finalize() {
   for (const auto& [key, count] : counts_) {
     if (count > threshold_) admitted_.emplace(key, true);
   }
-  for (const std::uint64_t key : forced_) admitted_.emplace(key, true);
   finalized_ = true;
-}
-
-void SafeTransitionTable::ForceAdmit(const fsm::StateVector& state,
-                                     const fsm::MiniAction& mini,
-                                     int minute_of_day) {
-  fsm_.ValidateState(state);
-  const std::uint64_t key = MakeKey(state, mini, minute_of_day);
-  forced_.push_back(key);
-  admitted_.emplace(key, true);
-  finalized_ = true;  // a manual policy alone is a valid (tiny) whitelist
 }
 
 util::JsonValue SafeTransitionTable::ToJson() const {
@@ -160,13 +147,6 @@ util::JsonValue SafeTransitionTable::ToJson() const {
     counts.push_back(util::JsonValue(std::move(entry)));
   }
   obj["counts"] = util::JsonValue(std::move(counts));
-  std::vector<std::uint64_t> sorted_forced(forced_.begin(), forced_.end());
-  std::sort(sorted_forced.begin(), sorted_forced.end());
-  util::JsonArray forced;
-  for (const std::uint64_t key : sorted_forced) {
-    forced.emplace_back(std::to_string(key));
-  }
-  obj["forced"] = util::JsonValue(std::move(forced));
   return util::JsonValue(std::move(obj));
 }
 
@@ -182,8 +162,6 @@ void SafeTransitionTable::LoadJson(const util::JsonValue& doc) {
   // once the whole document checks out. A rejected load must leave the
   // table's previous (fail-safe) state untouched — never half-replaced.
   std::unordered_map<std::uint64_t, int> counts;
-  std::vector<std::uint64_t> forced;
-  std::unordered_set<std::uint64_t> forced_seen;
   for (const auto& entry : doc.At("counts").AsArray()) {
     const auto& pair = entry.AsArray();
     JARVIS_CHECK_EQ(pair.size(), std::size_t{2},
@@ -196,14 +174,7 @@ void SafeTransitionTable::LoadJson(const util::JsonValue& doc) {
     JARVIS_CHECK(counts.emplace(key, count).second,
                  "SafeTransitionTable::LoadJson: duplicate count key: ", key);
   }
-  for (const auto& key_doc : doc.At("forced").AsArray()) {
-    const std::uint64_t key = ParseKey(key_doc.AsString());
-    JARVIS_CHECK(forced_seen.insert(key).second,
-                 "SafeTransitionTable::LoadJson: duplicate forced key: ", key);
-    forced.push_back(key);
-  }
   counts_ = std::move(counts);
-  forced_ = std::move(forced);
   Finalize();
 }
 

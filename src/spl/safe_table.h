@@ -72,15 +72,7 @@ class SafeTransitionTable {
   std::size_t admitted_key_count() const { return admitted_.size(); }
   bool finalized() const { return finalized_; }
 
-  // Manually admits one (context, mini-action) pattern regardless of the
-  // observation count — the paper's manual policy escape hatch for rare
-  // but safe behavior (fire-alarm reactions, Section V-B-1) and the write
-  // path of the active-learning extension (Section VI-F). Takes effect
-  // immediately, even before/without Finalize for other keys.
-  void ForceAdmit(const fsm::StateVector& state, const fsm::MiniAction& mini,
-                  int minute_of_day);
-
-  // Serialization: observation counts plus forced admissions. Keys are the
+  // Serialization: the observation counts. Keys are the
   // stable internal hashes (recomputed identically by any build of this
   // library for the same home).
   util::JsonValue ToJson() const;
@@ -102,7 +94,6 @@ class SafeTransitionTable {
   fsm::StateIndex fire_state_ = -1;
   std::unordered_map<std::uint64_t, int> counts_;
   std::unordered_map<std::uint64_t, bool> admitted_;
-  std::vector<std::uint64_t> forced_;
 };
 
 }  // namespace jarvis::spl

@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -233,21 +232,23 @@ void JsonReader::ExpectLiteral(std::string_view literal) {
   pos_ += literal.size();
 }
 
-bool JsonReader::BeginObject() {
+bool JsonReader::Begin(char open, char close) {
   SkipWhitespace();
-  Expect('{');
-  if (Peek() != '}') return true;
+  Expect(open);
+  if (depth_ == kMaxJsonDepth) {
+    Fail("containers nest deeper than " + std::to_string(kMaxJsonDepth));
+  }
+  if (Peek() != close) {
+    ++depth_;
+    return true;
+  }
   ++pos_;
   return false;
 }
 
-bool JsonReader::BeginArray() {
-  SkipWhitespace();
-  Expect('[');
-  if (Peek() != ']') return true;
-  ++pos_;
-  return false;
-}
+bool JsonReader::BeginObject() { return Begin('{', '}'); }
+
+bool JsonReader::BeginArray() { return Begin('[', ']'); }
 
 void JsonReader::ReadKey(std::string* key) {
   ReadString(key);
@@ -260,6 +261,7 @@ bool JsonReader::NextOrClose(char close) {
   const char c = Take();
   if (c == ',') return true;
   if (c != close) Fail(std::string("expected ',' or '") + close + "'");
+  --depth_;
   return false;
 }
 
@@ -346,17 +348,36 @@ void JsonReader::ScanString(std::string* out) {
   }
 }
 
+std::size_t JsonReader::SkipDigits() {
+  const std::size_t from = pos_;
+  while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+    ++pos_;
+  }
+  return pos_ - from;
+}
+
 double JsonReader::ReadNumber() {
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   const bool negative = Peek() == '-';
   const std::size_t start = pos_;
   if (negative) ++pos_;
-  while (pos_ < text_.size() &&
-         (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-          text_[pos_] == '+' || text_[pos_] == '-')) {
+  const auto at = [this](char c) {
+    return pos_ < text_.size() && text_[pos_] == c;
+  };
+  if (at('0')) {
     ++pos_;
+  } else if (SkipDigits() == 0) {
+    Fail(negative ? "bad number" : "expected a value");
   }
-  if (pos_ == start) Fail("expected a value");
+  if (at('.')) {
+    ++pos_;
+    if (SkipDigits() == 0) Fail("bad number");
+  }
+  if (at('e') || at('E')) {
+    ++pos_;
+    if (at('+') || at('-')) ++pos_;
+    if (SkipDigits() == 0) Fail("bad number");
+  }
   try {
     return std::stod(std::string(text_.substr(start, pos_ - start)));
   } catch (const std::exception&) {

@@ -5,7 +5,10 @@
 // back. We implement the small JSON subset needed for that round trip:
 // objects, arrays, strings, numbers, booleans, and null, with standard
 // escape handling. JsonReader is the one scanner: JsonValue::Parse builds a
-// DOM on it, and hot decoders read straight into their own fields.
+// DOM on it, and hot decoders read straight into their own fields. Numbers
+// follow RFC 8259's grammar exactly, and containers nest at most
+// kMaxJsonDepth deep, so a hostile document fails with JsonError instead
+// of exhausting the stack.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,11 @@
 namespace jarvis::util {
 
 class JsonValue;
+
+// The deepest container nesting any reader accepts. The documents this
+// program writes nest at most 7 deep: a learned policy's
+// filter.network.layers[i].weights.data.
+inline constexpr int kMaxJsonDepth = 64;
 
 using JsonArray = std::vector<JsonValue>;
 // std::map keeps keys ordered so serialized logs are deterministic.
@@ -114,7 +122,7 @@ class JsonReader {
   char Peek();
 
   // Consumes '{' (or '['); false when the container is empty, its closing
-  // bracket consumed too.
+  // bracket consumed too. Throws past kMaxJsonDepth open containers.
   bool BeginObject();
   bool BeginArray();
   // Reads a member's key and the ':' after it into *key.
@@ -139,12 +147,16 @@ class JsonReader {
   char Take();
   void Expect(char c);
   void ExpectLiteral(std::string_view literal);
+  bool Begin(char open, char close);
   bool NextOrClose(char close);
+  // Consumes a run of ASCII digits; returns how many.
+  std::size_t SkipDigits();
   // Reads a string; appends its decoded bytes to *out unless out is null.
   void ScanString(std::string* out);
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open containers
 };
 
 // Escapes a string for embedding in JSON output (adds surrounding quotes).

@@ -25,7 +25,7 @@ fsm::EnvironmentFsm BuildApartment() {
   // Note: MakeTelevision was authored with id 7 in the full home; rebuild
   // it with the right id for this layout.
   devices[6] = fsm::MakeTelevision(6);
-  return fsm::BuildHome(std::move(devices), /*user_count=*/1);
+  return fsm::EnvironmentFsm(std::move(devices));
 }
 
 class ApartmentFixture : public ::testing::Test {

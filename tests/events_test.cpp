@@ -210,11 +210,7 @@ TEST(Event, FromLogLineAgreesWithTheDomDecode) {
       R"({"event_minute":1.5})",
       R"({"event_minute":1e3})",
       R"({"event_minute":-0})",
-      R"({"event_minute":+3})",
-      R"({"event_minute":1-2})",
-      R"({"event_minute":-})",
       R"({"event_minute":1e300})",
-      R"({"event_minute":1e999})",
       R"({"event_minute":1e16})",
       R"({"event_minute":9007199254740992})",
       R"({"event_minute":-9007199254740993})",
@@ -230,6 +226,13 @@ TEST(Event, FromLogLineAgreesWithTheDomDecode) {
       "",
       "{",
   };
+  // Text outside the JSON number grammar is refused, never read up to the
+  // first byte that does not fit.
+  for (const char* number : {"+3", "1-2", "-", "01", "1.2.3", ".5", "1e999"}) {
+    const std::string line = std::string(R"({"event_minute":)") + number + "}";
+    EXPECT_EQ(Decode(line), std::nullopt) << line;
+    corpus.push_back(line);
+  }
 
   // Seeded mutations of real log lines: byte flips, truncations, and key
   // reorders (some with a member duplicated under a new value).
@@ -294,7 +297,7 @@ TEST(Event, FromLogLineAgreesWithTheDomDecode) {
 
 class ParserFixture : public ::testing::Test {
  protected:
-  ParserFixture() : fsm_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)) {}
+  ParserFixture() : fsm_(fsm::ExampleHomeDevices()) {}
 
   Event CommandEvent(int minute, const std::string& device,
                      const std::string& new_state,

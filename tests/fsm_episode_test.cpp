@@ -19,7 +19,7 @@ TEST(EpisodeConfig, StepsPerEpisodeCeils) {
 }
 
 TEST(Episode, RecordsUntilComplete) {
-  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
+  const EnvironmentFsm fsm(ExampleHomeDevices());
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({3, 1}, util::SimTime(0), initial);
   EXPECT_FALSE(episode.IsComplete());
@@ -44,7 +44,7 @@ TEST(Episode, ValidatesConfig) {
 }
 
 TEST(Episode, FinalStateAppliesLastAction) {
-  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
+  const EnvironmentFsm fsm(ExampleHomeDevices());
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({2, 1}, util::SimTime(0), initial);
   EXPECT_EQ(episode.FinalState(fsm), initial);  // empty episode
@@ -59,7 +59,7 @@ TEST(Episode, FinalStateAppliesLastAction) {
 }
 
 TEST(ExtractTriggerActions, SkipsNoOpStepsAndKeepsMinutes) {
-  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
+  const EnvironmentFsm fsm(ExampleHomeDevices());
   const StateVector initial = {0, 0, 0, 2, 2};
   Episode episode({4, 1}, util::SimTime::FromHms(0, 6, 0), initial);
   const ActionVector noop(5, kNoAction);
@@ -79,7 +79,7 @@ TEST(ExtractTriggerActions, SkipsNoOpStepsAndKeepsMinutes) {
 }
 
 TEST(ExtractTriggerActions, AggregatesAcrossEpisodes) {
-  const EnvironmentFsm fsm = BuildHome(ExampleHomeDevices(), 1);
+  const EnvironmentFsm fsm(ExampleHomeDevices());
   const StateVector initial = {0, 0, 0, 2, 2};
   ActionVector act(5, kNoAction);
   act[0] = *fsm.device(0).FindAction("unlock");

@@ -17,7 +17,7 @@ namespace {
 class AgentFixture : public ::testing::Test {
  protected:
   AgentFixture()
-      : home_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)),
+      : home_(fsm::ExampleHomeDevices()),
         codec_(home_.codec()) {}
 
   std::vector<bool> AllOn() const {

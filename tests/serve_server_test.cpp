@@ -149,6 +149,7 @@ std::vector<std::string> HostilePayloads() {
       R"({"id": "x", "type": "ping"})",      // non-numeric id
       R"({"id": 2, "type": 42})",            // non-string type
       std::string(300, '\xff'),              // binary noise
+      std::string(100000, '['),              // 100,000-deep nesting
   };
 }
 

@@ -27,8 +27,7 @@ TEST_F(AdversarialFixture, SupportedKindsInFullHome) {
 }
 
 TEST_F(AdversarialFixture, SupportedKindsInSmallHome) {
-  const fsm::EnvironmentFsm small =
-      fsm::BuildHome(fsm::ExampleHomeDevices(), 1);
+  const fsm::EnvironmentFsm small(fsm::ExampleHomeDevices());
   AnomalyGenerator generator(small, 1);
   const auto kinds = generator.SupportedKinds();
   // Example home has light but no fridge/oven/tv/washer.
@@ -146,8 +145,7 @@ TEST_F(AdversarialFixture, CustomCountsRespected) {
 }
 
 TEST_F(AdversarialFixture, RequiresFullHome) {
-  const fsm::EnvironmentFsm small =
-      fsm::BuildHome(fsm::ExampleHomeDevices(), 1);
+  const fsm::EnvironmentFsm small(fsm::ExampleHomeDevices());
   EXPECT_THROW(AttackGenerator(small, 1), util::CheckError);
 }
 

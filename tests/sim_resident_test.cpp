@@ -204,7 +204,6 @@ TEST(Testbed, FigureFourTopology) {
   const Testbed testbed(config);
   EXPECT_EQ(testbed.home_a().device_count(), 11u);
   EXPECT_EQ(testbed.home_b().device_count(), 11u);
-  EXPECT_EQ(testbed.home_a().auth().users().size(), 5u);
   const auto episodes = testbed.HomeALearningEpisodes();
   EXPECT_EQ(episodes.size(), 14u);  // L: 14 days spread across the year
   for (const auto& episode : episodes) EXPECT_TRUE(episode.IsComplete());

@@ -15,8 +15,7 @@ namespace jarvis::spl {
 namespace {
 
 TEST(FeatureEncoder, WidthAndLayout) {
-  const fsm::EnvironmentFsm home =
-      fsm::BuildHome(fsm::ExampleHomeDevices(), 1);
+  const fsm::EnvironmentFsm home(fsm::ExampleHomeDevices());
   const FeatureEncoder encoder(home);
   EXPECT_EQ(encoder.feature_width(),
             home.codec().one_hot_width() + home.codec().mini_action_count() + 2);
@@ -51,7 +50,7 @@ TEST(FeatureEncoder, SplitActionSkipsNoOps) {
 
 class SafeTableFixture : public ::testing::Test {
  protected:
-  SafeTableFixture() : home_(fsm::BuildHome(fsm::ExampleHomeDevices(), 1)) {}
+  SafeTableFixture() : home_(fsm::ExampleHomeDevices()) {}
 
   fsm::ActionVector LightOn() const {
     fsm::ActionVector action(home_.device_count(), fsm::kNoAction);
@@ -457,15 +456,6 @@ TEST_F(SafeTableRestoreFixture, RejectsDuplicateKeys) {
   const util::JsonValue doc = json_edit::AppendJson(
       learned, {"counts"}, learned.At("counts").AsArray()[0]);
   EXPECT_THROW(FreshTable().LoadJson(doc), util::CheckError);
-
-  SafeTransitionTable forced(home_, KeyMode::kFactoredContext, 0);
-  forced.ForceAdmit(state_, {2, 1}, 400);
-  const util::JsonValue forced_doc = forced.ToJson();
-  const util::JsonArray& keys = forced_doc.At("forced").AsArray();
-  ASSERT_FALSE(keys.empty());
-  EXPECT_THROW(FreshTable().LoadJson(
-                   json_edit::AppendJson(forced_doc, {"forced"}, keys[0])),
-               util::CheckError);
 }
 
 TEST_F(SafeTableRestoreFixture, RejectsConfigMismatches) {

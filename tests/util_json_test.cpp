@@ -2,8 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "fsm/device_library.h"
+#include "spl/learner.h"
+
 namespace jarvis::util {
 namespace {
+
+// Container nesting of a parsed value: 0 for a scalar.
+int Depth(const JsonValue& value) {
+  int deepest = 0;
+  if (value.is_array()) {
+    for (const auto& item : value.AsArray()) {
+      deepest = std::max(deepest, Depth(item));
+    }
+  } else if (value.is_object()) {
+    for (const auto& [key, item] : value.AsObject()) {
+      deepest = std::max(deepest, Depth(item));
+    }
+  } else {
+    return 0;
+  }
+  return deepest + 1;
+}
+
+std::string Nested(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') + "0" +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
 
 TEST(Json, ScalarRoundTrips) {
   EXPECT_EQ(JsonValue::Parse("null").type(), JsonValue::Type::kNull);
@@ -76,6 +104,58 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(JsonValue::Parse("tru"), JsonError);
   EXPECT_THROW(JsonValue::Parse("{} extra"), JsonError);
   EXPECT_THROW(JsonValue::Parse("nan"), JsonError);
+}
+
+TEST(Json, NumbersFollowTheStrictGrammar) {
+  for (const char* bad : {"1-2", "1.2.3", "+1", "01", ".5", "1.", "1e",
+                          "1e+", "-", "--1", "0x10"}) {
+    EXPECT_THROW(JsonValue::Parse(bad), JsonError) << bad;
+    JsonReader reader(bad);
+    EXPECT_THROW(
+        {
+          reader.SkipValue();
+          reader.ExpectEnd();
+        },
+        JsonError)
+        << bad;
+  }
+  EXPECT_EQ(JsonValue::Parse("0").AsNumber(), 0.0);
+  EXPECT_EQ(JsonValue::Parse("-0.5").AsNumber(), -0.5);
+  EXPECT_EQ(JsonValue::Parse("10").AsNumber(), 10.0);
+  EXPECT_EQ(JsonValue::Parse("1E+2").AsNumber(), 100.0);
+  EXPECT_EQ(JsonValue::Parse("25e-1").AsNumber(), 2.5);
+  EXPECT_EQ(JsonValue::Parse("[0,-0,1.5e3]").AsArray().size(), 3u);
+}
+
+TEST(Json, NestingIsCappedAtAFixedDepth) {
+  EXPECT_EQ(Depth(JsonValue::Parse(Nested(kMaxJsonDepth))), kMaxJsonDepth);
+  // Closing a container gives its depth back: siblings each nest to the cap.
+  const std::string siblings =
+      "[" + Nested(kMaxJsonDepth - 1) + "," + Nested(kMaxJsonDepth - 1) + "]";
+  EXPECT_EQ(Depth(JsonValue::Parse(siblings)), kMaxJsonDepth);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  for (const std::string& deep :
+       {Nested(kMaxJsonDepth + 1), std::string(100000, '['), objects,
+        // An empty container past the cap is refused too.
+        std::string(kMaxJsonDepth, '[') + "{}"}) {
+    EXPECT_THROW(JsonValue::Parse(deep), JsonError);
+    JsonReader reader(deep);
+    EXPECT_THROW(reader.SkipValue(), JsonError);
+  }
+}
+
+TEST(Json, DeepestWrittenDocumentParses) {
+  // A learned-policy document (`jarvis_cli learn --out`, a checkpoint's
+  // "spl" section) is the deepest the program writes:
+  // filter.network.layers[i].weights.data.
+  const fsm::EnvironmentFsm home(fsm::ExampleHomeDevices());
+  const spl::SafetyPolicyLearner learner(home, spl::SplConfig{});
+  const std::string text = learner.ToJsonString();
+  const JsonValue doc = JsonValue::Parse(text);
+  EXPECT_EQ(Depth(doc), 7);
+  EXPECT_LT(Depth(doc), kMaxJsonDepth);
+  EXPECT_EQ(doc.Dump(), text);
 }
 
 TEST(Json, TypeMismatchThrows) {

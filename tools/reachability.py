@@ -26,15 +26,17 @@ jarvis_perfbench. It fails on:
   * a library symbol no executable defines, unless it is allowlisted;
   * an allowlist entry that an executable now links (delete the entry);
   * an allowlist entry naming a symbol no library defines any more;
-  * an allowlist line without an (a), (b) or (c) reason.
+  * an allowlist line without an (a) or (c) reason.
 
 Allowlist lines (tools/reachability_allow.txt) are
-`<demangled symbol>  # (<a|b|c>) <reason>`; `#` lines are comments:
+`<demangled symbol>  # (<a|c>) <reason>`; `#` lines are comments:
 
   (a) safety code (assertions, fault fakes, reference oracles);
-  (b) a paper mechanism, citing its PAPER.md section and pinning test;
   (c) a test-facing observer or constructor, naming the test that uses it
       to check behaviour a shipped binary runs.
+
+A paper mechanism is not a reason: it stays only if a shipped binary runs
+it.
 
 Run with --self-test to exercise the checker on canned `nm` output.
 Exit status 0 when clean; 1 with a report otherwise.
@@ -51,7 +53,7 @@ REQUIRED_LINKER_FLAGS = ("--gc-sections",)
 EXE_DIRS = ("examples", "bench")
 PERFBENCH_EXE = "jarvis_perfbench"
 
-ALLOW_LINE = re.compile(r"^(?P<symbol>\S.*?)\s+#\s+\((?P<kind>[abc])\)\s+"
+ALLOW_LINE = re.compile(r"^(?P<symbol>\S.*?)\s+#\s+\((?P<kind>[ac])\)\s+"
                         r"(?P<reason>\S.*)$")
 
 
@@ -107,7 +109,7 @@ def parse_allowlist(text):
         match = ALLOW_LINE.match(line)
         if match is None:
             errors.append(f"allowlist line {number}: needs "
-                          f"'<symbol>  # (a|b|c) <reason>': {line}")
+                          f"'<symbol>  # (a|c) <reason>': {line}")
             continue
         symbol = match.group("symbol")
         if symbol in entries:
@@ -258,7 +260,7 @@ SELF_TEST_CASES = [
     ("an entry for a deleted symbol fails", _ALLOW_OK +
      "jarvis::util::Mean(std::vector<double> const&)  # (c) x\n"
      "jarvis::util::Join(std::vector<std::string> const&)  # (c) x\n"
-     "jarvis::util::Gone()  # (b) z\n",
+     "jarvis::util::Gone()  # (c) z\n",
      ["no src library defines it (delete the entry): "
       "jarvis::util::Gone()"]),
 ]
@@ -266,8 +268,9 @@ SELF_TEST_CASES = [
 _BAD_ALLOW_LINES = [
     ("missing reason kind", "jarvis::util::Mean()  # because\n"),
     ("unknown reason kind", "jarvis::util::Mean()  # (d) because\n"),
+    ("paper-mechanism kind", "jarvis::util::Mean()  # (b) Section III\n"),
     ("empty reason", "jarvis::util::Mean()  # (a)\n"),
-    ("duplicate entry", "f()  # (a) x\nf()  # (b) y\n"),
+    ("duplicate entry", "f()  # (a) x\nf()  # (c) y\n"),
 ]
 
 
