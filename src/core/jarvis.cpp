@@ -1,6 +1,7 @@
 #include "core/jarvis.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 

@@ -30,9 +30,7 @@ Activation ActivationFromName(const std::string& name) {
 void ApplyInPlace(Activation act, Tensor& tensor) {
   auto& data = tensor.mutable_data();
   // One switch per tensor, then a tight loop per case with the scalar math
-  // inlined: same element order and same expressions as the historical
-  // Map(std::function) path, so outputs are bit-identical — only the
-  // per-element indirect call is gone.
+  // inlined: no per-element indirect call.
   switch (act) {
     case Activation::kIdentity:
       return;

@@ -35,12 +35,6 @@ double ComputeLoss(Loss loss, const Tensor& prediction, const Tensor& target) {
   return total / static_cast<double>(p.size());
 }
 
-Tensor LossGradient(Loss loss, const Tensor& prediction, const Tensor& target) {
-  Tensor grad;
-  LossGradientInto(loss, prediction, target, grad);
-  return grad;
-}
-
 void LossGradientInto(Loss loss, const Tensor& prediction,
                       const Tensor& target, Tensor& grad) {
   if (!prediction.SameShape(target)) {
@@ -83,13 +77,6 @@ double MaskedMseLoss(const Tensor& prediction, const Tensor& target,
     active += 1.0;
   }
   return active > 0.0 ? total / active : 0.0;
-}
-
-Tensor MaskedMseGradient(const Tensor& prediction, const Tensor& target,
-                         const Tensor& mask) {
-  Tensor grad;
-  MaskedMseGradientInto(prediction, target, mask, grad);
-  return grad;
 }
 
 void MaskedMseGradientInto(const Tensor& prediction, const Tensor& target,

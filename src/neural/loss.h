@@ -17,9 +17,8 @@ double ComputeLoss(Loss loss, const Tensor& prediction, const Tensor& target);
 
 // dLoss/dPrediction, same shape as prediction, already averaged over the
 // batch element count (so optimizer steps are batch-size invariant).
-Tensor LossGradient(Loss loss, const Tensor& prediction, const Tensor& target);
-// Scratch-tensor variant: writes into `grad` (resized; allocation-free once
-// the shape has been seen). `grad` must not alias prediction or target.
+// Writes into `grad` (resized; allocation-free once the shape has been
+// seen). `grad` must not alias prediction or target.
 void LossGradientInto(Loss loss, const Tensor& prediction,
                       const Tensor& target, Tensor& grad);
 
@@ -29,9 +28,7 @@ void LossGradientInto(Loss loss, const Tensor& prediction,
 // untouched.
 double MaskedMseLoss(const Tensor& prediction, const Tensor& target,
                      const Tensor& mask);
-Tensor MaskedMseGradient(const Tensor& prediction, const Tensor& target,
-                         const Tensor& mask);
-// Scratch-tensor variant (see LossGradientInto).
+// Its gradient, written into `grad` (see LossGradientInto).
 void MaskedMseGradientInto(const Tensor& prediction, const Tensor& target,
                            const Tensor& mask, Tensor& grad);
 

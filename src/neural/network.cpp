@@ -32,10 +32,6 @@ const Tensor& Network::PredictScratch(const Tensor& input) const {
   return *activation;
 }
 
-Tensor Network::Predict(const Tensor& input) const {
-  return PredictScratch(input);
-}
-
 std::vector<double> Network::PredictOne(const std::vector<double>& input) const {
   std::vector<double> out;
   PredictOneInto(input, out);

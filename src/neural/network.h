@@ -31,17 +31,14 @@ class Network {
           Loss loss, std::unique_ptr<Optimizer> optimizer,
           jarvis::util::Rng rng);
 
-  // Forward pass for inference, returning a fresh tensor. Inference routes
-  // through mutable network-owned scratch (zero steady-state allocations
-  // beyond the returned copy), so a Network is thread-compatible, not
-  // thread-safe: each fleet tenant owns its network and runs on one worker
-  // (DESIGN.md §10/§12), and serving forwards on a tenant's network are
-  // serialized by that tenant's suggest lock.
-  Tensor Predict(const Tensor& input) const;
-  // Allocation-free variant: returns a reference to network-owned scratch
-  // holding the prediction. Invalidated by the next Predict*/forward call
-  // on this network; `input` must not alias network scratch (i.e. must not
-  // itself be a reference previously returned by this method).
+  // Forward pass for inference into network-owned scratch, returning a
+  // reference to the prediction. Invalidated by the next Predict*/forward
+  // call on this network; `input` must not alias network scratch (i.e. must
+  // not itself be a reference previously returned by this method).
+  // Inference routes through mutable scratch, so a Network is
+  // thread-compatible, not thread-safe: each fleet tenant owns its network
+  // and runs on one worker (DESIGN.md §10/§12), and serving forwards on a
+  // tenant's network are serialized by that tenant's suggest lock.
   const Tensor& PredictScratch(const Tensor& input) const;
   // Convenience: single-sample prediction.
   std::vector<double> PredictOne(const std::vector<double>& input) const;
@@ -124,9 +121,9 @@ class Network {
   std::unique_ptr<Optimizer> optimizer_;
   mutable jarvis::util::Rng rng_;
   // Inference scratch: ping-pong activation buffers plus a 1-row staging
-  // tensor for PredictOne. Mutable so const Predict stays allocation-free;
-  // this is what makes the network thread-compatible rather than
-  // thread-safe (see Predict).
+  // tensor for PredictOne. Mutable so const inference stays
+  // allocation-free; this is what makes the network thread-compatible
+  // rather than thread-safe (see PredictScratch).
   mutable Tensor infer_ping_;
   mutable Tensor infer_pong_;
   mutable Tensor infer_row_;

@@ -19,19 +19,6 @@ Tensor::Tensor(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Tensor Tensor::Row(const std::vector<double>& values) {
-  Tensor t(1, values.size());
-  t.data_ = values;
-  return t;
-}
-
-Tensor Tensor::Generate(std::size_t rows, std::size_t cols,
-                        const std::function<double()>& gen) {
-  Tensor t(rows, cols);
-  for (double& x : t.data_) x = gen();
-  return t;
-}
-
 std::vector<double> Tensor::RowVector(std::size_t r) const {
   JARVIS_CHECK_LT(r, rows_, "Tensor::RowVector");
   return {data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
@@ -69,36 +56,6 @@ void Tensor::CheckShape(const Tensor& other, const char* op) const {
                ShapeString(), " vs ", other.ShapeString());
 }
 
-Tensor& Tensor::operator+=(const Tensor& other) {
-  CheckShape(other, "+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& other) {
-  CheckShape(other, "-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator*=(double scalar) {
-  for (double& x : data_) x *= scalar;
-  return *this;
-}
-
-Tensor Tensor::operator*(double scalar) const {
-  Tensor out = *this;
-  out *= scalar;
-  return out;
-}
-
-Tensor Tensor::Hadamard(const Tensor& other) const {
-  CheckShape(other, "Hadamard");
-  Tensor out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
 void Tensor::MatMulInto(const Tensor& other, Tensor& out) const {
   JARVIS_CHECK_EQ(cols_, other.rows_, "Tensor::MatMulInto: inner dims ",
                   ShapeString(), " vs ", other.ShapeString());
@@ -134,11 +91,11 @@ void Tensor::MatMulTransposedInto(const Tensor& other, Tensor& out) const {
   out.Resize(rows_, other.rows_);
   // i-j-k order: both operands stream row-contiguously and element (i, j)
   // accumulates this(i, k) * other(j, k) in ascending-k order — the same
-  // per-element order Transposed()-then-MatMul produced. The j-loop is
-  // blocked four wide: each of the four accumulators is still its own
-  // ascending-k chain from +0.0 (bit-identical), but the four independent
-  // chains break the add-latency dependence that made the plain reduction
-  // serial.
+  // per-element order as multiplying by the materialized transpose. The
+  // j-loop is blocked four wide: each of the four accumulators is still its
+  // own ascending-k chain from +0.0 (bit-identical), but the four
+  // independent chains break the add-latency dependence that made the
+  // plain reduction serial.
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* __restrict lhs_row = &data_[i * cols_];
     double* __restrict out_row = &out.data_[i * other.rows_];
@@ -199,32 +156,6 @@ void Tensor::TransposedMatMulAccumulate(const Tensor& other,
   }
 }
 
-Tensor Tensor::Transposed() const {
-  Tensor out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out.data_[c * rows_ + r] = data_[r * cols_ + c];
-    }
-  }
-  return out;
-}
-
-Tensor Tensor::Map(const std::function<double(double)>& f) const {
-  Tensor out = *this;
-  out.MapInPlace(f);
-  return out;
-}
-
-void Tensor::MapInPlace(const std::function<double(double)>& f) {
-  for (double& x : data_) x = f(x);
-}
-
-Tensor Tensor::AddRowBroadcast(const Tensor& row) const {
-  Tensor out = *this;
-  out.AddRowBroadcastInPlace(row);
-  return out;
-}
-
 void Tensor::AddRowBroadcastInPlace(const Tensor& row) {
   JARVIS_CHECK(row.rows_ == 1 && row.cols_ == cols_,
                "Tensor::AddRowBroadcastInPlace: shape mismatch: ",
@@ -235,12 +166,6 @@ void Tensor::AddRowBroadcastInPlace(const Tensor& row) {
       out_row[c] += row.data_[c];
     }
   }
-}
-
-Tensor Tensor::SumRows() const {
-  Tensor out(1, cols_);
-  SumRowsAccumulate(out);
-  return out;
 }
 
 void Tensor::SumRowsAccumulate(Tensor& out) const {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -32,12 +31,6 @@ class Tensor {
   Tensor() = default;
   Tensor(std::size_t rows, std::size_t cols, double fill = 0.0);
   Tensor(std::initializer_list<std::initializer_list<double>> rows);
-
-  // A 1xN row vector from values.
-  static Tensor Row(const std::vector<double>& values);
-  // An NxM matrix with every element drawn from the callback.
-  static Tensor Generate(std::size_t rows, std::size_t cols,
-                         const std::function<double()>& gen);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -77,16 +70,6 @@ class Tensor {
   // only when cols is unchanged (row-major layout).
   void Resize(std::size_t rows, std::size_t cols);
 
-  // Elementwise operations (shapes must match).
-  Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
-  Tensor& operator*=(double scalar);
-  Tensor operator*(double scalar) const;
-  // Hadamard (elementwise) product.
-  Tensor Hadamard(const Tensor& other) const;
-
-  Tensor Transposed() const;
-
   // out = this * other, written into a caller-owned tensor (resized, no
   // allocation once out has seen the shape). Contiguous inner loop over
   // out's columns; per output element the k-products accumulate in
@@ -96,33 +79,25 @@ class Tensor {
 
   // out = this * other^T without materializing the transpose: both operands
   // stream row-contiguously. Element (i, j) accumulates
-  // this(i, k) * other(j, k) in ascending-k order — exactly the order
-  // Transposed()-then-MatMul produced, so backprop's dInput stays
-  // bit-identical. `out` must not alias this or other.
+  // this(i, k) * other(j, k) in ascending-k order — the order a textbook
+  // multiply by the materialized transpose uses, so backprop's dInput is
+  // bit-identical to it. `out` must not alias this or other.
   void MatMulTransposedInto(const Tensor& other, Tensor& out) const;
 
   // out += this^T * other without materializing the transpose (the weight-
   // gradient kernel: this is the cached batch-major input, other the
   // batch-major upstream gradient). Element (i, j) accumulates
   // this(b, i) * other(b, j) in ascending-b order on top of out's current
-  // value; with out zeroed this matches Transposed().MatMul() bit-for-bit.
+  // value; with out zeroed this matches a textbook multiply by the
+  // materialized transpose bit-for-bit.
   // out must already be (this->cols x other.cols) and not alias either
   // operand.
   void TransposedMatMulAccumulate(const Tensor& other, Tensor& out) const;
 
-  // Applies f elementwise, returning a new tensor. std::function dispatch —
-  // test/tooling convenience, not a hot-path kernel (activations use the
-  // statically dispatched ApplyInPlace in neural/activation.h).
-  Tensor Map(const std::function<double(double)>& f) const;
-  void MapInPlace(const std::function<double(double)>& f);
-
   // Adds a 1xC row vector to every row (bias broadcast).
-  Tensor AddRowBroadcast(const Tensor& row) const;
   void AddRowBroadcastInPlace(const Tensor& row);
-  // Column-wise sum producing a 1xC row vector (bias gradient reduce).
-  Tensor SumRows() const;
-  // out += column-wise sums, accumulating rows in ascending order (the bias-
-  // gradient kernel; matches SumRows-then-+= bit-for-bit when out is zero).
+  // out += column-wise sums (out is 1xC), accumulating rows in ascending
+  // order: the bias-gradient reduce.
   void SumRowsAccumulate(Tensor& out) const;
 
   // this[i] *= other[i] elementwise (shapes must match).

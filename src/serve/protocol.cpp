@@ -26,7 +26,8 @@ std::optional<RequestType> RequestTypeFromName(const std::string& name) {
 }
 
 std::optional<Request> ParseRequest(const std::string& payload,
-                                    std::string* error) {
+                                    std::string* error, std::int64_t* id) {
+  if (id != nullptr) *id = 0;
   util::JsonValue doc;
   try {
     doc = util::JsonValue::Parse(payload);
@@ -47,6 +48,7 @@ std::optional<Request> ParseRequest(const std::string& payload,
       return std::nullopt;
     }
     request.id = id_it->second.AsInt();
+    if (id != nullptr) *id = request.id;
   }
   const auto type_it = object.find("type");
   if (type_it == object.end() || !type_it->second.is_string()) {
@@ -63,17 +65,6 @@ std::optional<Request> ParseRequest(const std::string& payload,
   request.type = *type;
   request.body = std::move(doc);
   return request;
-}
-
-std::int64_t SalvageRequestId(const std::string& payload) {
-  try {
-    const util::JsonValue doc = util::JsonValue::Parse(payload);
-    if (doc.is_object()) {
-      return static_cast<std::int64_t>(doc.GetNumber("id", 0.0));
-    }
-  } catch (const util::JsonError&) {
-  }
-  return 0;
 }
 
 std::string MakeOkResponse(std::int64_t id, util::JsonObject fields) {

@@ -59,14 +59,12 @@ struct Request {
 
 // Decodes a frame payload into a Request. Returns nullopt (and a
 // diagnostic in `error`) for anything that is not a JSON object with an
-// integer-free-or-present id and a known `type`. Never throws.
+// absent-or-numeric id and a known `type`. On a refusal, `id` (when
+// non-null) receives the request id if the payload carried a numeric one
+// before the field that failed (e.g. an unknown type), else 0: echoing it
+// lets the client correlate the error response. Never throws.
 std::optional<Request> ParseRequest(const std::string& payload,
-                                    std::string* error);
-
-// Best-effort id recovery from a payload ParseRequest rejected (e.g. an
-// unknown type that still carried an id): echoing it lets the client
-// correlate the error response. 0 when nothing salvageable. Never throws.
-std::int64_t SalvageRequestId(const std::string& payload);
+                                    std::string* error, std::int64_t* id);
 
 // Response builders (compact JSON, ready to frame).
 std::string MakeOkResponse(std::int64_t id, util::JsonObject fields);

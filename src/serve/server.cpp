@@ -94,12 +94,12 @@ ConnectionStats Server::Serve(FramedTransport& transport) {
     }
 
     std::string parse_error;
-    auto request = ParseRequest(payload, &parse_error);
+    std::int64_t parsed_id = 0;
+    auto request = ParseRequest(payload, &parse_error, &parsed_id);
     if (!request.has_value()) {
       ++stats.bad_requests;
       if (bad_requests_ != nullptr) bad_requests_->Increment();
-      WriteErrorNow(transport, SalvageRequestId(payload), kErrBadRequest,
-                    parse_error);
+      WriteErrorNow(transport, parsed_id, kErrBadRequest, parse_error);
       continue;
     }
 

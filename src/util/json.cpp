@@ -56,13 +56,6 @@ const JsonValue& JsonValue::At(const std::string& key) const {
   return it->second;
 }
 
-double JsonValue::GetNumber(const std::string& key, double fallback) const {
-  const auto& obj = AsObject();
-  auto it = obj.find(key);
-  if (it == obj.end() || !it->second.is_number()) return fallback;
-  return it->second.AsNumber();
-}
-
 bool JsonValue::operator==(const JsonValue& other) const {
   if (type_ != other.type_) return false;
   switch (type_) {

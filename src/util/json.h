@@ -80,8 +80,6 @@ class JsonValue {
 
   // Object field lookup; throws JsonError if absent or not an object.
   const JsonValue& At(const std::string& key) const;
-  // Returns fallback when the key is absent or not a number.
-  double GetNumber(const std::string& key, double fallback) const;
 
   // Serializes compactly (no whitespace). `indent` > 0 pretty-prints.
   std::string Dump(int indent = 0) const;

@@ -22,7 +22,7 @@ class GradientCheck
 
 double EvaluateLoss(Network& network, const Tensor& input,
                     const Tensor& target) {
-  return ComputeLoss(network.loss(), network.Predict(input), target);
+  return ComputeLoss(network.loss(), network.PredictBatch(input), target);
 }
 
 TEST_P(GradientCheck, BackpropMatchesFiniteDifferences) {
@@ -45,7 +45,8 @@ TEST_P(GradientCheck, BackpropMatchesFiniteDifferences) {
   for (auto& layer : layers) layer.ZeroGradients();
   Tensor activation_out = input;
   for (auto& layer : layers) activation_out = layer.Forward(activation_out);
-  Tensor grad = LossGradient(loss, activation_out, target);
+  Tensor grad;
+  LossGradientInto(loss, activation_out, target, grad);
   for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
     grad = it->Backward(grad);
   }
@@ -127,15 +128,16 @@ TEST(Losses, MaskedMseIgnoresMaskedElements) {
   const Tensor target{{0.0, 0.0}, {0.0, 0.0}};
   const Tensor mask{{1.0, 0.0}, {1.0, 0.0}};
   EXPECT_DOUBLE_EQ(MaskedMseLoss(pred, target, mask), (1.0 + 4.0) / 2.0);
-  const Tensor grad = MaskedMseGradient(pred, target, mask);
+  Tensor grad;
+  MaskedMseGradientInto(pred, target, mask, grad);
   EXPECT_DOUBLE_EQ(grad(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(grad(1, 1), 0.0);
   EXPECT_DOUBLE_EQ(grad(0, 0), 2.0 * 1.0 / 2.0);
   // All-zero mask: zero loss and zero gradient, no division by zero.
   const Tensor zero_mask(2, 2, 0.0);
   EXPECT_DOUBLE_EQ(MaskedMseLoss(pred, target, zero_mask), 0.0);
-  EXPECT_EQ(MaskedMseGradient(pred, target, zero_mask).data(),
-            std::vector<double>(4, 0.0));
+  MaskedMseGradientInto(pred, target, zero_mask, grad);
+  EXPECT_EQ(grad.data(), std::vector<double>(4, 0.0));
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <cstring>
 
 #include "neural/network.h"
-#include "neural/testing/reference_kernels.h"
+#include "reference_kernels.h"
 #include "util/rng.h"
 
 namespace jarvis::neural {
@@ -18,6 +18,7 @@ namespace {
 
 using testing::ReferenceMatMul;
 using testing::ReferenceModel;
+using testing::ReferenceTranspose;
 
 void ExpectBitEqual(const Tensor& actual, const Tensor& expected,
                     const std::string& what) {
@@ -33,8 +34,16 @@ void ExpectBitEqual(const Tensor& actual, const Tensor& expected,
 }
 
 Tensor RandomTensor(std::size_t rows, std::size_t cols, util::Rng& rng) {
-  return Tensor::Generate(rows, cols,
-                          [&] { return rng.NextUniform(-2.0, 2.0); });
+  Tensor t(rows, cols);
+  for (double& x : t.mutable_data()) x = rng.NextUniform(-2.0, 2.0);
+  return t;
+}
+
+// Replay-shaped mask: roughly one taken slot in three.
+Tensor RandomMask(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  Tensor t(rows, cols);
+  for (double& x : t.mutable_data()) x = rng.NextBool(1.0 / 3.0) ? 1.0 : 0.0;
+  return t;
 }
 
 TEST(KernelParity, MatMulIntoMatchesNaiveReference) {
@@ -59,14 +68,15 @@ TEST(KernelParity, TransposedKernelsMatchTransposeThenMultiply) {
   // out = grad_pre * weights^T (MatMulTransposedInto).
   Tensor grad_input;
   grad_pre.MatMulTransposedInto(weights, grad_input);
-  ExpectBitEqual(grad_input, ReferenceMatMul(grad_pre, weights.Transposed()),
+  ExpectBitEqual(grad_input,
+                 ReferenceMatMul(grad_pre, ReferenceTranspose(weights)),
                  "MatMulTransposedInto");
 
   // out += inputs^T * grad_pre from zero (TransposedMatMulAccumulate).
   Tensor grad_weights(24, 9, 0.0);
   inputs.TransposedMatMulAccumulate(grad_pre, grad_weights);
   ExpectBitEqual(grad_weights,
-                 ReferenceMatMul(inputs.Transposed(), grad_pre),
+                 ReferenceMatMul(ReferenceTranspose(inputs), grad_pre),
                  "TransposedMatMulAccumulate");
 }
 
@@ -87,7 +97,7 @@ TEST(KernelParity, ForwardBitIdenticalToReferenceAcrossBatchSizes) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{32},
                             std::size_t{128}}) {
     const Tensor input = RandomTensor(batch, 12, rng);
-    ExpectBitEqual(network.Predict(input), reference.Predict(input),
+    ExpectBitEqual(network.PredictBatch(input), reference.Predict(input),
                    "forward batch=" + std::to_string(batch));
   }
   // PredictOne rides the same kernels: row 0 of a 1-row batch.
@@ -150,9 +160,7 @@ TEST(KernelParity, TrainBatchMaskedTrajectoryBitIdentical) {
   for (int step = 0; step < 8; ++step) {
     const Tensor input = RandomTensor(32, 12, rng);
     const Tensor target = RandomTensor(32, 7, rng);
-    // Replay-shaped mask: roughly one taken slot in three.
-    const Tensor mask = Tensor::Generate(
-        32, 7, [&] { return rng.NextBool(1.0 / 3.0) ? 1.0 : 0.0; });
+    const Tensor mask = RandomMask(32, 7, rng);
     const double loss = network.TrainBatchMasked(input, target, mask);
     const double ref_loss = reference.TrainBatchMasked(input, target, mask);
     EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(double)), 0)
@@ -174,14 +182,13 @@ TEST(KernelParity, TrainCachedMaskedMatchesTrainBatchMasked) {
   for (int step = 0; step < 6; ++step) {
     const Tensor input = RandomTensor(32, 12, rng);
     const Tensor target = RandomTensor(32, 7, rng);
-    const Tensor mask = Tensor::Generate(
-        32, 7, [&] { return rng.NextBool(1.0 / 3.0) ? 1.0 : 0.0; });
+    const Tensor mask = RandomMask(32, 7, rng);
     const Tensor probe = RandomTensor(4, 12, rng);
 
     const double loss_two_pass = two_pass.TrainBatchMasked(input, target, mask);
 
     fast_path.ForwardForTraining(input);
-    fast_path.Predict(probe);  // bootstrap-style forward between the halves
+    fast_path.PredictBatch(probe);  // bootstrap-style forward in between
     const double loss_fast = fast_path.TrainCachedMasked(target, mask);
 
     EXPECT_EQ(std::memcmp(&loss_two_pass, &loss_fast, sizeof(double)), 0)
@@ -210,7 +217,7 @@ TEST(KernelParity, InterleavedPredictDoesNotPerturbTraining) {
   util::Rng rng(62);
   for (int step = 0; step < 4; ++step) {
     const Tensor probe = RandomTensor(5, 12, rng);
-    ExpectBitEqual(network.Predict(probe), reference.Predict(probe),
+    ExpectBitEqual(network.PredictBatch(probe), reference.Predict(probe),
                    "interleaved predict " + std::to_string(step));
     const Tensor input = RandomTensor(16, 12, rng);
     const Tensor target = RandomTensor(16, 7, rng);

@@ -26,7 +26,7 @@ TEST(Network, LearnsXorWithSgd) {
     loss = network.TrainBatch(inputs, targets);
   }
   EXPECT_LT(loss, 0.05);
-  const Tensor out = network.Predict(inputs);
+  const Tensor out = network.PredictBatch(inputs);
   EXPECT_LT(out(0, 0), 0.2);
   EXPECT_GT(out(1, 0), 0.8);
   EXPECT_GT(out(2, 0), 0.8);
@@ -75,14 +75,14 @@ TEST(Network, MaskedTrainingLeavesOtherHeadsUntouched) {
                   Loss::kMeanSquaredError, std::make_unique<Sgd>(0.1),
                   util::Rng(17));
   const Tensor input{{0.5, -0.5}};
-  const Tensor before = network.Predict(input);
+  const Tensor before = network.PredictBatch(input);
   // Train only output 1 toward a large value.
   Tensor target = before;
   target.At(0, 1) = 10.0;
   Tensor mask(1, 3, 0.0);
   mask.At(0, 1) = 1.0;
   for (int i = 0; i < 50; ++i) network.TrainBatchMasked(input, target, mask);
-  const Tensor after = network.Predict(input);
+  const Tensor after = network.PredictBatch(input);
   EXPECT_GT(after(0, 1), before(0, 1) + 1.0);
   // Heads 0 and 2 share the trunk so they may drift, but far less than the
   // trained head moved.
@@ -137,12 +137,12 @@ TEST(Network, ExportImportRoundTrip) {
             util::Rng(37));
   const Tensor input{{1.0, -1.0}};
   const auto saved = a.ExportParameters();
-  const double before = a.Predict(input)(0, 0);
+  const double before = a.PredictBatch(input)(0, 0);
   // Perturb by training, then restore.
   for (int i = 0; i < 20; ++i) a.TrainBatch(input, Tensor{{5.0}});
-  EXPECT_NE(a.Predict(input)(0, 0), before);
+  EXPECT_NE(a.PredictBatch(input)(0, 0), before);
   a.ImportParameters(saved);
-  EXPECT_DOUBLE_EQ(a.Predict(input)(0, 0), before);
+  EXPECT_DOUBLE_EQ(a.PredictBatch(input)(0, 0), before);
 }
 
 TEST(Network, JsonSerializationRoundTrip) {
@@ -154,8 +154,8 @@ TEST(Network, JsonSerializationRoundTrip) {
                               Loss::kMeanSquaredError,
                               std::make_unique<Adam>(0.01), util::Rng(99));
   const Tensor input{{0.2, 0.4, -0.6}};
-  const Tensor a = original.Predict(input);
-  const Tensor b = restored.Predict(input);
+  const Tensor a = original.PredictBatch(input);
+  const Tensor b = restored.PredictBatch(input);
   ASSERT_TRUE(a.SameShape(b));
   for (std::size_t c = 0; c < a.cols(); ++c) {
     EXPECT_DOUBLE_EQ(a(0, c), b(0, c));
@@ -170,7 +170,7 @@ TEST(Network, PredictOneMatchesBatchPredict) {
                   util::Rng(43));
   const std::vector<double> x = {0.3, 0.7};
   const auto single = network.PredictOne(x);
-  const auto batch = network.Predict(Tensor::Row(x));
+  const auto batch = network.PredictBatch(Tensor{{x[0], x[1]}});
   ASSERT_EQ(single.size(), 2u);
   EXPECT_DOUBLE_EQ(single[0], batch(0, 0));
   EXPECT_DOUBLE_EQ(single[1], batch(0, 1));

@@ -42,10 +42,10 @@ Network FromText(const std::string& text, Loss loss,
 
 void TrainALittle(Network& network, std::uint64_t seed) {
   jarvis::util::Rng rng(seed);
-  Tensor inputs = Tensor::Generate(24, network.input_features(),
-                                   [&rng] { return rng.NextGaussian(); });
-  Tensor targets = Tensor::Generate(24, network.output_features(),
-                                    [&rng] { return rng.NextDouble(); });
+  Tensor inputs(24, network.input_features());
+  for (double& x : inputs.mutable_data()) x = rng.NextGaussian();
+  Tensor targets(24, network.output_features());
+  for (double& x : targets.mutable_data()) x = rng.NextDouble();
   for (int epoch = 0; epoch < 3; ++epoch) {
     network.TrainEpoch(inputs, targets, 8);
   }
@@ -117,10 +117,10 @@ TEST(NeuralSerialize, SecondSerializationIsStable) {
 // optimizer state, which is exactly what the round trip must preserve.
 void ResumeTraining(Network& network, int steps) {
   int k = 0;
-  const Tensor input = Tensor::Generate(
-      1, network.input_features(), [&k] { return 0.1 * ++k; });
-  const Tensor target = Tensor::Generate(
-      1, network.output_features(), [&k] { return 0.05 * ++k; });
+  Tensor input(1, network.input_features());
+  for (double& x : input.mutable_data()) x = 0.1 * ++k;
+  Tensor target(1, network.output_features());
+  for (double& x : target.mutable_data()) x = 0.05 * ++k;
   for (int step = 0; step < steps; ++step) {
     network.TrainEpoch(input, target, 1);
   }

@@ -78,7 +78,7 @@ class DispatcherTest : public ::testing::Test {
   static util::JsonValue Call(Dispatcher& dispatcher,
                               const std::string& payload) {
     std::string error;
-    const std::optional<Request> request = ParseRequest(payload, &error);
+    const std::optional<Request> request = ParseRequest(payload, &error, nullptr);
     EXPECT_TRUE(request.has_value()) << payload << ": " << error;
     if (!request.has_value()) return util::JsonValue();
     return util::JsonValue::Parse(dispatcher.Dispatch(*request));

@@ -169,13 +169,10 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(text.AsBool(), JsonError);
 }
 
-TEST(Json, MissingKeyThrowsAndFallbacksWork) {
+TEST(Json, MissingKeyThrows) {
   const auto doc = JsonValue::Parse(R"({"a": 1, "s": "x"})");
   EXPECT_THROW(doc.At("missing"), JsonError);
-  EXPECT_DOUBLE_EQ(doc.GetNumber("a", -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(doc.GetNumber("missing", -1.0), -1.0);
-  // Wrong-typed field also falls back.
-  EXPECT_DOUBLE_EQ(doc.GetNumber("s", -1.0), -1.0);
+  EXPECT_DOUBLE_EQ(doc.At("a").AsNumber(), 1.0);
 }
 
 TEST(Json, EmptyContainers) {

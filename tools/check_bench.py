@@ -3,26 +3,12 @@
 
 Reads a freshly produced bench JSON (file argument or stdin), dispatches
 on its `bench` field, and compares it against the committed baseline in
-bench/baselines/ (overridable with --baseline):
+bench/baselines/ (overridable with --baseline).
 
-`bench` == "kernels" (bench/bench_kernels):
-  1. Schema: every case carries name / unit / old_per_sec / new_per_sec /
-     speedup, throughputs are positive, and the recorded speedup matches
-     new_per_sec / old_per_sec.
-  2. Gate (FAILS the build): each baseline case must be present, and its
-     fresh speedup must be at least GATE_FRACTION (0.75) of the baseline
-     speedup. The speedup column is an old-vs-new A/B measured in the same
-     process within interleaved windows, so it transfers across machines —
-     a drop means the optimized kernels regressed relative to the naive
-     reference, not that the runner is slow.
-  3. Advisory (warns only): absolute new-path throughput below half the
-     baseline. CI runners differ wildly in clock speed and contention, so
-     absolute rows/sec never fails the gate.
-
-`bench` == "lifecycle" (bench/bench_lifecycle), `bench` == "serve"
-(bench/bench_serve), and `bench` == "fleet" (bench/bench_fleet — the
-per-tenant suggest sweep and the trained-fleet e2e case: query/answer
-conservation and exact-parity verdicts) share one deterministic shape:
+Every kind — `bench` == "lifecycle" (bench/bench_lifecycle), "serve"
+(bench/bench_serve) and "fleet" (bench/bench_fleet — the per-tenant
+suggest sweep and the trained-fleet e2e case: query/answer conservation
+and exact-parity verdicts) — shares one deterministic shape:
   1. Schema: every case carries name plus a `deterministic` object (int
      outcomes — lifecycle: episodes skipped by warm start, violations,
      checkpoint save/restore counts, result parity; serve: request /
@@ -37,28 +23,20 @@ conservation and exact-parity verdicts) share one deterministic shape:
      baseline. Latency never fails the gate.
 
 Exit status 0 when the gate passes; 1 with a readable report otherwise.
-Wired into CI right after the `bench_kernels --smoke`,
-`bench_lifecycle --smoke`, `bench_serve --smoke`, and
-`bench_fleet --smoke` runs.
+Wired into CI right after the `bench_lifecycle --smoke`,
+`bench_serve --smoke`, and `bench_fleet --smoke` runs.
 """
 
 import json
 import sys
 
-GATE_FRACTION = 0.75
-ABSOLUTE_WARN_FRACTION = 0.5
 ADVISORY_WARN_FACTOR = 2.0
 
 DEFAULT_BASELINES = {
-    "kernels": "bench/baselines/BENCH_kernels.json",
     "lifecycle": "bench/baselines/BENCH_lifecycle.json",
     "serve": "bench/baselines/BENCH_serve.json",
     "fleet": "bench/baselines/BENCH_fleet.json",
 }
-
-# Bench kinds gated on exact deterministic outcomes (vs the kernels
-# speedup-ratio gate). All share the deterministic/advisory case shape.
-DETERMINISTIC_KINDS = frozenset({"lifecycle", "serve", "fleet"})
 
 # Cases that must exist in BOTH the fresh results and the baseline. The
 # exact-match gate only covers cases the baseline already names, so a
@@ -67,14 +45,6 @@ DETERMINISTIC_KINDS = frozenset({"lifecycle", "serve", "fleet"})
 REQUIRED_CASES = {
     "fleet": frozenset({"sweep_t1", "sweep_t4", "sweep_t16", "sweep_t64",
                         "fleet_suggest_e2e"}),
-}
-
-CASE_FIELDS = {
-    "name": str,
-    "unit": str,
-    "old_per_sec": (int, float),
-    "new_per_sec": (int, float),
-    "speedup": (int, float),
 }
 
 
@@ -91,41 +61,7 @@ def load(path):
         return json.load(handle)
 
 
-def validate_schema(doc, label, errors, kind="kernels"):
-    if doc.get("bench") != kind:
-        errors.append(f"{label}: bench != {kind!r}")
-        return {}
-    cases = doc.get("cases")
-    if not isinstance(cases, list) or not cases:
-        errors.append(f"{label}: missing or empty 'cases'")
-        return {}
-    by_name = {}
-    for case in cases:
-        for field, types in CASE_FIELDS.items():
-            if not isinstance(case.get(field), types):
-                errors.append(f"{label}: case {case.get('name')!r}: bad "
-                              f"field {field!r}: {case.get(field)!r}")
-                break
-        else:
-            name = case["name"]
-            if name in by_name:
-                errors.append(f"{label}: duplicate case {name!r}")
-                continue
-            if case["old_per_sec"] <= 0 or case["new_per_sec"] <= 0:
-                errors.append(f"{label}: case {name!r}: non-positive "
-                              "throughput")
-                continue
-            implied = case["new_per_sec"] / case["old_per_sec"]
-            if abs(implied - case["speedup"]) > 1e-6 * max(implied, 1.0):
-                errors.append(f"{label}: case {name!r}: speedup "
-                              f"{case['speedup']:.4f} != new/old "
-                              f"{implied:.4f}")
-                continue
-            by_name[name] = case
-    return by_name
-
-
-def validate_deterministic_schema(doc, label, errors, kind):
+def validate_schema(doc, label, errors, kind):
     if doc.get("bench") != kind:
         errors.append(f"{label}: bench != {kind!r}")
         return {}
@@ -196,31 +132,6 @@ def gate_deterministic(fresh, baseline, errors):
                       file=sys.stderr)
 
 
-def gate_kernels(fresh, baseline, errors):
-    for name, base_case in sorted(baseline.items()):
-        fresh_case = fresh.get(name)
-        if fresh_case is None:
-            errors.append(f"case {name!r} present in baseline but missing "
-                          "from fresh results")
-            continue
-        floor = base_case["speedup"] * GATE_FRACTION
-        status = "ok" if fresh_case["speedup"] >= floor else "REGRESSED"
-        print(f"check_bench: {name}: speedup {fresh_case['speedup']:.2f}x "
-              f"(baseline {base_case['speedup']:.2f}x, floor {floor:.2f}x) "
-              f"{status}")
-        if fresh_case["speedup"] < floor:
-            errors.append(
-                f"case {name!r}: speedup {fresh_case['speedup']:.2f}x fell "
-                f"below {GATE_FRACTION:.0%} of baseline "
-                f"{base_case['speedup']:.2f}x")
-        if (fresh_case["new_per_sec"]
-                < ABSOLUTE_WARN_FRACTION * base_case["new_per_sec"]):
-            print(f"check_bench: WARN: {name}: absolute throughput "
-                  f"{fresh_case['new_per_sec']:.0f}/sec is below half the "
-                  f"baseline {base_case['new_per_sec']:.0f}/sec "
-                  "(advisory only: runners differ)", file=sys.stderr)
-
-
 def main(argv):
     fresh_path = "-"
     baseline_path = None
@@ -250,14 +161,8 @@ def main(argv):
     except (OSError, json.JSONDecodeError) as err:
         return fail([f"cannot read baseline {baseline_path!r}: {err}"])
 
-    if kind in DETERMINISTIC_KINDS:
-        fresh = validate_deterministic_schema(fresh_doc, "fresh", errors,
-                                              kind)
-        baseline = validate_deterministic_schema(baseline_doc, "baseline",
-                                                 errors, kind)
-    else:
-        fresh = validate_schema(fresh_doc, "fresh", errors)
-        baseline = validate_schema(baseline_doc, "baseline", errors)
+    fresh = validate_schema(fresh_doc, "fresh", errors, kind)
+    baseline = validate_schema(baseline_doc, "baseline", errors, kind)
     for required in sorted(REQUIRED_CASES.get(kind, ())):
         for label, cases in (("fresh", fresh), ("baseline", baseline)):
             if required not in cases:
@@ -266,10 +171,7 @@ def main(argv):
     if errors:
         return fail(errors)
 
-    if kind in DETERMINISTIC_KINDS:
-        gate_deterministic(fresh, baseline, errors)
-    else:
-        gate_kernels(fresh, baseline, errors)
+    gate_deterministic(fresh, baseline, errors)
 
     if errors:
         return fail(errors)

@@ -31,7 +31,7 @@ jarvis_perfbench. It fails on:
 Allowlist lines (tools/reachability_allow.txt) are
 `<demangled symbol>  # (<a|c>) <reason>`; `#` lines are comments:
 
-  (a) safety code (assertions, fault fakes, reference oracles);
+  (a) safety code (assertions, reference oracles);
   (c) a test-facing observer or constructor, naming the test that uses it
       to check behaviour a shipped binary runs.
 
