@@ -6,6 +6,17 @@
 
 namespace jarvis::neural {
 
+namespace {
+
+// The forward kernels trust `weights_finite` instead of rescanning.
+void DcheckWeightsFiniteFlag(const Tensor& weights, bool weights_finite) {
+  JARVIS_DCHECK(weights_finite == AllFinite(weights),
+                "DenseLayer: weights_finite flag is stale (a weight write "
+                "skipped RefreshWeightsFinite)");
+}
+
+}  // namespace
+
 DenseLayer::DenseLayer(std::size_t in_features, std::size_t out_features,
                        Activation activation, jarvis::util::Rng& rng)
     : activation_(activation),
@@ -24,11 +35,19 @@ DenseLayer::DenseLayer(std::size_t in_features, std::size_t out_features,
   for (double& w : weights_.mutable_data()) {
     w = rng.NextUniform(-limit, limit);
   }
+  RefreshWeightsFinite();
+}
+
+void DenseLayer::SetParameters(const Tensor& weights, const Tensor& biases) {
+  weights_ = weights;
+  biases_ = biases;
+  RefreshWeightsFinite();
 }
 
 const Tensor& DenseLayer::Forward(const Tensor& input) {
+  DcheckWeightsFiniteFlag(weights_, weights_finite_);
   cached_input_ = input;  // copy-assign reuses capacity: no steady-state alloc
-  input.MatMulInto(weights_, cached_output_);
+  input.MatMulInto(weights_, cached_output_, weights_finite_);
   cached_output_.AddRowBroadcastInPlace(biases_);
   ApplyInPlace(activation_, cached_output_);
   has_cache_ = true;
@@ -36,12 +55,13 @@ const Tensor& DenseLayer::Forward(const Tensor& input) {
 }
 
 void DenseLayer::InferInto(const Tensor& input, Tensor& out) const {
-  input.MatMulInto(weights_, out);
+  DcheckWeightsFiniteFlag(weights_, weights_finite_);
+  input.MatMulInto(weights_, out, weights_finite_);
   out.AddRowBroadcastInPlace(biases_);
   ApplyInPlace(activation_, out);
 }
 
-const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
+void DenseLayer::AccumulateGradients(const Tensor& grad_output) {
   JARVIS_CHECK(has_cache_, "DenseLayer::Backward without Forward");
   // dL/dz = dL/dy * act'(z), expressed via the cached activated output.
   // (deriv * grad and grad * deriv round identically, so computing the
@@ -54,6 +74,10 @@ const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
   // transposed products and adding.
   cached_input_.TransposedMatMulAccumulate(grad_pre_, grad_weights_);
   grad_pre_.SumRowsAccumulate(grad_biases_);
+}
+
+const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
+  AccumulateGradients(grad_output);
   grad_pre_.MatMulTransposedInto(weights_, grad_input_);
   return grad_input_;
 }

@@ -33,13 +33,17 @@ class DenseLayer {
   // seen the shape). `out` must not alias `input`.
   void InferInto(const Tensor& input, Tensor& out) const;
 
-  // Consumes dLoss/dOutput, accumulates parameter gradients on top of
+  // Consumes dLoss/dOutput and accumulates parameter gradients on top of
   // their current contents (zeroed by the optimizer step or by
-  // ZeroGradients — callers driving Backward by hand must zero first), and
-  // returns
-  // dLoss/dInput for the upstream layer (a reference into layer scratch,
-  // valid until the next Backward on this layer). Must follow a Forward
-  // call; `grad_output` must not alias this layer's scratch.
+  // ZeroGradients — callers driving it by hand must zero first). Must
+  // follow a Forward call; `grad_output` must not alias this layer's
+  // scratch. The first layer of a Network stops here: nothing reads its
+  // dLoss/dInput.
+  void AccumulateGradients(const Tensor& grad_output);
+
+  // AccumulateGradients, then returns dLoss/dInput for the upstream layer
+  // (a reference into layer scratch, valid until the next Backward on this
+  // layer).
   const Tensor& Backward(const Tensor& grad_output);
 
   void ZeroGradients();
@@ -53,7 +57,15 @@ class DenseLayer {
   bool has_cache() const { return has_cache_; }
   const Tensor& cached_output() const { return cached_output_; }
 
-  Tensor& weights() { return weights_; }
+  // Weight writes go through SetParameters or through mutable_weights
+  // followed by RefreshWeightsFinite: the forward kernels skip zero inputs
+  // only while the weights are all finite, so the flag must never be stale
+  // (Forward and InferInto JARVIS_DCHECK it against a fresh scan).
+  void SetParameters(const Tensor& weights, const Tensor& biases);
+  Tensor& mutable_weights() { return weights_; }
+  void RefreshWeightsFinite() { weights_finite_ = AllFinite(weights_); }
+  bool weights_finite() const { return weights_finite_; }
+
   Tensor& biases() { return biases_; }
   const Tensor& weights() const { return weights_; }
   const Tensor& biases() const { return biases_; }
@@ -78,6 +90,7 @@ class DenseLayer {
   Tensor grad_pre_;      // batch x out (dLoss/dPreActivation)
   Tensor grad_input_;    // batch x in  (dLoss/dInput, the return value)
   bool has_cache_ = false;
+  bool weights_finite_ = true;  // AllFinite(weights_), see SetParameters
 };
 
 }  // namespace jarvis::neural

@@ -78,11 +78,14 @@ const Tensor& Network::ForwardCached(const Tensor& input) {
 
 void Network::BackwardAndStep(const Tensor& grad_output) {
   // Gradient references walk backward through layer-owned scratch: layer N's
-  // dInput is layer N-1's dOutput, with no intermediate copies.
+  // dInput is layer N-1's dOutput, with no intermediate copies. The first
+  // layer's dInput (the gradient with respect to the network input) has no
+  // reader, so that layer only accumulates its parameter gradients.
   const Tensor* grad = &grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = &it->Backward(*grad);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = &layers_[i].Backward(*grad);
   }
+  layers_.front().AccumulateGradients(*grad);
   optimizer_->Step(layers_);
 }
 
@@ -175,8 +178,7 @@ void Network::ImportParameters(
     JARVIS_CHECK(params[i].first.SameShape(layers_[i].weights()) &&
                      params[i].second.SameShape(layers_[i].biases()),
                  "ImportParameters: shape mismatch");
-    layers_[i].weights() = params[i].first;
-    layers_[i].biases() = params[i].second;
+    layers_[i].SetParameters(params[i].first, params[i].second);
   }
 }
 

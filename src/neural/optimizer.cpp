@@ -96,16 +96,17 @@ void Sgd::Step(std::vector<DenseLayer>& layers) {
   for (std::size_t i = 0; i < layers.size(); ++i) {
     auto& layer = layers[i];
     if (momentum_ > 0.0) {
-      ApplyMomentumStep(layer.weights(), layer.weight_gradients(),
+      ApplyMomentumStep(layer.mutable_weights(), layer.weight_gradients(),
                         weight_velocity_[i], momentum_, learning_rate_);
       ApplyMomentumStep(layer.biases(), layer.bias_gradients(),
                         bias_velocity_[i], momentum_, learning_rate_);
     } else {
-      ApplyScaledGradient(layer.weights(), layer.weight_gradients(),
+      ApplyScaledGradient(layer.mutable_weights(), layer.weight_gradients(),
                           learning_rate_);
       ApplyScaledGradient(layer.biases(), layer.bias_gradients(),
                           learning_rate_);
     }
+    layer.RefreshWeightsFinite();
     layer.ZeroGradients();
   }
 }
@@ -210,9 +211,10 @@ void Adam::Step(std::vector<DenseLayer>& layers) {
 
   for (std::size_t i = 0; i < layers.size(); ++i) {
     auto& layer = layers[i];
-    apply(layer.weights(), layer.weight_gradients(), m_weights_[i],
+    apply(layer.mutable_weights(), layer.weight_gradients(), m_weights_[i],
           v_weights_[i]);
     apply(layer.biases(), layer.bias_gradients(), m_biases_[i], v_biases_[i]);
+    layer.RefreshWeightsFinite();
     layer.ZeroGradients();
   }
 }

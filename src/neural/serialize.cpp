@@ -102,10 +102,9 @@ Network FromJson(const JsonValue& doc, Loss loss,
   }
   Network network(input_features, specs, loss, std::move(optimizer), rng);
   for (std::size_t i = 0; i < layer_docs.size(); ++i) {
-    network.mutable_layers()[i].weights() =
-        TensorFromJson(layer_docs[i].At("weights"));
-    network.mutable_layers()[i].biases() =
-        TensorFromJson(layer_docs[i].At("biases"));
+    network.mutable_layers()[i].SetParameters(
+        TensorFromJson(layer_docs[i].At("weights")),
+        TensorFromJson(layer_docs[i].At("biases")));
   }
   if (doc.AsObject().count("optimizer") != 0) {
     const JsonValue& opt_doc = doc.At("optimizer");

@@ -1,6 +1,7 @@
 #include "neural/tensor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.h"
 
@@ -56,7 +57,8 @@ void Tensor::CheckShape(const Tensor& other, const char* op) const {
                ShapeString(), " vs ", other.ShapeString());
 }
 
-void Tensor::MatMulInto(const Tensor& other, Tensor& out) const {
+void Tensor::MatMulInto(const Tensor& other, Tensor& out,
+                        bool other_finite) const {
   JARVIS_CHECK_EQ(cols_, other.rows_, "Tensor::MatMulInto: inner dims ",
                   ShapeString(), " vs ", other.ShapeString());
   JARVIS_DCHECK(&out != this && &out != &other,
@@ -65,9 +67,9 @@ void Tensor::MatMulInto(const Tensor& other, Tensor& out) const {
   out.Fill(0.0);
   // i-k-j order: the inner loop streams both the rhs row and the out row
   // contiguously, and each out element still receives its k-products in
-  // ascending-k order (the bit-identity invariant). No zero-operand skip:
-  // 0 * inf and 0 * NaN must propagate NaN per IEEE 754 so divergence is
-  // visible downstream (the poisoned-replay detector relies on it).
+  // ascending-k order (the bit-identity invariant). A zero lhs is skipped
+  // only under a finite rhs (the exact skip, tensor.h); a NaN lhs never
+  // compares equal to 0.0, so it is never skipped.
   // __restrict matches the alias DCHECK above and lets the lane-wise
   // vectorizer run without runtime alias versioning.
   for (std::size_t i = 0; i < rows_; ++i) {
@@ -75,6 +77,7 @@ void Tensor::MatMulInto(const Tensor& other, Tensor& out) const {
     double* __restrict out_row = &out.data_[i * other.cols_];
     for (std::size_t k = 0; k < cols_; ++k) {
       const double lhs = lhs_row[k];
+      if (other_finite && lhs == 0.0) continue;
       const double* __restrict rhs_row = &other.data_[k * other.cols_];
       for (std::size_t j = 0; j < other.cols_; ++j) {
         out_row[j] += lhs * rhs_row[j];
@@ -142,12 +145,16 @@ void Tensor::TransposedMatMulAccumulate(const Tensor& other,
                 "Tensor::TransposedMatMulAccumulate: out aliases an operand");
   // b-i-j order: element (i, j) accumulates this(b, i) * other(b, j) in
   // ascending-b order on top of out — with out zeroed this is bit-identical
-  // to materializing the transpose, multiplying, and adding.
+  // to materializing the transpose, multiplying, and adding. The zero skip
+  // follows MatMulInto's rule; other is the per-batch upstream gradient, so
+  // its finiteness is checked here rather than carried by the caller.
+  const bool skip_zeros = AllFinite(other);
   for (std::size_t b = 0; b < rows_; ++b) {
     const double* __restrict lhs_row = &data_[b * cols_];
     const double* __restrict rhs_row = &other.data_[b * other.cols_];
     for (std::size_t i = 0; i < cols_; ++i) {
       const double lhs = lhs_row[i];
+      if (skip_zeros && lhs == 0.0) continue;
       double* __restrict out_row = &out.data_[i * other.cols_];
       for (std::size_t j = 0; j < other.cols_; ++j) {
         out_row[j] += lhs * rhs_row[j];
@@ -190,6 +197,11 @@ void Tensor::Fill(double value) { std::fill(data_.begin(), data_.end(), value); 
 
 std::string Tensor::ShapeString() const {
   return "[" + std::to_string(rows_) + "x" + std::to_string(cols_) + "]";
+}
+
+bool AllFinite(const Tensor& t) {
+  return std::all_of(t.data().begin(), t.data().end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 }  // namespace jarvis::neural

@@ -12,8 +12,12 @@
 // PredictBatch) and the refactored kernels bit-identical to the naive
 // reference loops (tests/neural_kernels_test.cpp).
 //
-// IEEE semantics are honored: there is no zero-operand shortcut, so
-// 0 * inf and 0 * NaN propagate NaN instead of silently contributing 0 —
+// Zero skip, exact by construction (DESIGN.md §12): MatMulInto and
+// TransposedMatMulAccumulate skip a left operand that is == 0.0 only when
+// the right operand is entirely finite. Then every skipped product is ±0,
+// and adding ±0 to an accumulator that started at +0.0 leaves it unchanged,
+// so results stay bit-identical to the dense loop. A non-finite right
+// operand turns the skip off, so 0 * inf and 0 * NaN still propagate NaN —
 // divergence in the DQN surfaces in its outputs rather than being masked.
 #pragma once
 
@@ -74,8 +78,11 @@ class Tensor {
   // allocation once out has seen the shape). Contiguous inner loop over
   // out's columns; per output element the k-products accumulate in
   // ascending-k order from +0.0 — the bit-identity invariant.
-  // `out` must not alias this or other.
-  void MatMulInto(const Tensor& other, Tensor& out) const;
+  // `other_finite` must say whether every element of other is finite
+  // (AllFinite(other)); when it is true, zero elements of this are skipped.
+  // The caller passes it so a forward over fixed weights need not rescan
+  // them (DenseLayer keeps the answer). `out` must not alias this or other.
+  void MatMulInto(const Tensor& other, Tensor& out, bool other_finite) const;
 
   // out = this * other^T without materializing the transpose: both operands
   // stream row-contiguously. Element (i, j) accumulates
@@ -89,7 +96,10 @@ class Tensor {
   // batch-major upstream gradient). Element (i, j) accumulates
   // this(b, i) * other(b, j) in ascending-b order on top of out's current
   // value; with out zeroed this matches a textbook multiply by the
-  // materialized transpose bit-for-bit.
+  // materialized transpose bit-for-bit. Zero elements of this are skipped
+  // when other is entirely finite (checked here, O(batch x out)); that is
+  // exact as long as out holds no -0.0, which no accumulator that started
+  // at +0.0 can.
   // out must already be (this->cols x other.cols) and not alias either
   // operand.
   void TransposedMatMulAccumulate(const Tensor& other, Tensor& out) const;
@@ -117,5 +127,9 @@ class Tensor {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+// True when no element is NaN or infinite: the condition under which the
+// kernels may skip a zero left operand.
+bool AllFinite(const Tensor& t);
 
 }  // namespace jarvis::neural

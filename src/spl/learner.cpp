@@ -35,6 +35,7 @@ void SafetyPolicyLearner::SetMetrics(obs::Registry* registry) {
     classify_safe_counter_ = nullptr;
     classify_benign_counter_ = nullptr;
     classify_violation_counter_ = nullptr;
+    ann_train_timer_ = nullptr;
     return;
   }
   episodes_offered_counter_ =
@@ -50,6 +51,7 @@ void SafetyPolicyLearner::SetMetrics(obs::Registry* registry) {
   classify_benign_counter_ =
       registry->GetCounter("spl.classify.benign_anomaly");
   classify_violation_counter_ = registry->GetCounter("spl.classify.violation");
+  ann_train_timer_ = registry->GetTimerUs("spl.learner.ann_train_us");
 }
 
 void SafetyPolicyLearner::Learn(
@@ -83,6 +85,7 @@ void SafetyPolicyLearner::Learn(
           "SafetyPolicyLearner::Learn: ANN filter enabled but no labeled "
           "training data");
     }
+    obs::ScopedTimer timer(ann_train_timer_);
     filter_.Train(labeled);
   }
 

@@ -105,7 +105,9 @@ class SafetyPolicyLearner {
 
   // Wires spl.learner.* counters (episodes offered/used/skipped,
   // observations, anomalies filtered, ANN epochs) bumped per Learn call,
-  // and spl.classify.* verdict counters bumped per ClassifyMini (the
+  // the spl.learner.ann_train_us timer around the ANN filter's training
+  // (the share of Learn the dense kernels take), and spl.classify.* verdict
+  // counters bumped per ClassifyMini (the
   // deployment-phase detection statistic behind the paper's 214-violation
   // claim — includes the mask-construction probes IoTEnv issues while
   // training). Null disables.
@@ -137,6 +139,7 @@ class SafetyPolicyLearner {
   obs::Counter* classify_safe_counter_ = nullptr;
   obs::Counter* classify_benign_counter_ = nullptr;
   obs::Counter* classify_violation_counter_ = nullptr;
+  obs::Histogram* ann_train_timer_ = nullptr;
 };
 
 }  // namespace jarvis::spl

@@ -67,7 +67,7 @@ TEST_P(GradientCheck, BackpropMatchesFiniteDifferences) {
             << "layer " << li << " param " << i;
       }
     };
-    check_tensor(layers[li].weights(), layers[li].weight_gradients());
+    check_tensor(layers[li].mutable_weights(), layers[li].weight_gradients());
     check_tensor(layers[li].biases(), layers[li].bias_gradients());
   }
 }

@@ -7,7 +7,9 @@
 // comparison below is exact (memcmp on the raw doubles, not a tolerance).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "neural/network.h"
 #include "reference_kernels.h"
@@ -54,7 +56,7 @@ TEST(KernelParity, MatMulIntoMatchesNaiveReference) {
     const Tensor a = RandomTensor(shape[0], shape[1], rng);
     const Tensor b = RandomTensor(shape[1], shape[2], rng);
     Tensor out;
-    a.MatMulInto(b, out);
+    a.MatMulInto(b, out, AllFinite(b));
     ExpectBitEqual(out, ReferenceMatMul(a, b), "MatMulInto");
   }
 }
@@ -90,10 +92,21 @@ Network MakeDqnShapedNetwork(double lr, double momentum, std::uint64_t seed) {
                  util::Rng(seed));
 }
 
+// Fresh layers have all-zero biases, which would hide a bias-broadcast bug;
+// every bias gets a random value through ImportParameters first.
+void RandomizeBiases(Network& network, util::Rng& rng) {
+  auto params = network.ExportParameters();
+  for (auto& [weights, biases] : params) {
+    for (double& b : biases.mutable_data()) b = rng.NextUniform(-1.0, 1.0);
+  }
+  network.ImportParameters(params);
+}
+
 TEST(KernelParity, ForwardBitIdenticalToReferenceAcrossBatchSizes) {
-  const Network network = MakeDqnShapedNetwork(0.01, 0.0, 47);
-  const ReferenceModel reference = ReferenceModel::FromNetwork(network, 0.01);
+  Network network = MakeDqnShapedNetwork(0.01, 0.0, 47);
   util::Rng rng(48);
+  RandomizeBiases(network, rng);
+  const ReferenceModel reference = ReferenceModel::FromNetwork(network, 0.01);
   for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{32},
                             std::size_t{128}}) {
     const Tensor input = RandomTensor(batch, 12, rng);
@@ -226,6 +239,193 @@ TEST(KernelParity, InterleavedPredictDoesNotPerturbTraining) {
     ExpectParametersBitEqual(network, reference,
                              "interleaved step " + std::to_string(step));
   }
+}
+
+// A sparse operand in the patterns the pipeline feeds the kernels: one-hot
+// rows (the ANN's (state, mini-action, time) encoding), all-zero rows
+// (replay's done rows), zero columns (inactive ReLU units), -0.0 entries and
+// sparse random rows.
+Tensor SparseTensor(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  Tensor t(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    switch (r % 4) {
+      case 0:  // sparse random row (a batch of one gets this)
+        for (std::size_t c = 0; c < cols; ++c) {
+          if (rng.NextBool(0.2)) t.At(r, c) = rng.NextUniform(-2.0, 2.0);
+        }
+        break;
+      case 1:  // one-hot row
+        t.At(r, rng.NextIndex(cols)) = 1.0;
+        break;
+      case 2:  // all-zero row
+        break;
+      default:  // dense row with -0.0 holes
+        for (std::size_t c = 0; c < cols; ++c) {
+          t.At(r, c) = rng.NextBool(0.3) ? -0.0 : rng.NextUniform(-2.0, 2.0);
+        }
+    }
+  }
+  for (std::size_t c = 0; c < cols; c += 5) {  // dead ReLU units
+    for (std::size_t r = 0; r < rows; ++r) t.At(r, c) = (r % 2) ? -0.0 : 0.0;
+  }
+  return t;
+}
+
+// Shapes (batch, in, out) of the kernels' callers: the ANN filter's
+// 88 -> 32 hidden layer at batch 64, and the DQN's 44 -> 64 -> 64 -> 49
+// stack at batch 32 and at batch 1 (a suggest).
+constexpr std::size_t kPipelineShapes[][3] = {
+    {64, 88, 32}, {32, 44, 64}, {32, 64, 64}, {32, 64, 49}, {1, 44, 64}};
+
+TEST(KernelParity, MatMulIntoSkipsZerosBitIdenticallyOnSparseOperands) {
+  util::Rng rng(71);
+  for (const auto& shape : kPipelineShapes) {
+    const Tensor a = SparseTensor(shape[0], shape[1], rng);
+    const Tensor b = RandomTensor(shape[1], shape[2], rng);
+    const Tensor expected = ReferenceMatMul(a, b);
+    for (bool finite : {true, false}) {
+      Tensor out;
+      a.MatMulInto(b, out, finite);
+      ExpectBitEqual(out, expected,
+                     "MatMulInto " + std::to_string(shape[0]) + "x" +
+                         std::to_string(shape[1]) + "x" +
+                         std::to_string(shape[2]) +
+                         (finite ? " skip" : " dense"));
+    }
+  }
+}
+
+TEST(KernelParity, TransposedMatMulAccumulateSkipsZerosBitIdentically) {
+  util::Rng rng(73);
+  for (const auto& shape : kPipelineShapes) {
+    const Tensor inputs = SparseTensor(shape[0], shape[1], rng);
+    // The upstream gradient is sparse too: ReLU derivatives and the replay
+    // mask zero most of it.
+    const Tensor grad_pre = SparseTensor(shape[0], shape[2], rng);
+    Tensor grad_weights(shape[1], shape[2], 0.0);
+    inputs.TransposedMatMulAccumulate(grad_pre, grad_weights);
+    ExpectBitEqual(grad_weights,
+                   ReferenceMatMul(ReferenceTranspose(inputs), grad_pre),
+                   "TransposedMatMulAccumulate " + std::to_string(shape[0]) +
+                       "x" + std::to_string(shape[1]) + "x" +
+                       std::to_string(shape[2]));
+  }
+}
+
+// Algorithm 1's filter: one-hot inputs through a ReLU hidden layer and a
+// sigmoid output, trained with BCE by plain SGD — the trajectory the zero
+// skip shortens most.
+TEST(KernelParity, OneHotTrainingTrajectoryBitIdentical) {
+  const double lr = 0.1;
+  Network network(88, {{32, Activation::kRelu}, {1, Activation::kSigmoid}},
+                  Loss::kBinaryCrossEntropy, std::make_unique<Sgd>(lr),
+                  util::Rng(75));
+  ReferenceModel reference = ReferenceModel::FromNetwork(network, lr);
+  util::Rng rng(76);
+  for (int step = 0; step < 8; ++step) {
+    Tensor input(64, 88);
+    Tensor target(64, 1);
+    for (std::size_t r = 0; r < 64; ++r) {
+      // Three one-hot groups, like (state, mini-action, time bucket).
+      input.At(r, rng.NextIndex(40)) = 1.0;
+      input.At(r, 40 + rng.NextIndex(24)) = 1.0;
+      input.At(r, 64 + rng.NextIndex(24)) = 1.0;
+      target.At(r, 0) = rng.NextBool(0.5) ? 1.0 : 0.0;
+    }
+    const double loss = network.TrainBatch(input, target);
+    const double ref_loss = reference.TrainBatch(input, target);
+    EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(double)), 0)
+        << "one-hot loss diverged at step " << step;
+    ExpectParametersBitEqual(network, reference,
+                             "one-hot step " + std::to_string(step));
+  }
+}
+
+// Non-finite values: wherever the dense oracle yields NaN the production
+// kernels must too, and finite elements stay bit-identical.
+void ExpectSameNonFinitePattern(const Tensor& actual, const Tensor& expected,
+                                const std::string& what) {
+  ASSERT_TRUE(actual.SameShape(expected)) << what;
+  bool saw_nan = false;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const double a = actual.data()[i];
+    const double e = expected.data()[i];
+    if (std::isnan(e) || std::isnan(a)) {
+      saw_nan = true;
+      EXPECT_TRUE(std::isnan(a) && std::isnan(e))
+          << what << " element " << i << ": " << a << " vs " << e;
+    } else {
+      EXPECT_EQ(std::memcmp(&a, &e, sizeof(double)), 0)
+          << what << " element " << i << ": " << a << " vs " << e;
+    }
+  }
+  EXPECT_TRUE(saw_nan) << what << ": the case must produce a NaN";
+}
+
+// Row 0 is zero at `zero_col` and dense elsewhere; row 1 is all zero.
+Tensor ProbeZeroAt(std::size_t cols, std::size_t zero_col, util::Rng& rng) {
+  Tensor probe = RandomTensor(2, cols, rng);
+  probe.At(0, zero_col) = 0.0;
+  for (std::size_t c = 0; c < cols; ++c) probe.At(1, c) = 0.0;
+  return probe;
+}
+
+TEST(KernelParity, ImportedNanWeightPropagatesThroughZeroInput) {
+  // Linear hidden layer: a ReLU would map the NaN it produces to 0.
+  Network network(12,
+                  {{16, Activation::kIdentity}, {7, Activation::kIdentity}},
+                  Loss::kMeanSquaredError, std::make_unique<Sgd>(0.01),
+                  util::Rng(77));
+  auto params = network.ExportParameters();
+  params[0].first.At(3, 5) = std::numeric_limits<double>::quiet_NaN();
+  network.ImportParameters(params);
+  EXPECT_FALSE(network.layers()[0].weights_finite());
+  EXPECT_TRUE(network.layers()[1].weights_finite());
+  const ReferenceModel reference = ReferenceModel::FromNetwork(network, 0.01);
+  util::Rng rng(78);
+  const Tensor probe = ProbeZeroAt(12, 3, rng);
+  ExpectSameNonFinitePattern(network.PredictBatch(probe),
+                             reference.Predict(probe), "imported NaN");
+
+  // Importing finite weights again turns the skip back on.
+  params[0].first.At(3, 5) = 0.25;
+  network.ImportParameters(params);
+  EXPECT_TRUE(network.layers()[0].weights_finite());
+  ExpectBitEqual(network.PredictBatch(probe),
+                 ReferenceModel::FromNetwork(network, 0.01).Predict(probe),
+                 "re-imported finite");
+}
+
+TEST(KernelParity, OptimizerStepToInfWeightPropagatesThroughZeroInput) {
+  // One identity layer and an lr so large that the step overflows: weights
+  // fed by a non-zero input go to inf, the rest keep their finite values.
+  const double lr = 1e300;
+  Network network(4, {{3, Activation::kIdentity}}, Loss::kMeanSquaredError,
+                  std::make_unique<Sgd>(lr), util::Rng(79));
+  ReferenceModel reference = ReferenceModel::FromNetwork(network, lr);
+  const Tensor input{{1.0, 0.0, 2.0, 0.0}};
+  const Tensor target{{1e10, -1e10, 1e10}};
+  network.TrainBatch(input, target);
+  reference.TrainBatch(input, target);
+  EXPECT_FALSE(network.layers()[0].weights_finite());
+  EXPECT_TRUE(std::isinf(network.layers()[0].weights().At(0, 0)));
+  // Zero at input 0, whose weight row is now inf: 0 * inf = NaN.
+  const Tensor probe{{0.0, 1.0, 0.0, -0.5}, {0.0, 0.0, 0.0, 0.0}};
+  ExpectSameNonFinitePattern(network.PredictBatch(probe),
+                             reference.Predict(probe), "stepped to inf");
+}
+
+TEST(KernelParity, WeightGradientWithInfUpstreamGradientMatchesDense) {
+  util::Rng rng(81);
+  const Tensor inputs = SparseTensor(8, 12, rng);
+  Tensor grad_pre = RandomTensor(8, 5, rng);
+  // Row 0 of inputs is zero at every fifth column: 0 * inf there is NaN.
+  grad_pre.At(0, 2) = std::numeric_limits<double>::infinity();
+  Tensor grad_weights(12, 5, 0.0);
+  inputs.TransposedMatMulAccumulate(grad_pre, grad_weights);
+  ExpectSameNonFinitePattern(
+      grad_weights, ReferenceMatMul(ReferenceTranspose(inputs), grad_pre),
+      "inf grad_pre");
 }
 
 }  // namespace

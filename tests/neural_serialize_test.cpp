@@ -195,7 +195,7 @@ TEST(NeuralSerialize, NonFiniteParameterRejectedAtSave) {
   // A diverged network must fail loudly at the boundary, not persist a
   // poisoned policy ("%.17g" would emit unparseable tokens anyway).
   Network network = MakeNetwork(5);
-  network.mutable_layers()[1].weights().At(0, 0) =
+  network.mutable_layers()[1].mutable_weights().At(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(ToText(network), jarvis::util::CheckError);
 

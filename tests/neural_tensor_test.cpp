@@ -10,9 +10,10 @@
 namespace jarvis::neural {
 namespace {
 
+// Derives the finiteness flag the way a caller must: from b itself.
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor out;
-  a.MatMulInto(b, out);
+  a.MatMulInto(b, out, AllFinite(b));
   return out;
 }
 
@@ -72,10 +73,10 @@ TEST(Tensor, MatMul) {
   EXPECT_THROW(MatMul(a, a), util::CheckError);
 }
 
-// Regression for the zero-operand shortcut MatMul used to take: skipping
-// the multiply when lhs == 0.0 is NOT an identity under IEEE 754 —
-// 0 * inf and 0 * NaN are NaN, so a zero weight silently swallowed a
-// non-finite activation instead of propagating it. Divergence detection
+// The zero-operand skip must stay an identity under IEEE 754: 0 * inf and
+// 0 * NaN are NaN, so skipping lhs == 0.0 against a non-finite rhs would
+// swallow a non-finite weight instead of propagating it. The kernel skips
+// only under a finite rhs. Divergence detection
 // (ReplayBuffer::PurgePoisoned, DqnAgent::diverged) depends on non-finite
 // values surfacing, not being masked by sparsity.
 TEST(Tensor, MatMulPropagatesNanAndInfThroughZeroOperands) {
@@ -84,14 +85,14 @@ TEST(Tensor, MatMulPropagatesNanAndInfThroughZeroOperands) {
   const Tensor zeros{{0.0, 0.0}};  // 1x2, all-zero lhs row
   const Tensor rhs_inf{{inf}, {1.0}};
   const Tensor rhs_nan{{nan}, {1.0}};
-  // 0*inf + 0*1 = NaN + 0 = NaN; the old skip produced 0.0.
+  // 0*inf + 0*1 = NaN + 0 = NaN; an unconditional skip would give 0.0.
   EXPECT_TRUE(std::isnan(MatMul(zeros, rhs_inf)(0, 0)));
   EXPECT_TRUE(std::isnan(MatMul(zeros, rhs_nan)(0, 0)));
   // Zero on the right operand likewise: inf * 0 = NaN.
   const Tensor lhs_inf{{inf, 1.0}};
   const Tensor rhs_zero{{0.0}, {0.0}};
   EXPECT_TRUE(std::isnan(MatMul(lhs_inf, rhs_zero)(0, 0)));
-  // Finite inputs are untouched by the fix: plain sparse product.
+  // Under a finite rhs the skip applies: plain sparse product.
   const Tensor finite{{0.0, 2.0}};
   const Tensor dense{{5.0}, {7.0}};
   EXPECT_DOUBLE_EQ(MatMul(finite, dense)(0, 0), 14.0);

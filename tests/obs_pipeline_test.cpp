@@ -111,6 +111,10 @@ TEST_F(ObsPipelineFixture, CounterInvariantsAcrossStages) {
             health.learn.episodes_used + health.learn.episodes_skipped);
   EXPECT_EQ(snapshot.CounterValue("spl.learner.observations"),
             health.learn.observations);
+  // One Learn call trained the ANN filter once, under its own timer.
+  const auto& ann_train = snapshot.FindHistogram("spl.learner.ann_train_us");
+  EXPECT_EQ(ann_train.count, 1u);
+  EXPECT_FALSE(ann_train.deterministic);
 
   // Facade call counters.
   EXPECT_EQ(snapshot.CounterValue("core.jarvis.learn_calls"), 1u);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fsm/device_library.h"
 #include "json_edit.h"
+#include "reference_kernels.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
 #include "sim/testbed.h"
@@ -153,6 +157,82 @@ TEST_F(AgentFixture, SnapshotRestoreRoundTrip) {
   EXPECT_NE(agent.QValues(features)[0], before[0]);
   agent.RestoreSnapshot();
   EXPECT_DOUBLE_EQ(agent.QValues(features)[0], before[0]);
+}
+
+// Q-values must be NaN exactly where the dense oracle's are, and bit-equal
+// elsewhere.
+void ExpectQMatchesDenseOracle(const DqnAgent& agent,
+                               const std::vector<double>& features,
+                               const std::string& what) {
+  const auto q = agent.QValues(features);
+  neural::Tensor row(1, features.size());
+  row.SetRow(0, features);
+  const neural::Tensor expected =
+      neural::testing::ReferenceModel::FromNetwork(
+          agent.network(), agent.config().learning_rate)
+          .Predict(row);
+  ASSERT_EQ(q.size(), expected.cols()) << what;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double e = expected.At(0, i);
+    EXPECT_EQ(std::isnan(q[i]), std::isnan(e)) << what << " slot " << i;
+    if (!std::isnan(e)) {
+      EXPECT_EQ(std::memcmp(&q[i], &e, sizeof(double)), 0)
+          << what << " slot " << i << ": " << q[i] << " vs " << e;
+    }
+  }
+}
+
+// Every layer's zero-skip flag must describe the weights it guards.
+void ExpectFlagsMatchWeights(const DqnAgent& agent, const std::string& what) {
+  for (const auto& layer : agent.network().layers()) {
+    EXPECT_EQ(layer.weights_finite(), neural::AllFinite(layer.weights()))
+        << what;
+  }
+}
+
+// RestoreSnapshot writes weights, so the forward's zero skip must follow
+// what it restores in both directions: a clean snapshot turns the skip back
+// on over poisoned weights, and a poisoned one brings its non-finite
+// weights back with the skip off, so NaN still reaches the Q-values through
+// the zero features.
+TEST_F(AgentFixture, RestoreSnapshotKeepsTheZeroSkipExact) {
+  DqnConfig config;
+  config.batch_size = 4;
+  DqnAgent agent(4, codec_, config);
+  const std::vector<double> probe = {0.0, 0.7, 0.0, -0.2};
+  const auto clean_q = agent.QValues(probe);
+  agent.SaveSnapshot();
+  auto poison = [&] {
+    for (int i = 0; i < 4; ++i) {
+      Experience experience;
+      experience.features = {0.5, 0.0, 1.0, 0.0};
+      experience.taken_slots = {0};
+      experience.reward = std::numeric_limits<double>::infinity();
+      experience.done = true;
+      agent.Remember(std::move(experience));
+    }
+    agent.Replay();
+  };
+  poison();  // the optimizer step writes non-finite weights
+  EXPECT_TRUE(std::isnan(agent.QValues(probe)[0]));  // the taken slot
+  EXPECT_FALSE(agent.network().layers().back().weights_finite());
+  ExpectFlagsMatchWeights(agent, "after poisoned step");
+  ExpectQMatchesDenseOracle(agent, probe, "after poisoned step");
+
+  agent.RestoreSnapshot();  // clean over poisoned
+  ExpectFlagsMatchWeights(agent, "after clean restore");
+  const auto restored_q = agent.QValues(probe);
+  ASSERT_EQ(restored_q.size(), clean_q.size());
+  EXPECT_EQ(std::memcmp(restored_q.data(), clean_q.data(),
+                        clean_q.size() * sizeof(double)),
+            0);
+
+  poison();
+  agent.SaveSnapshot();
+  agent.RestoreSnapshot();  // poisoned over poisoned
+  EXPECT_FALSE(agent.network().layers().back().weights_finite());
+  ExpectFlagsMatchWeights(agent, "after poisoned restore");
+  ExpectQMatchesDenseOracle(agent, probe, "after poisoned restore");
 }
 
 // Trains just enough that the agent's state (weights, optimizer moments,
