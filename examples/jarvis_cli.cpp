@@ -1,16 +1,18 @@
 // jarvis_cli: a file-based command-line driver for the full pipeline — the
-// workflow a deployment would actually script.
+// workflow a deployment would actually script. Learnt state lives in one
+// file: the versioned, checksummed checkpoint of DESIGN.md §14.
 //
 //   jarvis_cli simulate --days 14 --out events.log
 //       Simulate natural resident behavior and write the event log.
-//   jarvis_cli learn --log events.log --out policies.json
+//   jarvis_cli learn --log events.log --out home.ckpt [--day 42]
 //       Run the learning phase (parse log -> Algorithm 1) and save the
-//       learnt policies.
-//   jarvis_cli audit --log suspect.log --policies policies.json
+//       learnt policies as a checkpoint. With --day, also train the DQN
+//       for that day and save it too.
+//   jarvis_cli audit --log suspect.log --checkpoint home.ckpt
 //       Replay a log through the detector and report flags.
-//   jarvis_cli optimize --policies policies.json --day 42 --focus energy --f 0.8
+//   jarvis_cli optimize --checkpoint home.ckpt --day 42 --focus energy --f 0.8
 //       Train the constrained DQN for a day and compare against normal.
-//   jarvis_cli suggest --policies policies.json --minute 480
+//   jarvis_cli suggest --checkpoint home.ckpt --minute 480
 //       Print the best safe action for the overnight state at a minute.
 //   jarvis_cli fleet --fleet 8 --jobs 4
 //       Run a multi-tenant fleet (one Jarvis pipeline per simulated home)
@@ -19,22 +21,16 @@
 //       Run a small instrumented fleet and dump the observability export as
 //       JSON: fleet-level metrics (run counters, per-phase timers) and
 //       aggregated tenant metrics. tools/check_metrics.py validates it.
-//   jarvis_cli checkpoint --log events.log --out home.ckpt
-//       Run the learning phase and save the full learnt state (whitelist,
-//       ANN filter, optionally a trained DQN with --day) as a versioned,
-//       checksummed checkpoint.
-//   jarvis_cli restore --checkpoint home.ckpt --day 42 --minute 480
-//       Restore a checkpoint (per-section, corruption-tolerant), report
-//       what survived, then optimize a day and suggest an action — the
-//       crash-recovery workflow without re-running the learning phase.
 //   jarvis_cli client <ping|health|metrics|suggest|minutes|ingest|checkpoint|shutdown>
 //       Thin client for a running jarvis_serve daemon: frames one request
 //       over the wire protocol (DESIGN.md §15), prints the JSON response,
 //       and exits 0 iff the response is ok.
 //
-// All subcommands run on the standard 11-device home.
+// audit, optimize and suggest restore the checkpoint section by section
+// (the learning phase is skipped; a saved DQN warm-starts training), print
+// one line saying what came back, and exit 1 when the policies did not
+// restore. All subcommands run on the standard 11-device home.
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "core/jarvis.h"
@@ -43,6 +39,7 @@
 #include "serve/transport.h"
 #include "sim/testbed.h"
 #include "util/flags.h"
+#include "util/io.h"
 #include "util/timeofday.h"
 
 namespace {
@@ -52,20 +49,17 @@ using namespace jarvis;
 int Usage() {
   std::printf(
       "usage: jarvis_cli <simulate|learn|audit|optimize|suggest|fleet|"
-      "metrics|checkpoint|restore> [flags]\n"
+      "metrics|client> [flags]\n"
       "  simulate --days N --out FILE [--seed S]\n"
-      "  learn    --log FILE --out FILE [--seed S]\n"
-      "  audit    --log FILE --policies FILE\n"
-      "  optimize --policies FILE [--day N] [--focus energy|cost|temp] "
+      "  learn    --log FILE --out FILE [--day N] [--episodes N] [--seed S]\n"
+      "  audit    --log FILE --checkpoint FILE\n"
+      "  optimize --checkpoint FILE [--day N] [--focus energy|cost|temp] "
       "[--f W] [--episodes N]\n"
-      "  suggest  --policies FILE [--day N] [--minute M]\n"
+      "  suggest  --checkpoint FILE [--day N] [--minute M] [--episodes N]\n"
       "  fleet    [--fleet N] [--jobs N] [--days N] [--episodes N] "
       "[--seed S]\n"
       "  metrics  [--fleet N] [--jobs N] [--days N] [--episodes N] "
       "[--seed S] [--out FILE]\n"
-      "  checkpoint --log FILE --out FILE [--day N] [--episodes N] "
-      "[--seed S]\n"
-      "  restore  --checkpoint FILE [--day N] [--minute M] [--episodes N]\n"
       "  client   <ping|health|metrics|suggest|minutes|ingest|checkpoint|"
       "shutdown>\n"
       "           [--port P | --port-file FILE] [--host H] [--tenant N]\n"
@@ -73,25 +67,37 @@ int Usage() {
   return 2;
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
-void WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot open " + path);
-  file << content;
-}
-
 sim::Testbed MakeTestbed(std::uint64_t seed) {
   sim::TestbedConfig config;
   config.seed = seed;
   config.benign_anomaly_samples = 6000;
   return sim::Testbed(config);
+}
+
+// Config of a pipeline restored from --checkpoint: a DQN the checkpoint
+// carries seeds OptimizeDay's first restart instead of a cold network.
+core::JarvisConfig RestoredConfig(const util::Flags& flags, int episodes) {
+  core::JarvisConfig config;
+  config.trainer.episodes = flags.GetInt("episodes", episodes);
+  config.warm_start_dqn = true;
+  return config;
+}
+
+// Restores --checkpoint into `jarvis` and prints what came back. Returns
+// false when the policies did not restore.
+bool RestoreCheckpoint(const util::Flags& flags, core::Jarvis& jarvis) {
+  const std::string path = flags.GetString("checkpoint", "home.ckpt");
+  const core::Jarvis::RestoreReport report = jarvis.LoadCheckpoint(path);
+  std::printf("restore %s: %s, %zu sections restored, %zu failed\n",
+              path.c_str(), report.file_found ? "found" : "missing",
+              report.sections_restored, report.sections_failed);
+  if (!report.issues.empty()) {
+    std::printf("issues: %s\n", persist::FormatIssues(report.issues).c_str());
+  }
+  if (!report.spl_restored) {
+    std::printf("policies not restored — re-run learn\n");
+  }
+  return report.spl_restored;
 }
 
 int Simulate(const util::Flags& flags) {
@@ -113,7 +119,7 @@ int Simulate(const util::Flags& flags) {
       ++events;
     }
   }
-  WriteFile(out, log);
+  util::io::AtomicWriteFile(out, log);
   std::printf("simulated %d days -> %zu events -> %s\n", days, events,
               out.c_str());
   return 0;
@@ -121,43 +127,45 @@ int Simulate(const util::Flags& flags) {
 
 int Learn(const util::Flags& flags) {
   const std::string log_path = flags.GetString("log", "events.log");
-  const std::string out = flags.GetString("out", "policies.json");
+  const std::string out = flags.GetString("out", "home.ckpt");
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  const int day = flags.GetInt("day", -1);
 
   sim::Testbed testbed = MakeTestbed(seed);
-  core::Jarvis jarvis(testbed.home_a(), core::JarvisConfig{});
+  core::JarvisConfig config;
+  config.trainer.episodes = flags.GetInt("episodes", 24);
+  core::Jarvis jarvis(testbed.home_a(), config);
 
   std::size_t dropped = 0;
-  const auto events = events::LoggerApp::ReadLogFile(log_path, &dropped);
+  const auto events =
+      events::LoggerApp::ParseLog(util::io::ReadFile(log_path), &dropped);
   sim::ResidentSimulator resident(testbed.home_a(), sim::ThermalConfig{},
                                   seed);
   const std::size_t episodes = jarvis.LearnFromEvents(
       events, resident.OvernightState(), util::SimTime(0),
       testbed.BuildTrainingSet());
-  WriteFile(out, jarvis.learner().ToJsonString());
+  if (day >= 0) {
+    jarvis.OptimizeDay(testbed.home_b_data().Day(day), rl::RewardWeights{});
+  }
+  jarvis.SaveCheckpoint(out);
   std::printf("parsed %zu events (%zu dropped) -> %zu learning episodes -> "
-              "%zu safe patterns -> %s\n",
+              "%zu safe patterns%s -> %s\n",
               events.size(), dropped, episodes,
-              jarvis.learner().table().admitted_key_count(), out.c_str());
+              jarvis.learner().table().admitted_key_count(),
+              day >= 0 ? " + trained DQN" : "", out.c_str());
   return 0;
-}
-
-spl::SafetyPolicyLearner LoadPolicies(const fsm::EnvironmentFsm& home,
-                                      const std::string& path) {
-  spl::SafetyPolicyLearner learner(home, spl::SplConfig{});
-  learner.LoadJsonString(ReadFile(path));
-  return learner;
 }
 
 int Audit(const util::Flags& flags) {
   const std::string log_path = flags.GetString("log", "events.log");
-  const std::string policies = flags.GetString("policies", "policies.json");
 
   const fsm::EnvironmentFsm home = fsm::BuildFullHome();
-  const auto learner = LoadPolicies(home, policies);
+  core::Jarvis jarvis(home, core::JarvisConfig{});
+  if (!RestoreCheckpoint(flags, jarvis)) return 1;
 
   std::size_t dropped = 0;
-  const auto events = events::LoggerApp::ReadLogFile(log_path, &dropped);
+  const auto events =
+      events::LoggerApp::ParseLog(util::io::ReadFile(log_path), &dropped);
   events::LogParser parser(home, {util::kMinutesPerDay, 1});
   sim::ResidentSimulator resident(home, sim::ThermalConfig{}, 1);
   const auto episodes = parser.Parse(events, resident.OvernightState(),
@@ -167,7 +175,7 @@ int Audit(const util::Flags& flags) {
 
   std::size_t checked = 0, violations = 0, benign = 0;
   for (const auto& episode : episodes) {
-    const auto audit = learner.AuditEpisode(episode);
+    const auto audit = jarvis.Audit(episode);
     checked += audit.transitions_checked;
     violations += audit.violations;
     benign += audit.benign_anomalies;
@@ -189,16 +197,13 @@ int Audit(const util::Flags& flags) {
 }
 
 int Optimize(const util::Flags& flags) {
-  const std::string policies = flags.GetString("policies", "policies.json");
   const int day = flags.GetInt("day", 42);
   const std::string focus = flags.GetString("focus", "energy");
   const double f = flags.GetDouble("f", 0.6);
 
   sim::Testbed testbed = MakeTestbed(42);
-  core::JarvisConfig config;
-  config.trainer.episodes = flags.GetInt("episodes", 32);
-  core::Jarvis jarvis(testbed.home_a(), config);
-  jarvis.LoadPolicies(ReadFile(policies));  // skip the learning phase
+  core::Jarvis jarvis(testbed.home_a(), RestoredConfig(flags, 32));
+  if (!RestoreCheckpoint(flags, jarvis)) return 1;
 
   const sim::DayTrace natural = testbed.home_b_data().Day(day);
   const auto plan =
@@ -215,18 +220,14 @@ int Optimize(const util::Flags& flags) {
 }
 
 int Suggest(const util::Flags& flags) {
-  const std::string policies = flags.GetString("policies", "policies.json");
   const int day = flags.GetInt("day", 42);
   const int minute = flags.GetInt("minute", 8 * 60);
 
   sim::Testbed testbed = MakeTestbed(42);
-  core::JarvisConfig config;
-  config.trainer.episodes = flags.GetInt("episodes", 24);
-  core::Jarvis jarvis(testbed.home_a(), config);
-  jarvis.LoadPolicies(ReadFile(policies));  // skip the learning phase
+  core::Jarvis jarvis(testbed.home_a(), RestoredConfig(flags, 24));
+  if (!RestoreCheckpoint(flags, jarvis)) return 1;
 
-  const sim::DayTrace natural = testbed.home_b_data().Day(day);
-  jarvis.OptimizeDay(natural, rl::RewardWeights{});
+  jarvis.OptimizeDay(testbed.home_b_data().Day(day), rl::RewardWeights{});
   sim::ResidentSimulator resident(testbed.home_a(), sim::ThermalConfig{}, 1);
   const auto action = jarvis.SuggestAction(resident.OvernightState(), minute);
   std::printf("suggested action at %02d:%02d: %s\n", minute / 60, minute % 60,
@@ -304,77 +305,9 @@ int Metrics(const util::Flags& flags) {
   if (out.empty()) {
     std::fputs(output.c_str(), stdout);
   } else {
-    WriteFile(out, output);
+    util::io::AtomicWriteFile(out, output);
     std::printf("metrics -> %s\n", out.c_str());
   }
-  return 0;
-}
-
-int CheckpointCmd(const util::Flags& flags) {
-  const std::string log_path = flags.GetString("log", "events.log");
-  const std::string out = flags.GetString("out", "home.ckpt");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const int day = flags.GetInt("day", -1);
-
-  sim::Testbed testbed = MakeTestbed(seed);
-  core::JarvisConfig config;
-  config.trainer.episodes = flags.GetInt("episodes", 24);
-  core::Jarvis jarvis(testbed.home_a(), config);
-
-  std::size_t dropped = 0;
-  const auto events = events::LoggerApp::ReadLogFile(log_path, &dropped);
-  sim::ResidentSimulator resident(testbed.home_a(), sim::ThermalConfig{},
-                                  seed);
-  const std::size_t episodes = jarvis.LearnFromEvents(
-      events, resident.OvernightState(), util::SimTime(0),
-      testbed.BuildTrainingSet());
-  if (day >= 0) {
-    // Also persist a trained policy: the restored instance can then
-    // warm-start its DQN instead of training cold.
-    jarvis.OptimizeDay(testbed.home_b_data().Day(day), rl::RewardWeights{});
-  }
-  jarvis.SaveCheckpoint(out);
-  std::printf("learned %zu episodes -> checkpoint %s (%zu sections)\n",
-              episodes, out.c_str(), jarvis.MakeCheckpoint().section_count());
-  return 0;
-}
-
-int Restore(const util::Flags& flags) {
-  const std::string path = flags.GetString("checkpoint", "home.ckpt");
-  const int day = flags.GetInt("day", 42);
-  const int minute = flags.GetInt("minute", 8 * 60);
-
-  sim::Testbed testbed = MakeTestbed(42);
-  core::JarvisConfig config;
-  config.trainer.episodes = flags.GetInt("episodes", 24);
-  config.warm_start_dqn = true;
-  core::Jarvis jarvis(testbed.home_a(), config);
-
-  const core::Jarvis::RestoreReport report = jarvis.LoadCheckpoint(path);
-  std::printf("restore %s: %s, %zu sections restored, %zu failed\n",
-              path.c_str(), report.file_found ? "found" : "missing",
-              report.sections_restored, report.sections_failed);
-  if (!report.issues.empty()) {
-    std::printf("issues:\n%s", persist::FormatIssues(report.issues).c_str());
-  }
-  if (!report.spl_restored) {
-    std::printf("policies not restored — re-run the learning phase\n");
-    return 1;
-  }
-  const auto plan =
-      jarvis.OptimizeDay(testbed.home_b_data().Day(day), rl::RewardWeights{});
-  std::printf("  jarvis : %.2f kWh  $%.2f  %.0f degC-min  (%zu violations)"
-              "%s\n",
-              plan.optimized_metrics.energy_kwh, plan.optimized_metrics.cost_usd,
-              plan.optimized_metrics.comfort_error_c_min, plan.violations,
-              report.dqn_staged ? "  [warm-started]" : "");
-  sim::ResidentSimulator resident(testbed.home_a(), sim::ThermalConfig{}, 1);
-  const auto action = jarvis.SuggestAction(resident.OvernightState(), minute);
-  std::printf("suggested action at %02d:%02d: %s\n", minute / 60, minute % 60,
-              testbed.home_a()
-                  .codec()
-                  .ActionToString(testbed.home_a().devices(), action)
-                  .c_str());
   return 0;
 }
 
@@ -411,7 +344,8 @@ int Client(const util::Flags& flags) {
     request["type"] = "ingest";
     request["tenant"] = flags.GetInt("tenant", 0);
     util::JsonArray lines;
-    std::stringstream log(ReadFile(flags.GetString("log", "events.log")));
+    std::stringstream log(
+        util::io::ReadFile(flags.GetString("log", "events.log")));
     std::string line;
     while (std::getline(log, line)) {
       if (!line.empty()) lines.emplace_back(line);
@@ -424,7 +358,7 @@ int Client(const util::Flags& flags) {
   int port = flags.GetInt("port", 0);
   const std::string port_file = flags.GetString("port-file", "");
   if (port == 0 && !port_file.empty()) {
-    port = std::stoi(ReadFile(port_file));
+    port = std::stoi(util::io::ReadFile(port_file));
   }
   if (port == 0) {
     std::fprintf(stderr, "client: need --port or --port-file\n");
@@ -464,8 +398,6 @@ int main(int argc, char** argv) {
     if (command == "suggest") return Suggest(flags);
     if (command == "fleet") return FleetRun(flags);
     if (command == "metrics") return Metrics(flags);
-    if (command == "checkpoint") return CheckpointCmd(flags);
-    if (command == "restore") return Restore(flags);
     if (command == "client") return Client(flags);
     return Usage();
   } catch (const std::exception& error) {

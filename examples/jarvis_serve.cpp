@@ -1,7 +1,8 @@
 // jarvis_serve: the long-lived serving daemon. Trains a runtime::Fleet
 // once at startup (simulated homes, like `jarvis_cli fleet`), then keeps
 // it resident and answers requests over the framed wire protocol
-// (DESIGN.md §15) until asked to drain.
+// (DESIGN.md §15) until asked to drain. A tenant whose checkpoint in
+// --checkpoint-dir restores skips the learning phase (warm start).
 //
 //   jarvis_serve --port 0 --port-file /tmp/port
 //       Listen on an ephemeral loopback TCP port, report it in the port
@@ -15,13 +16,14 @@
 // --checkpoint-dir, exit 0. `jarvis_cli client` is the matching client.
 #include <csignal>
 #include <cstdio>
-#include <fstream>
+#include <string>
 
 #include "runtime/fleet.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "sim/testbed.h"
 #include "util/flags.h"
+#include "util/io.h"
 
 namespace {
 
@@ -42,7 +44,7 @@ int Usage() {
       "  --days N           simulated learning days (default 2)\n"
       "  --workers N        serving worker threads (default 2)\n"
       "  --queue N          admission queue capacity (default 8)\n"
-      "  --checkpoint-dir D drain flush destination (default none)\n"
+      "  --checkpoint-dir D warm-boot source, drain flush destination\n"
       "  --port P           loopback TCP port, 0 = ephemeral (default 0)\n"
       "  --port-file FILE   write the bound port here once listening\n"
       "  --stdio            serve one conversation on stdin/stdout\n");
@@ -62,19 +64,35 @@ int Run(const util::Flags& flags) {
   const fsm::EnvironmentFsm home = fsm::BuildFullHome();
   runtime::Fleet fleet(home, config);
 
+  // A missing or empty directory restores nothing: a cold boot.
+  const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
+  if (!checkpoint_dir.empty()) {
+    const runtime::FleetCheckpointReport restored =
+        fleet.RestoreCheckpoints(checkpoint_dir);
+    for (const runtime::TenantCheckpointResult& tenant : restored.tenants) {
+      if (tenant.attempted && !tenant.succeeded) {
+        std::fprintf(stderr,
+                     "jarvis_serve: tenant %zu checkpoint not restored, "
+                     "cold start: %s\n",
+                     tenant.tenant, tenant.error.c_str());
+      }
+    }
+  }
+
   std::fprintf(stderr, "jarvis_serve: training %zu tenants...\n",
                config.tenants);
   const runtime::FleetReport report =
       fleet.Run(runtime::SimulatedWorkloadFactory(home, workload));
   std::fprintf(stderr,
-               "jarvis_serve: fleet ready (%zu completed, %zu quarantined)\n",
-               report.completed, report.quarantined);
+               "jarvis_serve: fleet ready (%zu completed, %zu quarantined, "
+               "%zu warm-started)\n",
+               report.completed, report.quarantined, report.warm_started);
 
   sim::ResidentSimulator resident(home, sim::ThermalConfig{},
                                   config.fleet_seed);
   serve::DispatcherOptions dispatch_options;
   dispatch_options.default_state = resident.OvernightState();
-  dispatch_options.checkpoint_dir = flags.GetString("checkpoint-dir", "");
+  dispatch_options.checkpoint_dir = checkpoint_dir;
   serve::Dispatcher dispatcher(fleet, dispatch_options, &fleet.Metrics());
 
   serve::ServerConfig server_config;
@@ -97,8 +115,8 @@ int Run(const util::Flags& flags) {
         static_cast<std::uint16_t>(flags.GetInt("port", 0)));
     const std::string port_file = flags.GetString("port-file", "");
     if (!port_file.empty()) {
-      std::ofstream out(port_file);
-      out << listener.port() << "\n";
+      util::io::AtomicWriteFile(port_file,
+                                std::to_string(listener.port()) + "\n");
     }
     std::fprintf(stderr, "jarvis_serve: listening on 127.0.0.1:%u\n",
                  listener.port());

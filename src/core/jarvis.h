@@ -17,15 +17,19 @@
 //   auto plan = jarvis.OptimizeDay(todays_natural_trace, weights);
 //   auto action = jarvis.SuggestAction();   // best safe action now
 //
-// Concurrency contract (audited for the fleet runtime; see DESIGN.md §10):
-// a Jarvis instance owns all of its mutable state — learner, health
-// counters, trained agent — and shares only the const EnvironmentFsm& it
-// was constructed with. The class keeps no static or global mutable state
-// (tools/lint.py enforces this repo-wide), so distinct instances may run
-// their full learn→optimize pipelines concurrently with no locking. One
-// instance is single-writer: LearnFromEvents / OptimizeDay must not race
-// each other, while const members (SuggestAction, Audit, Health) are safe
-// to call concurrently between mutations.
+// Concurrency contract (audited for the fleet runtime; see DESIGN.md §10
+// and §13): a Jarvis instance owns all of its mutable state — learner,
+// health counters, trained agent — and shares only the const
+// EnvironmentFsm& it was constructed with. The class keeps no static or
+// global mutable state (tools/lint.py enforces this repo-wide), so
+// distinct instances may run their full learn→optimize pipelines
+// concurrently with no locking. One instance is thread-compatible, not
+// thread-safe: no two calls on it may overlap, const ones included.
+// SuggestAction and Audit are const but forward through
+// neural::Network::PredictOneInto (DqnAgent::QValues, and
+// AnnFilter::BenignScore via ClassifyMini), which writes the network's
+// mutable inference scratch. Serving is safe only because
+// runtime::Fleet::SuggestMinutes holds the tenant's suggest lock.
 #pragma once
 
 #include <memory>
@@ -100,12 +104,6 @@ class Jarvis {
                               util::SimTime start,
                               const std::vector<sim::LabeledSample>& labeled);
 
-  // Restores previously learnt policies (spl::SafetyPolicyLearner JSON),
-  // skipping the learning phase entirely.
-  void LoadPolicies(const std::string& json) {
-    learner_.LoadJsonString(json);
-  }
-
   bool learned() const { return learner_.learned(); }
   const spl::SafetyPolicyLearner& learner() const { return learner_; }
 
@@ -121,11 +119,11 @@ class Jarvis {
   // recently trained policy. Requires a prior OptimizeDay on a scenario
   // with the same home. The paper's deployment mode: the user may take
   // some actions manually and rely on Jarvis for the rest; Jarvis suggests
-  // from whatever state the environment reached. Const and genuinely
-  // read-only: concurrent SuggestAction calls on one instance (or across
-  // fleet tenants) mutate nothing — the greedy decode goes through
+  // from whatever state the environment reached. Const, and it leaves the
+  // agent's exploration state alone (the greedy decode goes through
   // rl::DqnAgent::GreedyActionFromQ, bypassing SelectAction's
-  // sticky-exploration memory.
+  // sticky-exploration memory), but the forward writes network scratch:
+  // calls on one instance must not overlap (see the contract above).
   fsm::ActionVector SuggestAction(const fsm::StateVector& state,
                                   int minute) const;
 
@@ -231,8 +229,8 @@ class Jarvis {
   // restore; consumed by OptimizeDay restart 0 when config_.warm_start_dqn.
   std::unique_ptr<util::JsonValue> warm_dqn_doc_;
   // Facade-level counters, cached at construction. suggest_counter_ is
-  // bumped from const SuggestAction — Counter::Increment is a relaxed
-  // atomic, safe under the concurrent const-call contract above.
+  // bumped from const SuggestAction (Counter::Increment is a relaxed
+  // atomic).
   obs::Counter* learn_counter_ = nullptr;
   obs::Counter* optimize_counter_ = nullptr;
   obs::Counter* suggest_counter_ = nullptr;

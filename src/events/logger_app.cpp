@@ -1,9 +1,6 @@
 #include "events/logger_app.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <string_view>
 
 #include "util/json.h"
@@ -31,15 +28,6 @@ std::vector<Event> LoggerApp::ParseLog(const std::string& text,
   }
   if (dropped != nullptr) *dropped = drop_count;
   return events;
-}
-
-std::vector<Event> LoggerApp::ReadLogFile(const std::string& path,
-                                          std::size_t* dropped) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("LoggerApp: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ParseLog(buffer.str(), dropped);
 }
 
 }  // namespace jarvis::events

@@ -15,8 +15,6 @@ class LoggerApp {
   // that fail to parse are skipped and counted in *dropped if non-null.
   static std::vector<Event> ParseLog(const std::string& text,
                                      std::size_t* dropped = nullptr);
-  static std::vector<Event> ReadLogFile(const std::string& path,
-                                        std::size_t* dropped = nullptr);
 };
 
 }  // namespace jarvis::events

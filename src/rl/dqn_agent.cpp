@@ -1,5 +1,6 @@
 #include "rl/dqn_agent.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -65,7 +66,12 @@ void DqnAgent::SetMetrics(obs::Registry* registry) {
 }
 
 bool DqnAgent::diverged() const {
-  return !std::isfinite(last_loss_) || last_loss_ > config_.divergence_loss;
+  if (!std::isfinite(last_loss_) || last_loss_ > config_.divergence_loss) {
+    return true;
+  }
+  return std::any_of(
+      network_.layers().begin(), network_.layers().end(),
+      [](const neural::DenseLayer& layer) { return !layer.weights_finite(); });
 }
 
 void DqnAgent::ReseedExploration(std::uint64_t seed) {

@@ -57,7 +57,9 @@ class DqnAgent {
   fsm::ActionVector SelectAction(const std::vector<double>& features,
                                  const std::vector<bool>& mask, bool greedy);
 
-  // Q-values for all slots (diagnostics and Table III reporting).
+  // Q-values for all slots (diagnostics and Table III reporting). Const,
+  // but the forward writes the network's mutable inference scratch, so
+  // calls on one agent must not overlap.
   std::vector<double> QValues(const std::vector<double>& features) const;
 
   // Greedy joint-action decode from a precomputed Q-value row: per device,
@@ -90,7 +92,9 @@ class DqnAgent {
   bool has_snapshot() const { return !snapshot_.empty(); }
 
   // Divergence detection and recovery. diverged() reflects the most recent
-  // replay loss; ReseedExploration restarts the exploration schedule (fresh
+  // replay loss and every layer's weights_finite() flag: a ReLU maps a NaN
+  // pre-activation to 0, so a non-finite hidden weight can leave the loss
+  // finite. ReseedExploration restarts the exploration schedule (fresh
   // RNG stream, initial epsilon, no sticky-slot memory) so a restored
   // network does not replay the trajectory that diverged it; the purge
   // drops non-finite experiences from the replay memory.

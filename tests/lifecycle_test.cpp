@@ -224,6 +224,12 @@ TEST_F(LifecycleFixture, CrashRecoveryMatchesUninterruptedOracle) {
   const FleetReport oracle_report = oracle.Run(factory);
   ASSERT_EQ(oracle_report.completed, 2u);
   ASSERT_EQ(oracle_report.quarantined, 0u);
+  EXPECT_EQ(oracle_report.total_violations, 0u);
+  for (const auto& tenant : oracle_report.tenants) {
+    // One learning episode per simulated day: what a warm start skips.
+    EXPECT_EQ(tenant.learning_episodes,
+              static_cast<std::size_t>(CheapWorkload().learning_days));
+  }
 
   // The doomed fleet: learn + optimize, checkpoint every tenant, then die
   // (scope exit — the process state is gone, only the files survive).
@@ -246,6 +252,8 @@ TEST_F(LifecycleFixture, CrashRecoveryMatchesUninterruptedOracle) {
   for (const auto& tenant : restored.tenants) {
     EXPECT_TRUE(tenant.restore.spl_restored);
     EXPECT_TRUE(tenant.restore.meta_valid);
+    EXPECT_EQ(tenant.restore.sections_failed, 0u)
+        << persist::FormatIssues(tenant.restore.issues);
   }
 
   const FleetReport rerun = recovered.Run(factory);

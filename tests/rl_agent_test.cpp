@@ -235,6 +235,35 @@ TEST_F(AgentFixture, RestoreSnapshotKeepsTheZeroSkipExact) {
   ExpectQMatchesDenseOracle(agent, probe, "after poisoned restore");
 }
 
+// A ReLU maps a NaN pre-activation to 0, so non-finite hidden weights can
+// leave every Q-value but the poisoned slot finite, and a replay that
+// trains only the other slots reports a finite loss. diverged() must still
+// fire, or the trainer never restores its snapshot.
+TEST_F(AgentFixture, NonFiniteHiddenWeightsDivergeDespiteAFiniteLoss) {
+  DqnConfig config;
+  config.batch_size = 4;
+  DqnAgent agent(4, codec_, config);
+  const auto remember = [&](std::size_t slot, double reward) {
+    for (int i = 0; i < 4; ++i) {
+      Experience experience;
+      experience.features = {0.5, 0.0, 1.0, 0.0};
+      experience.taken_slots = {slot};
+      experience.reward = reward;
+      experience.done = true;
+      agent.Remember(std::move(experience));
+    }
+  };
+  remember(codec_.MiniActionSlot({2, 1}),
+           std::numeric_limits<double>::infinity());
+  agent.Replay();  // the optimizer step writes non-finite weights
+  ASSERT_FALSE(agent.network().layers().front().weights_finite());
+  ASSERT_EQ(agent.PurgePoisonedExperiences(), 4u);
+
+  remember(codec_.NoOpSlot(0), 1.0);
+  ASSERT_TRUE(std::isfinite(agent.Replay()));
+  EXPECT_TRUE(agent.diverged());
+}
+
 // Trains just enough that the agent's state (weights, optimizer moments,
 // epsilon, last loss, replay memory) is all non-trivial before a round trip.
 void NudgeAgent(DqnAgent& agent, const fsm::StateCodec& codec) {

@@ -5,15 +5,14 @@ Reads a freshly produced bench JSON (file argument or stdin), dispatches
 on its `bench` field, and compares it against the committed baseline in
 bench/baselines/ (overridable with --baseline).
 
-Every kind — `bench` == "lifecycle" (bench/bench_lifecycle), "serve"
-(bench/bench_serve) and "fleet" (bench/bench_fleet — the per-tenant
-suggest sweep and the trained-fleet e2e case: query/answer conservation
-and exact-parity verdicts) — shares one deterministic shape:
+Both kinds — `bench` == "serve" (bench/bench_serve) and "fleet"
+(bench/bench_fleet — the per-tenant suggest sweep and the trained-fleet
+e2e case: query/answer conservation and exact-parity verdicts) — share
+one deterministic shape:
   1. Schema: every case carries name plus a `deterministic` object (int
-     outcomes — lifecycle: episodes skipped by warm start, violations,
-     checkpoint save/restore counts, result parity; serve: request /
-     response / rejection / malformed-frame counts) and an `advisory`
-     object (wall-clock milliseconds, latency percentiles, bytes).
+     outcomes — serve: request / response / rejection / malformed-frame
+     counts; fleet: queries, answers, parity verdicts) and an `advisory`
+     object (wall-clock milliseconds, latency percentiles, throughput).
   2. Gate (FAILS the build): each baseline case must be present and its
      `deterministic` object must match the baseline EXACTLY, key for key.
      These outcomes are a pure function of the seed and the admission
@@ -23,8 +22,8 @@ and exact-parity verdicts) — shares one deterministic shape:
      baseline. Latency never fails the gate.
 
 Exit status 0 when the gate passes; 1 with a readable report otherwise.
-Wired into CI right after the `bench_lifecycle --smoke`,
-`bench_serve --smoke`, and `bench_fleet --smoke` runs.
+Wired into CI right after the `bench_serve --smoke` and
+`bench_fleet --smoke` runs.
 """
 
 import json
@@ -33,7 +32,6 @@ import sys
 ADVISORY_WARN_FACTOR = 2.0
 
 DEFAULT_BASELINES = {
-    "lifecycle": "bench/baselines/BENCH_lifecycle.json",
     "serve": "bench/baselines/BENCH_serve.json",
     "fleet": "bench/baselines/BENCH_fleet.json",
 }
