@@ -268,7 +268,7 @@ int FleetRun(const util::Flags& flags) {
         tenant.plan.optimized_metrics.cost_usd,
         tenant.plan.optimized_metrics.comfort_error_c_min,
         tenant.plan.violations,
-        tenant.health.degraded() ? "  [degraded]" : "");
+        tenant.degraded ? "  [degraded]" : "");
   }
   std::printf(
       "fleet: %zu tenants, jobs=%zu: %zu completed, %zu quarantined, "

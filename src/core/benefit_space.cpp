@@ -58,15 +58,15 @@ std::vector<ExplorationPoint> ExplorationComparison(
     const fsm::EnvironmentFsm& fsm, const spl::SafetyPolicyLearner& learner,
     const sim::DayTrace& natural, const JarvisConfig& config,
     const ExplorationConfig& exploration) {
-  rl::IoTEnvConfig constrained_config = config.env;
+  rl::IoTEnvConfig constrained_config;
   constrained_config.weights = exploration.weights;
   constrained_config.constrained = true;
   rl::IoTEnvConfig unconstrained_config = constrained_config;
   unconstrained_config.constrained = false;
 
-  rl::IoTEnv constrained_env(fsm, natural, config.thermal, &learner,
+  rl::IoTEnv constrained_env(fsm, natural, sim::ThermalConfig{}, &learner,
                              constrained_config);
-  rl::IoTEnv unconstrained_env(fsm, natural, config.thermal, &learner,
+  rl::IoTEnv unconstrained_env(fsm, natural, sim::ThermalConfig{}, &learner,
                                unconstrained_config);
 
   rl::DqnConfig dqn = config.dqn;

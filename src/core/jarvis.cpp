@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -15,12 +16,15 @@ Jarvis::Jarvis(const fsm::EnvironmentFsm& fsm, JarvisConfig config)
   learn_counter_ = registry_.GetCounter("core.jarvis.learn_calls");
   optimize_counter_ = registry_.GetCounter("core.jarvis.optimize_calls");
   suggest_counter_ = registry_.GetCounter("core.jarvis.suggest_calls");
+  sections_restored_counter_ =
+      registry_.GetCounter("core.jarvis.checkpoint_sections_restored");
+  sections_failed_counter_ =
+      registry_.GetCounter("core.jarvis.checkpoint_sections_failed");
 }
 
 void Jarvis::LearnPolicies(const std::vector<fsm::Episode>& learning_episodes,
                            const std::vector<sim::LabeledSample>& labeled) {
   learner_.Learn(learning_episodes, labeled);
-  health_.learn = learner_.learn_report();
   learn_counter_->Increment();
 }
 
@@ -28,11 +32,11 @@ std::size_t Jarvis::LearnFromEvents(
     const std::vector<events::Event>& events,
     const fsm::StateVector& initial_state, util::SimTime start,
     const std::vector<sim::LabeledSample>& labeled) {
-  events::LogParser parser(fsm_, config_.episode, config_.parse_drop_budget);
+  events::LogParser parser(fsm_, fsm::EpisodeConfig{},
+                           config_.parse_drop_budget);
   parser.SetMetrics(&registry_);
   const auto episodes = parser.Parse(events, initial_state, start);
-  health_.parse = parser.report();
-  if (!health_.parse.WithinBudget()) {
+  if (!parser.report().WithinBudget()) {
     throw std::runtime_error(
         "Jarvis::LearnFromEvents: parse drop budget exceeded — event stream "
         "too degraded to learn from");
@@ -51,7 +55,7 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
     throw std::logic_error("Jarvis::OptimizeDay: learning phase not done");
   }
   optimize_counter_->Increment();
-  rl::IoTEnvConfig env_config = config_.env;
+  rl::IoTEnvConfig env_config;
   env_config.weights = weights;
   env_config.constrained = true;
 
@@ -61,7 +65,7 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
   // do exactly that). Old env is replaced before the old day it references
   // is released.
   auto day = std::make_unique<sim::DayTrace>(natural);
-  last_env_ = std::make_unique<rl::IoTEnv>(fsm_, *day, config_.thermal,
+  last_env_ = std::make_unique<rl::IoTEnv>(fsm_, *day, sim::ThermalConfig{},
                                            &learner_, env_config);
   last_day_ = std::move(day);
 
@@ -86,16 +90,13 @@ DayPlan Jarvis::OptimizeDay(const sim::DayTrace& natural,
       try {
         agent->LoadJson(*warm_dqn_doc_);
       } catch (const std::exception&) {
-        ++health_.checkpoint_sections_failed;
+        sections_failed_counter_->Increment();
       }
     }
+    // Train bumps rl.trainer.* for every restart, not just the winner: a
+    // divergence in a losing restart is still one this instance survived.
     rl::TrainResult result =
         rl::Train(*last_env_, *agent, config_.trainer, &registry_);
-    // Health accumulates across every restart, not just the winner: a
-    // divergence in a losing restart is still a divergence this instance
-    // survived.
-    health_.train_divergence_recoveries += result.divergence_recoveries;
-    health_.train_poisoned_purged += result.poisoned_experiences_purged;
     if (restart == 0 || result.greedy_reward > plan.train.greedy_reward) {
       plan.train = std::move(result);
       agent_ = std::move(agent);
@@ -183,7 +184,7 @@ Jarvis::RestoreReport Jarvis::RestoreFrom(const persist::Checkpoint& checkpoint,
     for (const char* name : {kSplSection, kDqnSection, kMonitorSection}) {
       if (checkpoint.HasSection(name)) ++report.sections_failed;
     }
-    health_.checkpoint_sections_failed += report.sections_failed;
+    sections_failed_counter_->Increment(report.sections_failed);
     return report;
   }
 
@@ -208,19 +209,21 @@ Jarvis::RestoreReport Jarvis::RestoreFrom(const persist::Checkpoint& checkpoint,
   // ordered), a rejected DQN doc simply isn't staged, a rejected monitor
   // doc leaves the live tracked state alone.
   report.spl_restored = restore_section(
-      kSplSection, [&](const std::string& text) {
-        learner_.LoadJsonString(text);
-        health_.learn = learner_.learn_report();
-      });
-  report.dqn_staged = restore_section(
-      kDqnSection, [&](const std::string& text) {
-        // Parse + structural sanity now; full width/shape validation runs
-        // at warm-start time in DqnAgent::LoadJson, once the agent exists.
-        auto doc = std::make_unique<util::JsonValue>(
-            util::JsonValue::Parse(text));
-        doc->At("network");  // throws JsonError when absent
-        warm_dqn_doc_ = std::move(doc);
-      });
+      kSplSection,
+      [&](const std::string& text) { learner_.LoadJsonString(text); });
+  // The DQN section is the largest; a config that never warm-starts leaves
+  // it unparsed rather than holding its DOM for the instance's lifetime.
+  if (config_.warm_start_dqn) {
+    report.dqn_staged = restore_section(
+        kDqnSection, [&](const std::string& text) {
+          // Parse + structural sanity now; full width/shape validation runs
+          // at warm-start time in DqnAgent::LoadJson, once the agent exists.
+          auto doc = std::make_unique<util::JsonValue>(
+              util::JsonValue::Parse(text));
+          doc->At("network");  // throws JsonError when absent
+          warm_dqn_doc_ = std::move(doc);
+        });
+  }
   if (monitor != nullptr) {
     report.monitor_restored = restore_section(
         kMonitorSection, [&](const std::string& text) {
@@ -232,8 +235,8 @@ Jarvis::RestoreReport Jarvis::RestoreFrom(const persist::Checkpoint& checkpoint,
         });
   }
 
-  health_.checkpoint_sections_restored += report.sections_restored;
-  health_.checkpoint_sections_failed += report.sections_failed;
+  sections_restored_counter_->Increment(report.sections_restored);
+  sections_failed_counter_->Increment(report.sections_failed);
   return report;
 }
 
@@ -265,7 +268,7 @@ Jarvis::RestoreReport Jarvis::LoadCheckpoint(const std::string& path,
   constexpr std::size_t kSectionCount = 4;  // meta, spl, dqn, monitor
   lost = std::min(lost, kSectionCount - std::min(kSectionCount,
                                                  checkpoint.section_count()));
-  health_.checkpoint_sections_failed += lost;
+  sections_failed_counter_->Increment(lost);
   report.sections_failed += lost;
   return report;
 }
@@ -286,6 +289,24 @@ spl::AuditResult Jarvis::Audit(const fsm::Episode& episode) const {
     throw std::logic_error("Jarvis::Audit: learning phase not done");
   }
   return learner_.AuditEpisode(episode);
+}
+
+namespace {
+
+// The counters Degraded reads; see its comment in jarvis.h.
+constexpr const char* kLossCounters[] = {
+    "events.parser.events_dropped", "spl.learner.episodes_skipped",
+    "rl.trainer.divergence_recoveries", "rl.trainer.purged_experiences",
+    "core.jarvis.checkpoint_sections_failed"};
+
+}  // namespace
+
+bool Degraded(const obs::MetricsSnapshot& metrics) {
+  return std::any_of(std::begin(kLossCounters), std::end(kLossCounters),
+                     [&metrics](const char* name) {
+                       return metrics.HasCounter(name) &&
+                              metrics.CounterValue(name) > 0;
+                     });
 }
 
 }  // namespace jarvis::core

@@ -19,7 +19,7 @@
 //
 // Concurrency contract (audited for the fleet runtime; see DESIGN.md §10
 // and §13): a Jarvis instance owns all of its mutable state — learner,
-// health counters, trained agent — and shares only the const
+// metrics registry, trained agent — and shares only the const
 // EnvironmentFsm& it was constructed with. The class keeps no static or
 // global mutable state (tools/lint.py enforces this repo-wide), so
 // distinct instances may run their full learn→optimize pipelines
@@ -36,7 +36,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/health.h"
 #include "core/online_monitor.h"
 #include "events/logger_app.h"
 #include "events/parser.h"
@@ -51,11 +50,8 @@ namespace jarvis::core {
 
 struct JarvisConfig {
   spl::SplConfig spl;
-  rl::IoTEnvConfig env;
   rl::DqnConfig dqn;
   rl::TrainerConfig trainer;
-  sim::ThermalConfig thermal;
-  fsm::EpisodeConfig episode;  // {T = 1 day, I = 1 min} by default
   // Independent training restarts per OptimizeDay; the best greedy policy
   // wins. Sustained-control tasks (deep-winter heating) have a do-nothing
   // local optimum that a single epsilon-greedy run falls into on some
@@ -170,31 +166,18 @@ class Jarvis {
   // Restores per-section with fail-safe fallback; never throws on corrupt
   // or hostile content (missing/unreadable files and checksum-failed or
   // malformed sections are reported in the result and counted in
-  // Health()). The "meta" section must validate against this home or
-  // nothing is trusted. A restored "dqn" section is staged, not applied:
-  // OptimizeDay's restart 0 warm-starts from it when
-  // config.warm_start_dqn is set. A restored monitor is put in deny-unsafe
-  // mode (MarkAllStatesUnknown) until every device reports again — events
-  // may have occurred between the checkpoint and the crash.
+  // core.jarvis.checkpoint_sections_{restored,failed}). The "meta" section
+  // must validate against this home or nothing is trusted. The "dqn"
+  // section is read only when config.warm_start_dqn is set, and then
+  // staged, not applied: OptimizeDay's restart 0 warm-starts from it.
+  // Otherwise it is left unread, counted neither restored nor failed. A
+  // restored monitor is put in deny-unsafe mode (MarkAllStatesUnknown)
+  // until every device reports again — events may have occurred between
+  // the checkpoint and the crash.
   RestoreReport RestoreFrom(const persist::Checkpoint& checkpoint,
                             OnlineMonitor* monitor = nullptr);
   RestoreReport LoadCheckpoint(const std::string& path,
                                OnlineMonitor* monitor = nullptr);
-
-  // --- Degradation telemetry ----------------------------------------------
-
-  // Aggregated counters from every stage run so far on this instance:
-  // LearnFromEvents fills the parse/learn sections, OptimizeDay accumulates
-  // the trainer's divergence recoveries, and NoteMonitor folds in a
-  // monitor's denials.
-  const HealthReport& Health() const { return health_; }
-
-  // Snapshots a monitor's fail-safe and unknown-event counters into the
-  // health report (replaces the previous snapshot of the same monitor).
-  void NoteMonitor(const OnlineMonitor& monitor) {
-    health_.monitor_failsafe_denials = monitor.failsafe_denials();
-    health_.monitor_unknown_events = monitor.unknown_events();
-  }
 
   // --- Observability ------------------------------------------------------
 
@@ -202,7 +185,8 @@ class Jarvis {
   // spl.*, rl.* instruments accumulate here across calls), wired through
   // every pipeline stage the instance owns (parser, learner, trainer,
   // agent, network). Each instance owns its own registry — there is no
-  // global one — so fleet tenants never share metric state.
+  // global one — so fleet tenants never share metric state. It is the one
+  // record of what the pipeline dropped, skipped or recovered (Degraded).
   obs::Registry& Metrics() { return registry_; }
   obs::MetricsSnapshot TakeMetricsSnapshot() const {
     return registry_.TakeSnapshot();
@@ -218,7 +202,6 @@ class Jarvis {
   // into it, so those components are destroyed first.
   obs::Registry registry_;
   spl::SafetyPolicyLearner learner_;
-  HealthReport health_;
   std::unique_ptr<rl::DqnAgent> agent_;
   // The optimized day, owned here because last_env_ references it and both
   // outlive OptimizeDay's caller-provided trace. Declared before last_env_
@@ -226,7 +209,8 @@ class Jarvis {
   std::unique_ptr<sim::DayTrace> last_day_;
   std::unique_ptr<rl::IoTEnv> last_env_;  // featurizer for SuggestAction
   // Staged warm-start DQN document from the last successful checkpoint
-  // restore; consumed by OptimizeDay restart 0 when config_.warm_start_dqn.
+  // restore (only when config_.warm_start_dqn); consumed by OptimizeDay
+  // restart 0.
   std::unique_ptr<util::JsonValue> warm_dqn_doc_;
   // Facade-level counters, cached at construction. suggest_counter_ is
   // bumped from const SuggestAction (Counter::Increment is a relaxed
@@ -234,6 +218,16 @@ class Jarvis {
   obs::Counter* learn_counter_ = nullptr;
   obs::Counter* optimize_counter_ = nullptr;
   obs::Counter* suggest_counter_ = nullptr;
+  obs::Counter* sections_restored_counter_ = nullptr;
+  obs::Counter* sections_failed_counter_ = nullptr;
 };
+
+// True iff a pipeline's metrics show it dropped, skipped or recovered
+// work: any of events.parser.events_dropped, spl.learner.episodes_skipped,
+// rl.trainer.divergence_recoveries, rl.trainer.purged_experiences or
+// core.jarvis.checkpoint_sections_failed is nonzero (an absent counter
+// reads 0). ANN-filtered benign anomalies are nominal operation and
+// restored sections are success, so neither counts.
+bool Degraded(const obs::MetricsSnapshot& metrics);
 
 }  // namespace jarvis::core

@@ -31,7 +31,7 @@ struct ParseStats {
 // dropped or skipped, plus the configured drop budget. A report beyond
 // budget means the stream was too degraded for the episodes to be trusted
 // blindly — callers decide (the parser itself never gives up; it parses
-// whatever survives). Feeds core::HealthReport.
+// whatever survives). SetMetrics publishes it as events.parser.*.
 struct ParseReport {
   ParseStats stats;
   std::size_t events_seen = 0;  // raw stream size before any drop

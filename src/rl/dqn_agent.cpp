@@ -11,6 +11,13 @@ namespace jarvis::rl {
 
 namespace {
 
+// Experiences the replay memory holds before the oldest are overwritten.
+constexpr std::size_t kReplayCapacity = 20000;
+// A replay loss above this (or any non-finite loss) flags the agent as
+// diverged; the trainer then restores the last good snapshot, purges the
+// poisoned replay memory, and reseeds exploration.
+constexpr double kDivergenceLoss = 1e6;
+
 neural::Network BuildNetwork(std::size_t inputs, std::size_t outputs,
                              const DqnConfig& config) {
   std::vector<neural::LayerSpec> layers;
@@ -30,7 +37,7 @@ DqnAgent::DqnAgent(std::size_t feature_width, const fsm::StateCodec& codec,
     : codec_(codec),
       config_(config),
       network_(BuildNetwork(feature_width, codec.mini_action_count(), config)),
-      buffer_(config.replay_capacity),
+      buffer_(kReplayCapacity),
       rng_(config.seed),
       initial_epsilon_(config.epsilon) {}
 
@@ -66,7 +73,7 @@ void DqnAgent::SetMetrics(obs::Registry* registry) {
 }
 
 bool DqnAgent::diverged() const {
-  if (!std::isfinite(last_loss_) || last_loss_ > config_.divergence_loss) {
+  if (!std::isfinite(last_loss_) || last_loss_ > kDivergenceLoss) {
     return true;
   }
   return std::any_of(

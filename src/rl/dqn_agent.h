@@ -37,12 +37,7 @@ struct DqnConfig {
   // produces the multi-step streaks they need.
   double explore_repeat_prob = 0.6;
   double preferable_loss = 1.0;  // L_p (rewards are per-minute, O(1))
-  // Replay loss above this (or any non-finite loss) flags the agent as
-  // diverged; the trainer then restores the last good snapshot, purges the
-  // poisoned replay memory, and reseeds exploration.
-  double divergence_loss = 1e6;
   std::size_t batch_size = 32;    // BSize
-  std::size_t replay_capacity = 20000;
   std::uint64_t seed = 99;
 };
 
@@ -92,12 +87,13 @@ class DqnAgent {
   bool has_snapshot() const { return !snapshot_.empty(); }
 
   // Divergence detection and recovery. diverged() reflects the most recent
-  // replay loss and every layer's weights_finite() flag: a ReLU maps a NaN
-  // pre-activation to 0, so a non-finite hidden weight can leave the loss
-  // finite. ReseedExploration restarts the exploration schedule (fresh
-  // RNG stream, initial epsilon, no sticky-slot memory) so a restored
-  // network does not replay the trajectory that diverged it; the purge
-  // drops non-finite experiences from the replay memory.
+  // replay loss (non-finite or above 1e6) and every layer's
+  // weights_finite() flag: a ReLU maps a NaN pre-activation to 0, so a
+  // non-finite hidden weight can leave the loss finite. ReseedExploration
+  // restarts the exploration schedule (fresh RNG stream, initial epsilon,
+  // no sticky-slot memory) so a restored network does not replay the
+  // trajectory that diverged it; the purge drops non-finite experiences
+  // from the replay memory.
   bool diverged() const;
   void ReseedExploration(std::uint64_t seed);
   std::size_t PurgePoisonedExperiences() { return buffer_.PurgePoisoned(); }

@@ -30,8 +30,8 @@ struct TrainResult {
   std::size_t training_violations = 0;   // summed over training episodes
 
   // Divergence recovery accounting: how many episodes were aborted because
-  // the replay loss went non-finite (or past divergence_loss), and how many
-  // poisoned experiences the recoveries dropped from the replay memory.
+  // the agent diverged (DqnAgent::diverged), and how many poisoned
+  // experiences the recoveries dropped from the replay memory.
   std::size_t divergence_recoveries = 0;
   std::size_t poisoned_experiences_purged = 0;
 

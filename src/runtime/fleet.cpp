@@ -28,6 +28,9 @@ enum TenantStream : std::uint64_t {
 // Tries per tenant checkpoint write in SaveCheckpoints, back to back.
 constexpr int kCheckpointWriteAttempts = 3;
 
+// Backpressure bound on the tenant scheduler's queue.
+constexpr std::size_t kQueueCapacity = 256;
+
 core::JarvisConfig MakeTenantConfig(const core::JarvisConfig& base,
                                     std::uint64_t tenant_seed) {
   core::JarvisConfig config = base;
@@ -123,8 +126,8 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     // A staged pipeline (checkpoint restore) replaces the cold
     // construction. If its policies restored, the learning phase is
     // skipped entirely — the warm-start payoff; if the restore failed
-    // per-section, the pipeline cold-start learns below while its health
-    // still carries the failed-section accounting.
+    // per-section, the pipeline cold-start learns below while its
+    // registry still carries the failed-section count.
     std::shared_ptr<core::Jarvis> jarvis =
         warm != nullptr ? std::move(warm)
                         : std::make_unique<core::Jarvis>(
@@ -143,7 +146,7 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
           registry_.GetTimerUs("runtime.fleet.optimize_us"));
       result.plan = jarvis->OptimizeDay(workload.day, workload.weights);
     }
-    result.health = jarvis->Health();
+    result.degraded = core::Degraded(jarvis->TakeMetricsSnapshot());
     util::MutexLock lock(mutex_);
     result.completed = true;
     shards_[index].jarvis = std::move(jarvis);
@@ -167,7 +170,7 @@ void Fleet::ForEachTenant(const std::function<void(std::size_t)>& fn) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool pool(config_.jobs, config_.queue_capacity, &registry_);
+  ThreadPool pool(config_.jobs, kQueueCapacity, &registry_);
   for (std::size_t i = 0; i < count; ++i) {
     pool.Submit([&fn, i] { fn(i); });
   }
@@ -191,7 +194,7 @@ FleetReport Fleet::Run(const WorkloadFactory& factory) {
     if (!tenant.completed) continue;
     ++report.completed;
     if (tenant.warm_started) ++report.warm_started;
-    if (tenant.health.degraded()) ++report.degraded;
+    if (tenant.degraded) ++report.degraded;
     report.total_energy_kwh += tenant.plan.optimized_metrics.energy_kwh;
     report.total_cost_usd += tenant.plan.optimized_metrics.cost_usd;
     report.total_violations += tenant.plan.violations;
@@ -382,8 +385,8 @@ FleetCheckpointReport Fleet::RestoreCheckpoints(const std::string& dir) {
       result.error = persist::FormatIssues(result.restore.issues);
       ++report.failed;
     }
-    // Stage even on failure: the pipeline carries the failed-restore
-    // health accounting, and its next Run cold-start learns.
+    // Stage even on failure: the pipeline's registry carries the
+    // failed-restore count, and its next Run cold-start learns.
     util::MutexLock lock(mutex_);
     shards_[i].warm_start = std::move(jarvis);
     shards_[i].quarantined = false;

@@ -62,8 +62,6 @@ struct FleetConfig {
   // are overridden per tenant from the derived tenant seed; everything
   // else applies verbatim to every tenant.
   core::JarvisConfig tenant_config;
-  // Backpressure bound on the scheduler queue.
-  std::size_t queue_capacity = 256;
 };
 
 // Everything one tenant's learn+optimize job consumes. Produced per tenant
@@ -112,7 +110,8 @@ struct TenantResult {
   std::string error;  // what quarantined it
   std::size_t learning_episodes = 0;
   core::DayPlan plan;
-  core::HealthReport health;
+  // core::Degraded over the tenant's metrics after this run.
+  bool degraded = false;
 };
 
 struct FleetReport {
@@ -120,7 +119,7 @@ struct FleetReport {
   std::size_t completed = 0;
   std::size_t quarantined = 0;
   std::size_t warm_started = 0;
-  std::size_t degraded = 0;  // completed tenants whose health degraded()
+  std::size_t degraded = 0;  // completed tenants with TenantResult::degraded
   // Aggregates over completed tenants (optimized day).
   double total_energy_kwh = 0.0;
   double total_cost_usd = 0.0;

@@ -363,15 +363,17 @@ DrainFlushReport Dispatcher::FlushForDrain() {
   }
   for (std::size_t tenant = 0; tenant < drained.size(); ++tenant) {
     if (drained[tenant].empty()) continue;
-    std::string payload;
-    for (const events::Event& event : drained[tenant]) {
-      payload += event.ToLogLine();
-      payload += '\n';
-    }
+    const std::string path = options_.checkpoint_dir + "/ingest-tenant-" +
+                             std::to_string(tenant) + ".log";
     try {
-      util::io::AtomicWriteFile(options_.checkpoint_dir + "/ingest-tenant-" +
-                                    std::to_string(tenant) + ".log",
-                                payload);
+      // Append: the file keeps what earlier runs of the daemon flushed.
+      std::string payload =
+          util::io::FileExists(path) ? util::io::ReadFile(path) : "";
+      for (const events::Event& event : drained[tenant]) {
+        payload += event.ToLogLine();
+        payload += '\n';
+      }
+      util::io::AtomicWriteFile(path, payload);
       ++report.ingest_files_written;
       report.ingest_events_flushed += drained[tenant].size();
     } catch (const util::io::IoError&) {

@@ -84,8 +84,9 @@ class Dispatcher {
       JARVIS_EXCLUDES(mutex_);
 
   // Final durable flush for graceful drain: per-tenant fleet checkpoints
-  // plus buffered ingest events, all through util::io's atomic path into
-  // options.checkpoint_dir. Call only after the pool is idle.
+  // plus buffered ingest events (appended to ingest-tenant-N.log), all
+  // through util::io's atomic path into options.checkpoint_dir. Call only
+  // after the pool is idle.
   DrainFlushReport FlushForDrain() JARVIS_EXCLUDES(mutex_);
 
   // Releases every parked stall request (see DispatcherOptions.allow_stall).

@@ -57,25 +57,24 @@ void SafetyPolicyLearner::SetMetrics(obs::Registry* registry) {
 void SafetyPolicyLearner::Learn(
     const std::vector<fsm::Episode>& episodes,
     const std::vector<sim::LabeledSample>& labeled) {
-  learn_report_ = {};
-  learn_report_.episodes_offered = episodes.size();
-
   // Episode-gap tolerance: a degraded event stream may yield empty or
   // truncated episodes; they are skipped (and counted) rather than
   // poisoning or aborting the learning phase.
   std::vector<fsm::TriggerAction> observations;
+  std::size_t used = 0;
+  std::size_t skipped = 0;  // empty or below min_episode_fraction
   for (const auto& episode : episodes) {
     const auto min_steps = static_cast<std::size_t>(
         config_.min_episode_fraction *
         static_cast<double>(episode.config().StepsPerEpisode()));
     if (episode.size() == 0 || episode.size() < min_steps) {
-      ++learn_report_.episodes_skipped;
+      ++skipped;
       continue;
     }
-    ++learn_report_.episodes_used;
+    ++used;
     fsm::AppendTriggerActions(episode, &observations);
   }
-  if (learn_report_.episodes_used == 0) {
+  if (used == 0) {
     throw std::invalid_argument(
         "SafetyPolicyLearner::Learn: no usable episodes");
   }
@@ -92,22 +91,24 @@ void SafetyPolicyLearner::Learn(
   // Mem <- Filter_ANN(TD): drop transitions the filter regards as benign
   // anomalies so malfunctions observed during the learning week are not
   // whitelisted as habitual behavior.
+  std::size_t kept = 0;
+  std::size_t filtered = 0;
   for (const auto& ta : observations) {
     if (config_.use_ann_filter && filter_.IsBenign(ta)) {
-      ++learn_report_.filtered_benign;
+      ++filtered;
       continue;
     }
-    ++learn_report_.observations;
+    ++kept;
     table_.Observe(ta.trigger_state, ta.action, ta.minute_of_day);
   }
   table_.Finalize();
   learned_ = true;
   if (episodes_offered_counter_ != nullptr) {
-    episodes_offered_counter_->Increment(learn_report_.episodes_offered);
-    episodes_used_counter_->Increment(learn_report_.episodes_used);
-    episodes_skipped_counter_->Increment(learn_report_.episodes_skipped);
-    observations_counter_->Increment(learn_report_.observations);
-    filtered_benign_counter_->Increment(learn_report_.filtered_benign);
+    episodes_offered_counter_->Increment(episodes.size());
+    episodes_used_counter_->Increment(used);
+    episodes_skipped_counter_->Increment(skipped);
+    observations_counter_->Increment(kept);
+    filtered_benign_counter_->Increment(filtered);
     if (config_.use_ann_filter) {
       ann_epochs_counter_->Increment(config_.ann.epochs);
     }
@@ -150,39 +151,11 @@ Verdict SafetyPolicyLearner::Classify(const fsm::StateVector& state,
   return worst;
 }
 
-namespace {
-
-// Learn-report counters are sizes: non-negative integers. Anything else in
-// a restored document is corrupt or hostile.
-std::size_t ReadCount(const util::JsonValue& stats, const char* key) {
-  const std::int64_t value = stats.At(key).AsInt();
-  if (value < 0) {
-    throw util::JsonError(std::string("SafetyPolicyLearner::LoadJson: "
-                                      "negative stat '") +
-                          key + "'");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-}  // namespace
-
 util::JsonValue SafetyPolicyLearner::ToJson() const {
   util::JsonObject obj;
   obj["learned"] = util::JsonValue(learned_);
   obj["table"] = table_.ToJson();
   obj["filter"] = filter_.ToJson();
-  util::JsonObject stats;
-  stats["episodes_offered"] = util::JsonValue(
-      static_cast<std::int64_t>(learn_report_.episodes_offered));
-  stats["episodes_used"] =
-      util::JsonValue(static_cast<std::int64_t>(learn_report_.episodes_used));
-  stats["episodes_skipped"] = util::JsonValue(
-      static_cast<std::int64_t>(learn_report_.episodes_skipped));
-  stats["observations"] =
-      util::JsonValue(static_cast<std::int64_t>(learn_report_.observations));
-  stats["filtered_benign"] = util::JsonValue(
-      static_cast<std::int64_t>(learn_report_.filtered_benign));
-  obj["stats"] = util::JsonValue(std::move(stats));
   return util::JsonValue(std::move(obj));
 }
 
@@ -194,15 +167,6 @@ void SafetyPolicyLearner::LoadJson(const util::JsonValue& doc) {
   learned_ = false;
   table_.LoadJson(doc.At("table"));
   filter_.LoadJson(doc.At("filter"));
-  learn_report_ = {};
-  if (doc.AsObject().count("stats") != 0) {  // absent in legacy documents
-    const util::JsonValue& stats = doc.At("stats");
-    learn_report_.episodes_offered = ReadCount(stats, "episodes_offered");
-    learn_report_.episodes_used = ReadCount(stats, "episodes_used");
-    learn_report_.episodes_skipped = ReadCount(stats, "episodes_skipped");
-    learn_report_.observations = ReadCount(stats, "observations");
-    learn_report_.filtered_benign = ReadCount(stats, "filtered_benign");
-  }
   learned_ = doc.At("learned").AsBool();
 }
 

@@ -41,17 +41,6 @@ struct SplConfig {
   std::uint64_t seed = 7;
 };
 
-// Degradation accounting for one learning phase: how many of the offered
-// episodes actually contributed, and what the ANN filter removed. Feeds
-// core::HealthReport.
-struct LearnReport {
-  std::size_t episodes_offered = 0;
-  std::size_t episodes_used = 0;
-  std::size_t episodes_skipped = 0;  // empty or below min_episode_fraction
-  std::size_t observations = 0;      // surviving T/A observations
-  std::size_t filtered_benign = 0;   // removed by Filter_ANN(TD)
-};
-
 // One flagged mini-action when auditing an episode.
 struct Flag {
   int step_index;
@@ -75,13 +64,13 @@ class SafetyPolicyLearner {
   // (learning-phase behavior labeled normal plus user-labeled benign
   // anomalies); `episodes` are the learning episodes whose surviving
   // transitions populate P_safe. Gappy input is tolerated: empty or
-  // too-short episodes are skipped and counted in learn_report(); only a
-  // stream with zero usable episodes aborts.
+  // too-short episodes are skipped and counted in
+  // spl.learner.episodes_skipped; only a stream with zero usable episodes
+  // aborts.
   void Learn(const std::vector<fsm::Episode>& episodes,
              const std::vector<sim::LabeledSample>& labeled);
 
   bool learned() const { return learned_; }
-  const LearnReport& learn_report() const { return learn_report_; }
 
   // Classifies one joint transition attempt.
   Verdict Classify(const fsm::StateVector& state,
@@ -128,7 +117,6 @@ class SafetyPolicyLearner {
   SplConfig config_;
   SafeTransitionTable table_;
   AnnFilter filter_;
-  LearnReport learn_report_;
   bool learned_ = false;
   obs::Counter* episodes_offered_counter_ = nullptr;
   obs::Counter* episodes_used_counter_ = nullptr;

@@ -31,12 +31,14 @@ run learn --log events.log --seed 3 --day 5 --episodes 2 --out home.ckpt
 test -s home.ckpt || fail "learn wrote no checkpoint"
 
 run audit --log events.log --checkpoint home.ckpt
-grep -q '^restore home.ckpt: found, 2 sections restored, 0 failed$' out.txt ||
-  fail "audit did not restore policies and DQN cleanly"
+grep -q '^restore home.ckpt: found, 1 sections restored, 0 failed$' out.txt ||
+  fail "audit did not restore the policies (and only them) cleanly"
 grep -q ' 0 violations, ' out.txt ||
   fail "a home's audit of its own log must find 0 violations"
 
 run optimize --checkpoint home.ckpt --episodes 2
+grep -q '^restore home.ckpt: found, 2 sections restored, 0 failed$' out.txt ||
+  fail "optimize did not restore policies and DQN cleanly"
 grep -q '^  jarvis : ' out.txt || fail "optimize printed no plan"
 
 run suggest --checkpoint home.ckpt --episodes 2 --minute 480

@@ -115,7 +115,7 @@ TEST_F(JarvisFixture, LearnFromEventsFullPipeline) {
                std::invalid_argument);
 }
 
-TEST_F(JarvisFixture, HealthReportAggregatesPipelineCounters) {
+TEST_F(JarvisFixture, MetricsRecordWhatThePipelineLost) {
   sim::ResidentSimulator resident(testbed_->home_a(), sim::ThermalConfig{},
                                   404, sim::BehaviorConfig{0.0, 1});
   const auto generator = testbed_->home_a_generator();
@@ -126,31 +126,25 @@ TEST_F(JarvisFixture, HealthReportAggregatesPipelineCounters) {
   config.trainer.episodes = 2;
   config.restarts = 1;
   Jarvis fresh(testbed_->home_a(), config);
-  EXPECT_FALSE(fresh.Health().degraded());
+  EXPECT_FALSE(Degraded(fresh.TakeMetricsSnapshot()));
+  EXPECT_EQ(fresh.TakeMetricsSnapshot().CounterValue(
+                "core.jarvis.checkpoint_sections_failed"),
+            0u);
 
   fresh.LearnFromEvents(trace.events, resident.OvernightState(),
                         util::SimTime(0), testbed_->BuildTrainingSet());
-  const HealthReport& health = fresh.Health();
-  EXPECT_EQ(health.parse.events_seen, trace.events.size());
-  EXPECT_TRUE(health.parse.WithinBudget());
-  EXPECT_EQ(health.learn.episodes_used, 1u);
-  EXPECT_EQ(health.learn.episodes_skipped, 0u);
-  EXPECT_GT(health.learn.observations, 0u);
-  EXPECT_FALSE(health.degraded());
+  const obs::MetricsSnapshot metrics = fresh.TakeMetricsSnapshot();
+  EXPECT_EQ(metrics.CounterValue("events.parser.events_seen"),
+            trace.events.size());
+  EXPECT_EQ(metrics.CounterValue("events.parser.events_dropped"), 0u);
+  EXPECT_EQ(metrics.CounterValue("spl.learner.episodes_used"), 1u);
+  EXPECT_EQ(metrics.CounterValue("spl.learner.episodes_skipped"), 0u);
+  EXPECT_GT(metrics.CounterValue("spl.learner.observations"), 0u);
+  EXPECT_FALSE(Degraded(metrics));
 
-  // A monitor's denials fold in.
-  OnlineMonitor monitor(testbed_->home_a(), fresh.learner(),
-                        resident.OvernightState());
-  monitor.MarkStateUnknown(0);
-  events::Event unlock;
-  unlock.date = util::SimTime(120);
-  unlock.device_label = "lock";
-  unlock.attribute_value = "unlocked";
-  unlock.command = "unlock";
-  monitor.Consume(unlock);
-  fresh.NoteMonitor(monitor);
-  EXPECT_EQ(fresh.Health().monitor_failsafe_denials, 1u);
-  EXPECT_TRUE(fresh.Health().degraded());
+  // Any one loss counter going nonzero makes the pipeline degraded.
+  fresh.Metrics().GetCounter("rl.trainer.purged_experiences")->Increment();
+  EXPECT_TRUE(Degraded(fresh.TakeMetricsSnapshot()));
 }
 
 TEST_F(JarvisFixture, LearnFromEventsEnforcesParseDropBudget) {
@@ -170,8 +164,10 @@ TEST_F(JarvisFixture, LearnFromEventsEnforcesParseDropBudget) {
                                      util::SimTime(0),
                                      testbed_->BuildTrainingSet()),
                std::runtime_error);
-  EXPECT_FALSE(fresh.Health().parse.WithinBudget());
-  EXPECT_TRUE(fresh.Health().degraded());
+  const obs::MetricsSnapshot metrics = fresh.TakeMetricsSnapshot();
+  EXPECT_GT(metrics.CounterValue("events.parser.events_dropped") * 4,
+            metrics.CounterValue("events.parser.events_seen"));
+  EXPECT_TRUE(Degraded(metrics));
 
   // Raising the budget lets the pipeline degrade gracefully instead.
   config.parse_drop_budget = 0.5;
@@ -179,7 +175,9 @@ TEST_F(JarvisFixture, LearnFromEventsEnforcesParseDropBudget) {
   lax.LearnFromEvents(trace.events, resident.OvernightState(),
                       util::SimTime(0), testbed_->BuildTrainingSet());
   EXPECT_TRUE(lax.learned());
-  EXPECT_GT(lax.Health().parse.stats.unknown_device, 0u);
+  EXPECT_GT(lax.TakeMetricsSnapshot().CounterValue(
+                "events.parser.events_dropped"),
+            0u);
 }
 
 TEST_F(JarvisFixture, MetricForSelectsFocusedMetric) {

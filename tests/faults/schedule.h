@@ -59,7 +59,7 @@ struct FaultSchedule {
 };
 
 // Counts of faults actually injected, by kind — the ground truth the chaos
-// suite checks core::HealthReport counters against.
+// suite checks the pipeline's metrics against.
 struct FaultCounters {
   std::size_t dropped = 0;
   std::size_t duplicated = 0;        // extra copies emitted

@@ -27,7 +27,7 @@ faults::FaultSpec Spec(faults::FaultKind kind, double rate,
 
 struct ChaosOutcome {
   DayPlan plan;
-  HealthReport health;
+  obs::MetricsSnapshot metrics;  // the pipeline's registry afterwards
   // Ground truth of what the injector put into the stream.
   faults::FaultCounters ground_truth;
   std::size_t faulted_events = 0;
@@ -68,7 +68,7 @@ class ChaosFixture : public ::testing::Test {
 
   // Full pipeline under one schedule: inject -> learn from the faulted
   // stream -> optimize a day -> stream the faulted events through the
-  // fail-safe monitor -> collect health.
+  // fail-safe monitor -> collect the pipeline's metrics.
   static ChaosOutcome RunPipeline(const faults::FaultSchedule& schedule) {
     faults::FaultInjector injector(schedule);
     const auto faulted = injector.Apply(*events_);
@@ -87,9 +87,8 @@ class ChaosFixture : public ::testing::Test {
 
     OnlineMonitor monitor(testbed_->home_a(), jarvis.learner(), *initial_);
     for (const auto& event : faulted) monitor.Consume(event);
-    jarvis.NoteMonitor(monitor);
 
-    outcome.health = jarvis.Health();
+    outcome.metrics = jarvis.TakeMetricsSnapshot();
     outcome.ground_truth = injector.counters();
     outcome.faulted_events = faulted.size();
     outcome.monitor_events = monitor.events_consumed();
@@ -109,10 +108,12 @@ class ChaosFixture : public ::testing::Test {
               outcome.plan.normal_metrics.energy_kwh * 2.0);
     // Accounting: the parser saw exactly the faulted stream, the monitor
     // consumed all of it, and both learning days were offered.
-    EXPECT_EQ(outcome.health.parse.events_seen, outcome.faulted_events);
+    EXPECT_EQ(outcome.metrics.CounterValue("events.parser.events_seen"),
+              outcome.faulted_events);
     EXPECT_EQ(outcome.monitor_events, outcome.faulted_events);
-    EXPECT_EQ(outcome.health.learn.episodes_offered, 2u);
-    EXPECT_GT(outcome.health.learn.episodes_used, 0u);
+    EXPECT_EQ(outcome.metrics.CounterValue("spl.learner.episodes_offered"),
+              2u);
+    EXPECT_GT(outcome.metrics.CounterValue("spl.learner.episodes_used"), 0u);
     EXPECT_GT(outcome.ground_truth.total(), 0u);
   }
 
@@ -158,8 +159,8 @@ TEST_F(ChaosFixture, ZeroFaultRateReproducesBaselineExactly) {
             baseline.plan.optimized_metrics.cost_usd);
   EXPECT_EQ(reproduced.plan.violations, 0u);
   EXPECT_EQ(baseline.plan.violations, 0u);
-  EXPECT_EQ(reproduced.health.parse.events_dropped(),
-            baseline.health.parse.events_dropped());
+  EXPECT_EQ(reproduced.metrics.CounterValue("events.parser.events_dropped"),
+            baseline.metrics.CounterValue("events.parser.events_dropped"));
 }
 
 TEST_F(ChaosFixture, LossyTransportSchedule) {
@@ -224,8 +225,8 @@ TEST_F(ChaosFixture, KitchenSinkSchedule) {
   schedule.specs.push_back(stuck);
   const ChaosOutcome outcome = RunPipeline(schedule);
   ExpectDegradedButSafe(outcome);
-  EXPECT_TRUE(outcome.health.degraded());
-  EXPECT_GT(outcome.health.parse.events_dropped(), 0u);
+  EXPECT_TRUE(Degraded(outcome.metrics));
+  EXPECT_GT(outcome.metrics.CounterValue("events.parser.events_dropped"), 0u);
 }
 
 TEST_F(ChaosFixture, ObsCountersMirrorInjectedGroundTruth) {

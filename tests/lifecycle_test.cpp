@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,6 +51,10 @@ FleetConfig CheapConfig(std::size_t tenants, std::size_t jobs) {
   config.tenant_config.dqn.batch_size = 16;
   config.tenant_config.spl.ann.epochs = 3;
   return config;
+}
+
+std::uint64_t Counter(const Jarvis& jarvis, const std::string& name) {
+  return jarvis.TakeMetricsSnapshot().CounterValue(name);
 }
 
 SimulatedWorkloadOptions CheapWorkload() {
@@ -120,22 +125,34 @@ TEST_F(LifecycleFixture, JarvisCheckpointRoundTripRestoresLearnedState) {
   util::io::CreateDirectories(ScratchDir("roundtrip"));
   original.SaveCheckpoint(path);
 
+  // The default config never warm-starts, so the DQN section stays
+  // unread: counted neither restored nor failed.
   Jarvis restored(Home(), config);
   const Jarvis::RestoreReport report = restored.LoadCheckpoint(path);
   EXPECT_TRUE(report.file_found);
   EXPECT_TRUE(report.meta_valid);
   EXPECT_TRUE(report.spl_restored);
-  EXPECT_TRUE(report.dqn_staged);
+  EXPECT_FALSE(report.dqn_staged);
   EXPECT_TRUE(report.issues.empty()) << persist::FormatIssues(report.issues);
+  EXPECT_EQ(report.sections_restored, 1u);
   EXPECT_EQ(report.sections_failed, 0u);
   ASSERT_TRUE(restored.learned());
   // The whitelist survives the trip bit-for-bit (%.17g FP round trip), so
   // a restored pipeline audits exactly like the one that learned.
   EXPECT_EQ(restored.learner().ToJson().Dump(),
             original.learner().ToJson().Dump());
-  EXPECT_EQ(restored.Health().checkpoint_sections_restored,
-            report.sections_restored);
-  EXPECT_EQ(restored.Health().checkpoint_sections_failed, 0u);
+  EXPECT_EQ(Counter(restored, "core.jarvis.checkpoint_sections_restored"),
+            1u);
+  EXPECT_EQ(Counter(restored, "core.jarvis.checkpoint_sections_failed"), 0u);
+
+  // A warm-starting config stages the DQN too.
+  JarvisConfig warm_config = config;
+  warm_config.warm_start_dqn = true;
+  Jarvis warm(Home(), warm_config);
+  const Jarvis::RestoreReport warm_report = warm.LoadCheckpoint(path);
+  EXPECT_TRUE(warm_report.dqn_staged);
+  EXPECT_EQ(warm_report.sections_restored, 2u);
+  EXPECT_EQ(Counter(warm, "core.jarvis.checkpoint_sections_restored"), 2u);
 
   // Cold-path parity: the restored pipeline's OptimizeDay reproduces the
   // original's day plan exactly (warm_start_dqn is off by default).
@@ -179,8 +196,8 @@ TEST_F(LifecycleFixture, TrailingBytesAreIgnoredWithoutDegradingHealth) {
   EXPECT_TRUE(report.spl_restored);
   EXPECT_EQ(report.sections_failed, 0u);
   EXPECT_EQ(report.issues.size(), 1u) << persist::FormatIssues(report.issues);
-  EXPECT_EQ(restored.Health().checkpoint_sections_failed, 0u);
-  EXPECT_FALSE(restored.Health().degraded());
+  EXPECT_EQ(Counter(restored, "core.jarvis.checkpoint_sections_failed"), 0u);
+  EXPECT_FALSE(core::Degraded(restored.TakeMetricsSnapshot()));
 }
 
 TEST_F(LifecycleFixture, TruncationCountsEverySectionItLost) {
@@ -212,7 +229,8 @@ TEST_F(LifecycleFixture, TruncationCountsEverySectionItLost) {
   EXPECT_FALSE(report.spl_restored);
   EXPECT_FALSE(report.dqn_staged);
   EXPECT_EQ(report.sections_failed, 2u) << persist::FormatIssues(report.issues);
-  EXPECT_EQ(restored.Health().checkpoint_sections_failed, 2u);
+  EXPECT_EQ(Counter(restored, "core.jarvis.checkpoint_sections_failed"), 2u);
+  EXPECT_TRUE(core::Degraded(restored.TakeMetricsSnapshot()));
 }
 
 TEST_F(LifecycleFixture, CrashRecoveryMatchesUninterruptedOracle) {
@@ -336,14 +354,16 @@ TEST_F(LifecycleFixture, EveryStorageFaultKindIsDetectedAndDegradesFailSafe) {
 
     // Whatever was lost, the tenant still serves: a cold (or partially
     // restored) re-run completes with zero violations, and the restore
-    // degradation is visible in its health.
+    // degradation is visible in its metrics.
     const FleetReport rerun = recovered.Run(factory);
     EXPECT_EQ(rerun.completed, 1u);
     EXPECT_EQ(rerun.quarantined, 0u);
     EXPECT_EQ(rerun.total_violations, 0u);
     if (result.restore.sections_failed > 0) {
-      EXPECT_GT(rerun.tenants[0].health.checkpoint_sections_failed, 0u);
-      EXPECT_TRUE(rerun.tenants[0].health.degraded());
+      EXPECT_GT(recovered.TenantMetrics(0).CounterValue(
+                    "core.jarvis.checkpoint_sections_failed"),
+                0u);
+      EXPECT_TRUE(rerun.tenants[0].degraded);
       EXPECT_GT(rerun.degraded, 0u);
     }
   }

@@ -98,19 +98,8 @@ TEST_F(ObsPipelineFixture, CounterInvariantsAcrossStages) {
             snapshot.CounterValue("events.parser.events_accepted") +
                 snapshot.CounterValue("events.parser.events_dropped"));
 
-  // The obs counters mirror the pipeline's own degradation accounting.
-  const HealthReport& health = run.jarvis->Health();
-  EXPECT_EQ(seen, health.parse.events_seen);
   EXPECT_EQ(snapshot.CounterValue("events.parser.episodes_parsed"),
             run.episodes_learned);
-  EXPECT_EQ(snapshot.CounterValue("spl.learner.episodes_used"),
-            health.learn.episodes_used);
-  EXPECT_EQ(snapshot.CounterValue("spl.learner.episodes_skipped"),
-            health.learn.episodes_skipped);
-  EXPECT_EQ(snapshot.CounterValue("spl.learner.episodes_offered"),
-            health.learn.episodes_used + health.learn.episodes_skipped);
-  EXPECT_EQ(snapshot.CounterValue("spl.learner.observations"),
-            health.learn.observations);
   // One Learn call trained the ANN filter once, under its own timer.
   const auto& ann_train = snapshot.FindHistogram("spl.learner.ann_train_us");
   EXPECT_EQ(ann_train.count, 1u);

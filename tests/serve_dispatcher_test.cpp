@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -434,6 +435,40 @@ TEST_F(DispatcherTest, FlushForDrainWritesCheckpointsAndIngest) {
   // The buffer was drained: a second flush writes no ingest files.
   EXPECT_EQ(dispatcher.ingested_events(1), 0u);
   EXPECT_EQ(dispatcher.FlushForDrain().ingest_files_written, 0u);
+}
+
+TEST_F(DispatcherTest, FlushForDrainAppendsToAnEarlierRunsIngest) {
+  // Two daemon runs on one directory: the second drain must keep the
+  // first run's flushed events.
+  const testing_util::ScratchDir scratch("serve_dispatcher_append");
+  DispatcherOptions options = DefaultOptions();
+  options.checkpoint_dir = scratch.path();
+  std::string expected;
+  int minute = 0;
+  for (const int count : {5, 3}) {
+    Dispatcher dispatcher(*fleet_, options, nullptr);
+    util::JsonArray lines;
+    for (int i = 0; i < count; ++i) {
+      events::Event event;
+      event.date = util::SimTime(minute++);
+      event.device_label = "thermostat";
+      lines.emplace_back(event.ToLogLine());
+      expected += event.ToLogLine() + "\n";
+    }
+    util::JsonObject request;
+    request["id"] = 1;
+    request["type"] = "ingest";
+    request["tenant"] = 0;
+    request["lines"] = util::JsonValue(std::move(lines));
+    ASSERT_TRUE(ResponseOk(
+        Call(dispatcher, util::JsonValue(std::move(request)).Dump())));
+    EXPECT_EQ(dispatcher.FlushForDrain().ingest_events_flushed,
+              static_cast<std::size_t>(count));
+  }
+  const std::string flushed =
+      util::io::ReadFile(scratch.path() + "/ingest-tenant-0.log");
+  EXPECT_EQ(std::count(flushed.begin(), flushed.end(), '\n'), 8);
+  EXPECT_EQ(flushed, expected);
 }
 
 }  // namespace

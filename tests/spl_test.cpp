@@ -323,14 +323,16 @@ TEST_F(SplIntegration, GappyEpisodesSkippedNotFatal) {
   SplConfig config;
   config.min_episode_fraction = 0.5;
   SafetyPolicyLearner tolerant(testbed_->home_a(), config);
+  obs::Registry registry;
+  tolerant.SetMetrics(&registry);
   tolerant.Learn(episodes, testbed_->BuildTrainingSet());
 
   EXPECT_TRUE(tolerant.learned());
-  const LearnReport& report = tolerant.learn_report();
-  EXPECT_EQ(report.episodes_offered, good + 1);
-  EXPECT_EQ(report.episodes_used, good);
-  EXPECT_EQ(report.episodes_skipped, 1u);
-  EXPECT_GT(report.observations, 0u);
+  const obs::MetricsSnapshot metrics = registry.TakeSnapshot();
+  EXPECT_EQ(metrics.CounterValue("spl.learner.episodes_offered"), good + 1);
+  EXPECT_EQ(metrics.CounterValue("spl.learner.episodes_used"), good);
+  EXPECT_EQ(metrics.CounterValue("spl.learner.episodes_skipped"), 1u);
+  EXPECT_GT(metrics.CounterValue("spl.learner.observations"), 0u);
 }
 
 TEST_F(SplIntegration, MinEpisodeFractionSkipsTruncatedEpisodes) {
@@ -350,15 +352,21 @@ TEST_F(SplIntegration, MinEpisodeFractionSkipsTruncatedEpisodes) {
   SplConfig config;
   config.min_episode_fraction = 0.5;
   SafetyPolicyLearner tolerant(testbed_->home_a(), config);
+  obs::Registry tolerant_registry;
+  tolerant.SetMetrics(&tolerant_registry);
   tolerant.Learn(episodes, testbed_->BuildTrainingSet());
-  EXPECT_EQ(tolerant.learn_report().episodes_skipped, 1u);
+  const obs::MetricsSnapshot strict = tolerant_registry.TakeSnapshot();
+  EXPECT_EQ(strict.CounterValue("spl.learner.episodes_skipped"), 1u);
 
   // With no minimum, the truncated episode contributes.
   SafetyPolicyLearner lax(testbed_->home_a(), SplConfig{});
+  obs::Registry lax_registry;
+  lax.SetMetrics(&lax_registry);
   lax.Learn(episodes, testbed_->BuildTrainingSet());
-  EXPECT_EQ(lax.learn_report().episodes_skipped, 0u);
-  EXPECT_EQ(lax.learn_report().episodes_used,
-            tolerant.learn_report().episodes_used + 1);
+  const obs::MetricsSnapshot loose = lax_registry.TakeSnapshot();
+  EXPECT_EQ(loose.CounterValue("spl.learner.episodes_skipped"), 0u);
+  EXPECT_EQ(loose.CounterValue("spl.learner.episodes_used"),
+            strict.CounterValue("spl.learner.episodes_used") + 1);
 }
 
 TEST_F(SplIntegration, AllEpisodesGappyAborts) {
@@ -503,10 +511,6 @@ TEST_F(SplIntegration, LearnerJsonRoundTripClassifiesIdentically) {
   SafetyPolicyLearner restored(testbed_->home_a(), SplConfig{});
   restored.LoadJsonString(learner_->ToJsonString());
   ASSERT_TRUE(restored.learned());
-  EXPECT_EQ(restored.learn_report().episodes_used,
-            learner_->learn_report().episodes_used);
-  EXPECT_EQ(restored.learn_report().observations,
-            learner_->learn_report().observations);
   // Same verdict on every probe — whitelist AND ANN survived bit-for-bit.
   sim::AnomalyGenerator generator(testbed_->home_a(), 2718);
   fsm::StateVector state(testbed_->home_a().device_count(), 0);
@@ -527,11 +531,30 @@ TEST_F(SplIntegration, RejectedRestoreLeavesLearnerDenying) {
   ASSERT_TRUE(victim.learned());
 
   const util::JsonValue hostile = json_edit::SetJson(
-      learner_->ToJson(), {"stats", "observations"}, util::JsonValue(-3));
+      learner_->ToJson(), {"learned"}, util::JsonValue(-3));
   EXPECT_THROW(victim.LoadJson(hostile), util::JsonError);
   EXPECT_FALSE(victim.learned());
   fsm::StateVector state(testbed_->home_a().device_count(), 0);
   EXPECT_THROW(victim.ClassifyMini(state, {0, 0}, 0), std::logic_error);
+}
+
+TEST_F(SplIntegration, RestoreIgnoresAStatsObject) {
+  // Older checkpoints carry a "stats" object beside the policies; LoadJson
+  // never looks it up, so they still restore.
+  EXPECT_EQ(learner_->ToJson().AsObject().count("stats"), 0u);
+  util::JsonObject doc = learner_->ToJson().AsObject();
+  util::JsonObject stats;
+  stats["episodes_offered"] = util::JsonValue(std::int64_t{3});
+  stats["episodes_used"] = util::JsonValue(std::int64_t{3});
+  stats["episodes_skipped"] = util::JsonValue(std::int64_t{0});
+  stats["observations"] = util::JsonValue(std::int64_t{120});
+  stats["filtered_benign"] = util::JsonValue(std::int64_t{4});
+  doc["stats"] = util::JsonValue(std::move(stats));
+
+  SafetyPolicyLearner restored(testbed_->home_a(), SplConfig{});
+  restored.LoadJson(util::JsonValue(std::move(doc)));
+  ASSERT_TRUE(restored.learned());
+  EXPECT_EQ(restored.ToJsonString(), learner_->ToJsonString());
 }
 
 TEST_F(SplIntegration, RestoreRejectsForeignAnnTopology) {

@@ -16,8 +16,9 @@ Reads the JSON document from stdin (or a file argument) and checks:
      (count <= runtime.fleet.tenants_run).
   5. Pipeline invariants mirrored from the obs counter contracts:
      events_seen == events_accepted + events_dropped and
-     monitor decisions == allowed + denied + benign_anomalies, whenever
-     those counters are present in the tenant aggregate.
+     episodes_offered == episodes_used + episodes_skipped in the tenant
+     aggregate. A counter an identity names that is missing from the
+     aggregate is a finding, not a skip.
 
 Exit status 0 when the document is well-formed; 1 with a readable report
 otherwise. Registered as the `metrics_schema` ctest (label `obs`) and run
@@ -45,13 +46,10 @@ FLEET_PHASE_TIMERS = ("runtime.fleet.workload_us", "runtime.fleet.learn_us",
                       "runtime.fleet.optimize_us")
 
 # (total, [parts]) counter identities the instrumented pipeline guarantees;
-# checked only when every involved counter is present in the snapshot.
+# every involved counter must be present in the tenant aggregate.
 COUNTER_IDENTITIES = (
     ("events.parser.events_seen",
      ("events.parser.events_accepted", "events.parser.events_dropped")),
-    ("core.monitor.decisions",
-     ("core.monitor.allowed", "core.monitor.denied",
-      "core.monitor.benign_anomalies")),
     ("spl.learner.episodes_offered",
      ("spl.learner.episodes_used", "spl.learner.episodes_skipped")),
 )
@@ -152,7 +150,11 @@ def check_phase_timers(counters, histogram_counts, errors):
 
 def check_identities(counters, where, errors):
     for total, parts in COUNTER_IDENTITIES:
-        if total not in counters or any(p not in counters for p in parts):
+        missing = [n for n in (total, *parts) if n not in counters]
+        if missing:
+            errors.append(
+                f"{where}: identity {total} cannot be checked: missing "
+                f"{', '.join(missing)}")
             continue
         part_sum = sum(counters[p] for p in parts)
         if counters[total] != part_sum:
