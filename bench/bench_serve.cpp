@@ -12,7 +12,10 @@
 // baseline is the --smoke shape).
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -151,8 +154,19 @@ int main(int argc, char** argv) {
   fleet.Run(runtime::SimulatedWorkloadFactory(home, workload));
   sim::ResidentSimulator resident(home, sim::ThermalConfig{}, 2026);
 
+  // Ingest appends to <checkpoint-dir>/ingest-tenant-0.log as the daemon
+  // does, so latency_ingest times that append; a fresh directory per run
+  // keeps runs from timing a file that grows across them.
+  std::string checkpoint_dir =
+      (std::filesystem::temp_directory_path() / "bench_serve-XXXXXX")
+          .string();
+  if (::mkdtemp(checkpoint_dir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
   serve::DispatcherOptions options;
   options.default_state = resident.OvernightState();
+  options.checkpoint_dir = checkpoint_dir;
   serve::Dispatcher dispatcher(fleet, options, nullptr);
   serve::ServerConfig config;
   config.workers = 2;
@@ -314,6 +328,7 @@ int main(int argc, char** argv) {
   std::ofstream out("BENCH_serve.json");
   out << util::JsonValue(std::move(doc)).Dump(2) << "\n";
   std::printf("wrote BENCH_serve.json\n");
+  std::filesystem::remove_all(checkpoint_dir);
 
   // Every paced request answered ok; the sweep admitted exactly the stall
   // plus a full queue and answered the entire burst one way or the other.

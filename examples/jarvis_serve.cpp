@@ -12,7 +12,7 @@
 //       EOF or a shutdown request ends it.
 //
 // Exit is always the graceful path: stop accepting, answer everything
-// already admitted, flush checkpoints + buffered ingest to
+// already admitted, sync the ingest logs and write checkpoints to
 // --checkpoint-dir, exit 0. `jarvis_cli client` is the matching client.
 #include <csignal>
 #include <cstdio>
@@ -44,7 +44,7 @@ int Usage() {
       "  --days N           simulated learning days (default 2)\n"
       "  --workers N        serving worker threads (default 2)\n"
       "  --queue N          admission queue capacity (default 8)\n"
-      "  --checkpoint-dir D warm-boot source, drain flush destination\n"
+      "  --checkpoint-dir D warm-boot source, ingest logs, drain flush\n"
       "  --port P           loopback TCP port, 0 = ephemeral (default 0)\n"
       "  --port-file FILE   write the bound port here once listening\n"
       "  --stdio            serve one conversation on stdin/stdout\n");
@@ -131,10 +131,8 @@ int Run(const util::Flags& flags) {
   server.RequestDrain();
   const serve::DrainFlushReport drained = server.Drain();
   std::fprintf(stderr,
-               "jarvis_serve: drained (checkpoints %zu saved / %zu failed, "
-               "%zu ingest events flushed)\n",
-               drained.checkpoints_saved, drained.checkpoints_failed,
-               drained.ingest_events_flushed);
+               "jarvis_serve: drained (checkpoints %zu saved / %zu failed)\n",
+               drained.checkpoints_saved, drained.checkpoints_failed);
   return 0;
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "events/event.h"
 #include "util/check.h"
 #include "util/io.h"
 #include "util/timeofday.h"
@@ -65,8 +66,8 @@ Dispatcher::Dispatcher(runtime::Fleet& fleet, DispatcherOptions options,
                        obs::Registry* registry)
     : fleet_(fleet),
       options_(std::move(options)),
-      tenant_count_(fleet.tenant_count()) {
-  ingest_.resize(tenant_count_);
+      tenant_count_(fleet.tenant_count()),
+      logs_(tenant_count_) {
   request_counters_.assign(kRequestTypeCount, nullptr);
   handle_timers_.assign(kRequestTypeCount, nullptr);
   if (registry != nullptr) {
@@ -150,28 +151,25 @@ util::JsonObject Dispatcher::HandlePing() {
 
 util::JsonObject Dispatcher::HandleHealth() {
   const runtime::FleetReport report = fleet_.report();
-  std::size_t buffered = 0;
-  {
-    util::MutexLock lock(mutex_);
-    for (const auto& buffer : ingest_) buffered += buffer.size();
-  }
   util::JsonObject fields;
   fields["protocol"] = kProtocolVersion;
   fields["tenants"] = static_cast<std::int64_t>(fleet_.tenant_count());
   fields["completed"] = static_cast<std::int64_t>(report.completed);
   fields["quarantined"] = static_cast<std::int64_t>(report.quarantined);
-  fields["buffered_events"] = static_cast<std::int64_t>(buffered);
   return fields;
 }
 
 util::JsonObject Dispatcher::HandleIngest(const util::JsonValue& body) {
+  if (options_.checkpoint_dir.empty()) {
+    throw RequestError(kErrBadRequest, "the daemon has no checkpoint dir");
+  }
   const std::size_t tenant = ParseTenant(body);
   const util::JsonValue* lines = FindField(body, "lines");
   if (lines == nullptr || !lines->is_array()) {
     throw RequestError(kErrBadRequest, "missing array 'lines'");
   }
-  std::vector<events::Event> parsed;
-  parsed.reserve(lines->AsArray().size());
+  std::string appended;
+  std::size_t accepted = 0;
   std::size_t rejected = 0;
   for (const util::JsonValue& line : lines->AsArray()) {
     if (!line.is_string()) {
@@ -182,30 +180,28 @@ util::JsonObject Dispatcher::HandleIngest(const util::JsonValue& body) {
     // applied per event, so a corrupted shard of a device log still
     // delivers its intact records.
     try {
-      parsed.push_back(events::Event::FromLogLine(line.AsString()));
+      appended += events::Event::FromLogLine(line.AsString()).ToLogLine();
+      appended += '\n';
+      ++accepted;
     } catch (const std::exception&) {
       ++rejected;
     }
   }
-  std::size_t accepted = 0;
-  std::size_t buffered = 0;
-  {
-    util::MutexLock lock(mutex_);
-    auto& buffer = ingest_[tenant];
-    for (auto& event : parsed) {
-      if (buffer.size() >= options_.max_ingest_events) {
-        ++rejected;  // bounded memory: past the cap is refused, not queued
-        continue;
-      }
-      buffer.push_back(std::move(event));
-      ++accepted;
+  if (!appended.empty()) {
+    // One write under the tenant's lock: the batch lands contiguous, and
+    // it is in the file before the response says it was accepted.
+    TenantLog& log = logs_[tenant];
+    util::MutexLock lock(log.mutex);
+    if (!log.file.has_value()) {
+      util::io::CreateDirectories(options_.checkpoint_dir);
+      log.file.emplace(options_.checkpoint_dir + "/ingest-tenant-" +
+                       std::to_string(tenant) + ".log");
     }
-    buffered = buffer.size();
+    log.file->Append(appended);
   }
   util::JsonObject fields;
   fields["accepted"] = static_cast<std::int64_t>(accepted);
   fields["rejected"] = static_cast<std::int64_t>(rejected);
-  fields["buffered"] = static_cast<std::int64_t>(buffered);
   return fields;
 }
 
@@ -282,6 +278,7 @@ util::JsonObject Dispatcher::HandleCheckpoint(const util::JsonValue& body) {
   if (dir.empty()) {
     throw RequestError(kErrBadRequest, "the daemon has no checkpoint dir");
   }
+  SyncIngestLogs();
   const runtime::FleetCheckpointReport report = fleet_.SaveCheckpoints(dir);
   util::JsonObject fields;
   fields["dir"] = dir;
@@ -336,57 +333,29 @@ std::size_t Dispatcher::stalled_now() const {
   return stalled_;
 }
 
-std::size_t Dispatcher::ingested_events(std::size_t tenant) const {
-  util::MutexLock lock(mutex_);
-  return tenant < ingest_.size() ? ingest_[tenant].size() : 0;
-}
-
 // --- Drain flush -------------------------------------------------------------
 
 DrainFlushReport Dispatcher::FlushForDrain() {
   DrainFlushReport report;
   if (options_.checkpoint_dir.empty()) return report;
   try {
-    util::io::CreateDirectories(options_.checkpoint_dir);
+    SyncIngestLogs();
   } catch (const util::io::IoError&) {
-    // An uncreatable destination degrades every write below individually.
+    // Drain must finish even on a sick disk; the checkpoint report below
+    // carries the durable-state verdict.
   }
-
-  // Buffered ingest first: grab the buffers under the lock, write outside
-  // it (AtomicWriteFile fsyncs; holding mutex_ across that would stall any
-  // late stall/ingest bookkeeping for no reason).
-  std::vector<std::vector<events::Event>> drained;
-  {
-    util::MutexLock lock(mutex_);
-    drained.swap(ingest_);
-    ingest_.resize(drained.size());
-  }
-  for (std::size_t tenant = 0; tenant < drained.size(); ++tenant) {
-    if (drained[tenant].empty()) continue;
-    const std::string path = options_.checkpoint_dir + "/ingest-tenant-" +
-                             std::to_string(tenant) + ".log";
-    try {
-      // Append: the file keeps what earlier runs of the daemon flushed.
-      std::string payload =
-          util::io::FileExists(path) ? util::io::ReadFile(path) : "";
-      for (const events::Event& event : drained[tenant]) {
-        payload += event.ToLogLine();
-        payload += '\n';
-      }
-      util::io::AtomicWriteFile(path, payload);
-      ++report.ingest_files_written;
-      report.ingest_events_flushed += drained[tenant].size();
-    } catch (const util::io::IoError&) {
-      // Drain must finish even on a sick disk; the checkpoint report below
-      // carries the durable-state verdict.
-    }
-  }
-
   const runtime::FleetCheckpointReport checkpoints =
       fleet_.SaveCheckpoints(options_.checkpoint_dir);
   report.checkpoints_saved = checkpoints.succeeded;
   report.checkpoints_failed = checkpoints.failed;
   return report;
+}
+
+void Dispatcher::SyncIngestLogs() {
+  for (TenantLog& log : logs_) {
+    util::MutexLock lock(log.mutex);
+    if (log.file.has_value()) log.file->Sync();
+  }
 }
 
 // --- Field parsing helpers ---------------------------------------------------

@@ -20,7 +20,9 @@
 //     thread-safe on its own: the fleet serializes callers per tenant and
 //     answers each call with one batched forward per 256 minutes, while
 //     distinct tenants run fully in parallel.
-//   * Ingest buffers and stall bookkeeping sit under mutex_.
+//   * Each tenant's ingest log sits under its own lock, so two workers'
+//     batches never interleave in one file; stall bookkeeping sits under
+//     mutex_.
 //   * Metrics/health/checkpoint ride the Fleet's own thread-safe API.
 #pragma once
 
@@ -28,13 +30,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "events/event.h"
 #include "obs/metrics.h"
 #include "runtime/fleet.h"
 #include "serve/protocol.h"
+#include "util/io.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -45,13 +48,11 @@ struct DispatcherOptions {
   // daemon owner knows the home model; thin clients often don't). Empty =
   // state is required on the wire.
   fsm::StateVector default_state;
-  // Where `checkpoint` requests and the final drain flush write (empty =
-  // checkpoint requests are refused and drain flushes nothing). Clients
-  // cannot choose another destination.
+  // Where `checkpoint` requests and the final drain flush write, and where
+  // `ingest` appends each tenant's events (ingest-tenant-N.log). Empty =
+  // checkpoint and ingest requests are refused and drain flushes nothing.
+  // Clients cannot choose another destination.
   std::string checkpoint_dir;
-  // Per-tenant cap on buffered ingested events; events past the cap are
-  // rejected (counted), not queued — bounded memory under a log flood.
-  std::size_t max_ingest_events = 100000;
   // Enables the `stall` request (parks the handling worker until
   // ReleaseStalls). Test/bench-only: it exists to create deterministic
   // overload and drain-under-load scenarios; production daemons leave it
@@ -63,8 +64,6 @@ struct DispatcherOptions {
 struct DrainFlushReport {
   std::size_t checkpoints_saved = 0;
   std::size_t checkpoints_failed = 0;
-  std::size_t ingest_files_written = 0;
-  std::size_t ingest_events_flushed = 0;
 };
 
 class Dispatcher {
@@ -83,10 +82,9 @@ class Dispatcher {
   void SetShutdownCallback(std::function<void()> callback)
       JARVIS_EXCLUDES(mutex_);
 
-  // Final durable flush for graceful drain: per-tenant fleet checkpoints
-  // plus buffered ingest events (appended to ingest-tenant-N.log), all
-  // through util::io's atomic path into options.checkpoint_dir. Call only
-  // after the pool is idle.
+  // Final durable flush for graceful drain: syncs the ingest logs, then
+  // writes per-tenant fleet checkpoints through util::io's atomic path into
+  // options.checkpoint_dir. Call only after the pool is idle.
   DrainFlushReport FlushForDrain() JARVIS_EXCLUDES(mutex_);
 
   // Releases every parked stall request (see DispatcherOptions.allow_stall).
@@ -95,15 +93,16 @@ class Dispatcher {
   // make its overload sweep deterministic).
   std::size_t stalled_now() const JARVIS_EXCLUDES(mutex_);
 
-  // Buffered ingested events for one tenant (tests).
-  std::size_t ingested_events(std::size_t tenant) const
-      JARVIS_EXCLUDES(mutex_);
-
  private:
+  // One tenant's ingest log, opened at the tenant's first ingest.
+  struct TenantLog {
+    util::Mutex mutex;
+    std::optional<util::io::AppendFile> file JARVIS_GUARDED_BY(mutex);
+  };
+
   util::JsonObject HandlePing();
-  util::JsonObject HandleHealth() JARVIS_EXCLUDES(mutex_);
-  util::JsonObject HandleIngest(const util::JsonValue& body)
-      JARVIS_EXCLUDES(mutex_);
+  util::JsonObject HandleHealth();
+  util::JsonObject HandleIngest(const util::JsonValue& body);
   util::JsonObject HandleSuggestAction(const util::JsonValue& body);
   util::JsonObject HandleSuggestMinutes(const util::JsonValue& body);
   util::JsonObject HandleMetrics();
@@ -117,13 +116,16 @@ class Dispatcher {
   std::size_t ParseTenant(const util::JsonValue& body) const;
   fsm::StateVector ParseState(const util::JsonValue& body) const;
 
+  // Fsyncs every open ingest log. Throws util::io::IoError.
+  void SyncIngestLogs();
+
   runtime::Fleet& fleet_;          // unguarded: internally synchronized
   const DispatcherOptions options_;  // unguarded: fixed at construction
   // The serving catalog covers the tenants present when the daemon
   // started.
   const std::size_t tenant_count_;  // unguarded: fixed at construction
+  std::vector<TenantLog> logs_;  // unguarded: sized at construction
   mutable util::Mutex mutex_;
-  std::vector<std::vector<events::Event>> ingest_ JARVIS_GUARDED_BY(mutex_);
   std::function<void()> shutdown_callback_ JARVIS_GUARDED_BY(mutex_);
   bool shutdown_fired_ JARVIS_GUARDED_BY(mutex_) = false;
   std::size_t stalled_ JARVIS_GUARDED_BY(mutex_) = 0;

@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <array>
+#include <cmath>
 
 namespace jarvis::serve {
 
@@ -43,11 +44,17 @@ std::optional<Request> ParseRequest(const std::string& payload,
   const auto& object = doc.AsObject();
   const auto id_it = object.find("id");
   if (id_it != object.end()) {
-    if (!id_it->second.is_number()) {
-      if (error != nullptr) *error = "'id' is not a number";
+    // The id is echoed as the client's correlation key, so one that would
+    // not come back as sent (a fraction, or past 2^53) is refused, never
+    // rounded into another request's id.
+    const util::JsonValue& value = id_it->second;
+    if (!value.is_number() ||
+        std::floor(value.AsNumber()) != value.AsNumber() ||
+        std::fabs(value.AsNumber()) > 0x1p53) {
+      if (error != nullptr) *error = "'id' is not a whole number within 2^53";
       return std::nullopt;
     }
-    request.id = id_it->second.AsInt();
+    request.id = static_cast<std::int64_t>(value.AsNumber());
     if (id != nullptr) *id = request.id;
   }
   const auto type_it = object.find("type");

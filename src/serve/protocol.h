@@ -26,7 +26,7 @@ inline constexpr int kProtocolVersion = 1;
 // The request catalog. Order is stable (counters index by it).
 enum class RequestType {
   kPing,            // liveness + protocol version
-  kIngest,          // append device-event log lines to a tenant's buffer
+  kIngest,          // append device-event log lines to a tenant's log
   kSuggestAction,   // best safe joint action for (tenant, state, minute)
   kSuggestMinutes,  // batched suggestions for many minutes at once
   kMetrics,         // fleet + aggregated tenant metrics snapshot
@@ -58,11 +58,12 @@ struct Request {
 };
 
 // Decodes a frame payload into a Request. Returns nullopt (and a
-// diagnostic in `error`) for anything that is not a JSON object with an
-// absent-or-numeric id and a known `type`. On a refusal, `id` (when
-// non-null) receives the request id if the payload carried a numeric one
-// before the field that failed (e.g. an unknown type), else 0: echoing it
-// lets the client correlate the error response. Never throws.
+// diagnostic in `error`) for anything that is not a JSON object with a
+// known `type` and an id that is absent or a whole number within ±2^53.
+// On a refusal, `id` (when non-null) receives the request id if the
+// payload carried a valid one before the field that failed (e.g. an
+// unknown type), else 0: echoing it lets the client correlate the error
+// response. Never throws.
 std::optional<Request> ParseRequest(const std::string& payload,
                                     std::string* error, std::int64_t* id);
 

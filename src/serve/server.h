@@ -78,9 +78,9 @@ class Server {
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   // Completes the drain: waits until every admitted request has executed
-  // (and therefore written its response), then flushes checkpoints and
-  // buffered ingest through the Dispatcher. Call after the accept loop has
-  // stopped handing new transports to Serve.
+  // (and therefore written its response), then syncs the ingest logs and
+  // writes checkpoints through the Dispatcher. Call after the accept loop
+  // has stopped handing new transports to Serve.
   DrainFlushReport Drain();
 
   runtime::ThreadPool& pool() { return pool_; }

@@ -161,4 +161,33 @@ void AtomicWriteFile(const std::string& path, const std::string& payload,
   FsyncDirOf(path);
 }
 
+AppendFile::AppendFile(const std::string& path)
+    : path_(path),
+      fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644)),
+      torn_tail_(false) {
+  if (fd_ < 0) ThrowIo("open", path_, errno);
+  struct stat info;
+  char last = '\n';
+  if (::fstat(fd_, &info) != 0 ||
+      (info.st_size > 0 && ::pread(fd_, &last, 1, info.st_size - 1) != 1)) {
+    const int err = errno;
+    ::close(fd_);
+    ThrowIo("read tail", path_, err);
+  }
+  torn_tail_ = last != '\n';
+}
+
+AppendFile::~AppendFile() { ::close(fd_); }
+
+void AppendFile::Append(const std::string& lines) {
+  const bool torn = torn_tail_;
+  torn_tail_ = true;  // until the write below lands whole
+  WriteAll(fd_, path_, torn ? "\n" + lines : lines);
+  torn_tail_ = false;
+}
+
+void AppendFile::Sync() {
+  if (::fsync(fd_) != 0) ThrowIo("fsync", path_, errno);
+}
+
 }  // namespace jarvis::util::io

@@ -1,10 +1,12 @@
-// Durable file I/O: the one write path of the library.
+// Durable file I/O: the write paths of the library.
 //
-// Every durable write in src/ goes through AtomicWriteFile (tools/lint.py
-// rule 10 bans raw std::ofstream / fopen writes elsewhere), which commits
-// with the classic write-temp → fsync → rename sequence so a crash at any
-// point leaves either the old file or the new file — never a half-written
-// hybrid. What CAN still reach a reader is whatever the storage layer did
+// Every durable write in src/ goes through this module (tools/lint.py
+// rule 10 bans raw std::ofstream / fopen writes elsewhere), in one of two
+// shapes. AtomicWriteFile replaces a whole file with the classic
+// write-temp → fsync → rename sequence, so a crash at any point leaves
+// either the old file or the new file — never a half-written hybrid.
+// AppendFile grows a line log in place, so a crash can tear only the last
+// line. What CAN still reach a reader is whatever the storage layer did
 // to the bytes (torn write inside the temp file, a bit flip at rest, a
 // truncated rename target on a broken filesystem); detecting that is the
 // checksum layer's job (persist::Checkpoint), not this one's.
@@ -72,5 +74,33 @@ void RemoveFile(const std::string& path);  // ignores a missing file
 // the SAME path (they share the temp name); distinct paths are fine.
 void AtomicWriteFile(const std::string& path, const std::string& payload,
                      WriteInterceptor* interceptor = nullptr);
+
+// An append-only line log, opened (and created) with O_APPEND: each
+// Append is one write at the end of the file, and no byte already there
+// is read back or moved. A crash can tear only the line being written, so
+// the first Append of this object to a file whose last byte is not '\n'
+// starts a new line: the torn line is lost alone and never merges with
+// the next one. Appended bytes survive a crash of the process at once and
+// a power loss after Sync. Not synchronized: one writer at a time.
+class AppendFile {
+ public:
+  // Throws IoError when the file cannot be opened or its tail read.
+  explicit AppendFile(const std::string& path);
+  ~AppendFile();
+  AppendFile(const AppendFile&) = delete;
+  AppendFile& operator=(const AppendFile&) = delete;
+
+  // Appends `lines` (whole '\n'-terminated lines). Throws IoError.
+  void Append(const std::string& lines);
+  // fsync. Throws IoError.
+  void Sync();
+
+ private:
+  const std::string path_;
+  const int fd_;
+  // The file may end mid-line: true after open on such a file and after a
+  // failed write, which may have landed part of its bytes.
+  bool torn_tail_;
+};
 
 }  // namespace jarvis::util::io

@@ -1,10 +1,13 @@
 // Dispatcher handlers against an in-memory Fleet — no sockets anywhere,
 // which is the point of the transport/handler split. Includes the
 // end-to-end parity pin: a day of suggest_action requests through the
-// dispatcher is bit-identical to calling Fleet::SuggestMinutes directly.
+// dispatcher is bit-identical to calling Fleet::SuggestMinutes directly,
+// and the ingest log's contract: every accepted event appended before the
+// response, batches unbroken, a torn line costing only itself.
 #include "serve/dispatcher.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -12,8 +15,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "events/event.h"
+#include "events/logger_app.h"
 #include "fsm/device_library.h"
 #include "runtime/fleet.h"
 #include "scratch_dir.h"
@@ -71,6 +77,35 @@ class DispatcherTest : public ::testing::Test {
     DispatcherOptions options;
     options.default_state = *overnight_;
     return options;
+  }
+
+  // Options of a daemon whose checkpoint dir (and so ingest logs) is `dir`.
+  static DispatcherOptions LogOptions(const std::string& dir) {
+    DispatcherOptions options = DefaultOptions();
+    options.checkpoint_dir = dir;
+    return options;
+  }
+
+  static std::string IngestLogPath(const std::string& dir,
+                                   std::size_t tenant) {
+    return dir + "/ingest-tenant-" + std::to_string(tenant) + ".log";
+  }
+
+  // A log line of one event at `minute` on device `label`.
+  static std::string MinuteLine(int minute, const std::string& label) {
+    events::Event event;
+    event.date = util::SimTime(minute);
+    event.device_label = label;
+    return event.ToLogLine();
+  }
+
+  static std::string IngestPayload(int tenant, util::JsonArray lines) {
+    util::JsonObject request;
+    request["id"] = 1;
+    request["type"] = "ingest";
+    request["tenant"] = tenant;
+    request["lines"] = util::JsonValue(std::move(lines));
+    return util::JsonValue(std::move(request)).Dump();
   }
 
   // Decodes `payload` the way the Server does, then dispatches it. Every
@@ -230,7 +265,8 @@ TEST_F(DispatcherTest, SuggestMinutesBatchMatchesDirectCall) {
 }
 
 TEST_F(DispatcherTest, IngestCountsGoodAndBadLines) {
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  const testing_util::ScratchDir scratch("serve_dispatcher_ingest");
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
   // Two real log lines (round-tripped through the event model) plus junk.
   events::Event event;
   event.date = util::SimTime(480);
@@ -245,61 +281,152 @@ TEST_F(DispatcherTest, IngestCountsGoodAndBadLines) {
   lines.emplace_back("not an event");
   lines.emplace_back(good);
   lines.emplace_back(42);  // not even a string
-  util::JsonObject request;
-  request["id"] = 5;
-  request["type"] = "ingest";
-  request["tenant"] = 0;
-  request["lines"] = util::JsonValue(std::move(lines));
-  const auto response =
-      Call(dispatcher, util::JsonValue(std::move(request)).Dump());
+  const auto response = Call(dispatcher, IngestPayload(0, std::move(lines)));
   ASSERT_TRUE(ResponseOk(response));
   EXPECT_EQ(response.At("accepted").AsInt(), 2);
   EXPECT_EQ(response.At("rejected").AsInt(), 2);
-  EXPECT_EQ(response.At("buffered").AsInt(), 2);
-  EXPECT_EQ(dispatcher.ingested_events(0), 2u);
-  EXPECT_EQ(dispatcher.ingested_events(1), 0u);
+  EXPECT_EQ(util::io::ReadFile(IngestLogPath(scratch.path(), 0)),
+            good + "\n" + good + "\n");
+  EXPECT_FALSE(util::io::FileExists(IngestLogPath(scratch.path(), 1)));
 }
 
 TEST_F(DispatcherTest, IngestRejectsMinutesThatAreNotWholeWithin2To53) {
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  const testing_util::ScratchDir scratch("serve_dispatcher_minutes");
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
   util::JsonArray lines;
   lines.emplace_back(R"({"event_minute":480,"device_label":"light"})");
   lines.emplace_back(R"({"event_minute":1e300,"device_label":"light"})");
   lines.emplace_back(R"({"event_minute":480.5,"device_label":"light"})");
   lines.emplace_back(R"({"event_minute":9007199254740994})");
-  util::JsonObject request;
-  request["id"] = 6;
-  request["type"] = "ingest";
-  request["tenant"] = 0;
-  request["lines"] = util::JsonValue(std::move(lines));
-  const auto response =
-      Call(dispatcher, util::JsonValue(std::move(request)).Dump());
+  const auto response = Call(dispatcher, IngestPayload(0, std::move(lines)));
   ASSERT_TRUE(ResponseOk(response));
   EXPECT_EQ(response.At("accepted").AsInt(), 1);
   EXPECT_EQ(response.At("rejected").AsInt(), 3);
-  EXPECT_EQ(dispatcher.ingested_events(0), 1u);
+  EXPECT_EQ(events::LoggerApp::ParseLog(
+                util::io::ReadFile(IngestLogPath(scratch.path(), 0)), nullptr)
+                .size(),
+            1u);
 }
 
-TEST_F(DispatcherTest, IngestCapBoundsTheBuffer) {
-  DispatcherOptions options = DefaultOptions();
-  options.max_ingest_events = 3;
-  Dispatcher dispatcher(*fleet_, options, nullptr);
-  events::Event event;
-  event.date = util::SimTime(1);
-  const std::string line = event.ToLogLine();
+TEST_F(DispatcherTest, OneTenantIngestsPastAHundredThousandEvents) {
+  // No cap: a tenant's log takes every event across requests.
+  const testing_util::ScratchDir scratch("serve_dispatcher_many");
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
+  constexpr int kRequests = 11;
+  constexpr int kPerRequest = 10000;
+  std::int64_t accepted = 0;
+  for (int r = 0; r < kRequests; ++r) {
+    util::JsonArray lines;
+    for (int i = 0; i < kPerRequest; ++i) {
+      lines.emplace_back(MinuteLine(r * kPerRequest + i, "lamp"));
+    }
+    const auto response =
+        Call(dispatcher, IngestPayload(1, std::move(lines)));
+    ASSERT_TRUE(ResponseOk(response));
+    EXPECT_EQ(response.At("rejected").AsInt(), 0);
+    accepted += response.At("accepted").AsInt();
+  }
+  EXPECT_EQ(accepted, kRequests * kPerRequest);
+  std::size_t dropped = 1;
+  const std::vector<events::Event> logged = events::LoggerApp::ParseLog(
+      util::io::ReadFile(IngestLogPath(scratch.path(), 1)), &dropped);
+  EXPECT_EQ(dropped, 0u);
+  ASSERT_EQ(logged.size(), static_cast<std::size_t>(kRequests * kPerRequest));
+  EXPECT_EQ(logged.back().date.minutes(), kRequests * kPerRequest - 1);
+}
+
+TEST_F(DispatcherTest, DrainOverALargeExistingLogKeepsTheFile) {
+  // Drain appends nothing and rewrites nothing: an earlier run's large log
+  // keeps its inode, and its bytes gain exactly the new line.
+  const testing_util::ScratchDir scratch("serve_dispatcher_large");
+  const std::string path = IngestLogPath(scratch.path(), 0);
+  std::string earlier;
+  for (int i = 0; i < 40000; ++i) earlier += MinuteLine(i, "lamp") + "\n";
+  util::io::AtomicWriteFile(path, earlier);
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
   util::JsonArray lines;
-  for (int i = 0; i < 10; ++i) lines.emplace_back(line);
-  util::JsonObject request;
-  request["id"] = 1;
-  request["type"] = "ingest";
-  request["tenant"] = 1;
-  request["lines"] = util::JsonValue(std::move(lines));
-  const auto response =
-      Call(dispatcher, util::JsonValue(std::move(request)).Dump());
-  ASSERT_TRUE(ResponseOk(response));
-  EXPECT_EQ(response.At("accepted").AsInt(), 3);
-  EXPECT_EQ(response.At("rejected").AsInt(), 7);
-  EXPECT_EQ(dispatcher.ingested_events(1), 3u);
+  lines.emplace_back(MinuteLine(7, "thermostat"));
+  ASSERT_TRUE(ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
+  EXPECT_EQ(dispatcher.FlushForDrain().checkpoints_saved, 2u);
+
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(util::io::ReadFile(path),
+            earlier + MinuteLine(7, "thermostat") + "\n");
+}
+
+TEST_F(DispatcherTest, ALineTornByACrashCostsThatLineAlone) {
+  // A crash mid-write leaves a file that ends mid-line. The next run's
+  // first append starts a new line, so the reader drops the torn line and
+  // keeps every event before and after it.
+  const testing_util::ScratchDir scratch("serve_dispatcher_torn");
+  const std::string path = IngestLogPath(scratch.path(), 0);
+  const std::string torn = MinuteLine(3, "lamp");
+  util::io::AtomicWriteFile(path, MinuteLine(1, "lamp") + "\n" +
+                                      MinuteLine(2, "lamp") + "\n" +
+                                      torn.substr(0, torn.size() / 2));
+
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
+  for (const int minute : {10, 11}) {
+    util::JsonArray lines;
+    lines.emplace_back(MinuteLine(minute, "door"));
+    ASSERT_TRUE(
+        ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
+  }
+  std::size_t dropped = 0;
+  const std::vector<events::Event> logged =
+      events::LoggerApp::ParseLog(util::io::ReadFile(path), &dropped);
+  EXPECT_EQ(dropped, 1u);
+  std::vector<std::int64_t> minutes;
+  for (const events::Event& event : logged) {
+    minutes.push_back(event.date.minutes());
+  }
+  EXPECT_EQ(minutes, (std::vector<std::int64_t>{1, 2, 10, 11}));
+}
+
+TEST_F(DispatcherTest, ConcurrentBatchesForOneTenantLandContiguous) {
+  // Four workers ingest distinct batches to one tenant at once; each batch
+  // must appear in the file as one unbroken run, in its own order.
+  const testing_util::ScratchDir scratch("serve_dispatcher_race");
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 8;
+  constexpr int kPerBatch = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dispatcher, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        const std::string label =
+            "batch-" + std::to_string(t) + "-" + std::to_string(b);
+        util::JsonArray lines;
+        for (int i = 0; i < kPerBatch; ++i) {
+          lines.emplace_back(MinuteLine(i, label));
+        }
+        EXPECT_TRUE(
+            ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<events::Event> logged = events::LoggerApp::ParseLog(
+      util::io::ReadFile(IngestLogPath(scratch.path(), 0)), nullptr);
+  ASSERT_EQ(logged.size(),
+            static_cast<std::size_t>(kThreads * kBatches * kPerBatch));
+  std::set<std::string> seen;
+  for (std::size_t run = 0; run < logged.size(); run += kPerBatch) {
+    const std::string& label = logged[run].device_label;
+    EXPECT_TRUE(seen.insert(label).second) << label << " split";
+    for (int i = 0; i < kPerBatch; ++i) {
+      EXPECT_EQ(logged[run + i].device_label, label) << "line " << run + i;
+      EXPECT_EQ(logged[run + i].date.minutes(), i) << "line " << run + i;
+    }
+  }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kBatches));
 }
 
 TEST_F(DispatcherTest, MetricsAndHealthReportFleetShape) {
@@ -382,11 +509,16 @@ TEST_F(DispatcherTest, CheckpointRequestCarryingDirIsRefused) {
       util::io::FileExists(runtime::Fleet::TenantCheckpointPath(target, 0)));
 }
 
-TEST_F(DispatcherTest, CheckpointWithoutDirAnywhereIsBadRequest) {
+TEST_F(DispatcherTest, CheckpointAndIngestWithoutDirAreBadRequests) {
+  // With nowhere to write, an accepted ingest would be lost silently.
   DispatcherOptions options = DefaultOptions();
   options.checkpoint_dir.clear();
   Dispatcher dispatcher(*fleet_, options, nullptr);
-  const auto response = Call(dispatcher, R"({"id": 1, "type": "checkpoint"})");
+  auto response = Call(dispatcher, R"({"id": 1, "type": "checkpoint"})");
+  EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+  util::JsonArray lines;
+  lines.emplace_back(MinuteLine(1, "lamp"));
+  response = Call(dispatcher, IngestPayload(0, std::move(lines)));
   EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
 }
 
@@ -405,68 +537,44 @@ TEST_F(DispatcherTest, ShutdownFiresCallbackOnce) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_F(DispatcherTest, FlushForDrainWritesCheckpointsAndIngest) {
+TEST_F(DispatcherTest, IngestIsInTheLogBeforeDrain) {
+  // The accepted line is on disk when the response is: a daemon killed
+  // before its drain keeps it. Drain then only syncs it and checkpoints.
   const testing_util::ScratchDir scratch("serve_dispatcher_drain");
   const std::string& dir = scratch.path();
-  DispatcherOptions options = DefaultOptions();
-  options.checkpoint_dir = dir;
-  Dispatcher dispatcher(*fleet_, options, nullptr);
-  events::Event event;
-  event.date = util::SimTime(77);
-  event.device_label = "thermostat";
+  Dispatcher dispatcher(*fleet_, LogOptions(dir), nullptr);
   util::JsonArray lines;
-  lines.emplace_back(event.ToLogLine());
-  util::JsonObject request;
-  request["id"] = 1;
-  request["type"] = "ingest";
-  request["tenant"] = 1;
-  request["lines"] = util::JsonValue(std::move(lines));
-  ASSERT_TRUE(
-      ResponseOk(Call(dispatcher, util::JsonValue(std::move(request)).Dump())));
+  lines.emplace_back(MinuteLine(77, "thermostat"));
+  ASSERT_TRUE(ResponseOk(Call(dispatcher, IngestPayload(1, std::move(lines)))));
+  const std::string expected = MinuteLine(77, "thermostat") + "\n";
+  EXPECT_EQ(util::io::ReadFile(IngestLogPath(dir, 1)), expected);
 
   const DrainFlushReport report = dispatcher.FlushForDrain();
   EXPECT_EQ(report.checkpoints_saved, 2u);
   EXPECT_EQ(report.checkpoints_failed, 0u);
-  EXPECT_EQ(report.ingest_files_written, 1u);
-  EXPECT_EQ(report.ingest_events_flushed, 1u);
-  const std::string flushed =
-      util::io::ReadFile(dir + "/ingest-tenant-1.log");
-  EXPECT_EQ(flushed, event.ToLogLine() + "\n");
-  // The buffer was drained: a second flush writes no ingest files.
-  EXPECT_EQ(dispatcher.ingested_events(1), 0u);
-  EXPECT_EQ(dispatcher.FlushForDrain().ingest_files_written, 0u);
+  EXPECT_EQ(util::io::ReadFile(IngestLogPath(dir, 1)), expected);
+  EXPECT_FALSE(util::io::FileExists(IngestLogPath(dir, 0)));
 }
 
 TEST_F(DispatcherTest, FlushForDrainAppendsToAnEarlierRunsIngest) {
-  // Two daemon runs on one directory: the second drain must keep the
-  // first run's flushed events.
+  // Two daemon runs on one directory: the second run must keep the first
+  // run's events.
   const testing_util::ScratchDir scratch("serve_dispatcher_append");
-  DispatcherOptions options = DefaultOptions();
-  options.checkpoint_dir = scratch.path();
   std::string expected;
   int minute = 0;
   for (const int count : {5, 3}) {
-    Dispatcher dispatcher(*fleet_, options, nullptr);
+    Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
     util::JsonArray lines;
     for (int i = 0; i < count; ++i) {
-      events::Event event;
-      event.date = util::SimTime(minute++);
-      event.device_label = "thermostat";
-      lines.emplace_back(event.ToLogLine());
-      expected += event.ToLogLine() + "\n";
+      lines.emplace_back(MinuteLine(minute, "thermostat"));
+      expected += MinuteLine(minute++, "thermostat") + "\n";
     }
-    util::JsonObject request;
-    request["id"] = 1;
-    request["type"] = "ingest";
-    request["tenant"] = 0;
-    request["lines"] = util::JsonValue(std::move(lines));
-    ASSERT_TRUE(ResponseOk(
-        Call(dispatcher, util::JsonValue(std::move(request)).Dump())));
-    EXPECT_EQ(dispatcher.FlushForDrain().ingest_events_flushed,
-              static_cast<std::size_t>(count));
+    ASSERT_TRUE(
+        ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
+    dispatcher.FlushForDrain();
   }
   const std::string flushed =
-      util::io::ReadFile(scratch.path() + "/ingest-tenant-0.log");
+      util::io::ReadFile(IngestLogPath(scratch.path(), 0));
   EXPECT_EQ(std::count(flushed.begin(), flushed.end(), '\n'), 8);
   EXPECT_EQ(flushed, expected);
 }

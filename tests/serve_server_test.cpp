@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +149,10 @@ std::vector<std::string> HostilePayloads() {
       R"({"id": 1})",                        // no type
       R"({"id": 99, "type": "frobnicate"})", // unknown type
       R"({"id": "x", "type": "ping"})",      // non-numeric id
+      R"({"id": 1.5, "type": "ping"})",      // ids that would echo as
+      R"({"id": -2.5, "type": "ping"})",     // another request's id
+      R"({"id": 1e300, "type": "ping"})",
+      R"({"id": 9007199254740994, "type": "ping"})",
       R"({"id": 2, "type": 42})",            // non-string type
       std::string(300, '\xff'),              // binary noise
       std::string(100000, '['),              // 100,000-deep nesting
@@ -161,6 +166,19 @@ TEST(ParseRequest, HostilePayloadsAreParseFailuresNeverThrows) {
     EXPECT_FALSE(ParseRequest(payload, &error, &id).has_value()) << payload;
     EXPECT_FALSE(error.empty()) << payload;
     EXPECT_NE(id, -1) << payload;  // always reported, 0 when none was read
+  }
+}
+
+TEST(ParseRequest, WholeIdsWithin2To53AreKeptExactly) {
+  for (const std::int64_t id :
+       {std::int64_t{0}, std::int64_t{-7}, std::int64_t{9007199254740992},
+        std::int64_t{-9007199254740992}}) {
+    std::string error;
+    const std::optional<Request> request = ParseRequest(
+        R"({"id": )" + std::to_string(id) + R"(, "type": "ping"})", &error,
+        nullptr);
+    ASSERT_TRUE(request.has_value()) << id << ": " << error;
+    EXPECT_EQ(request->id, id);
   }
 }
 
@@ -181,8 +199,8 @@ TEST_F(ServerTest, HostilePayloadsGetOneBadRequestEachThenServingContinues) {
   pair.server->CloseWrite();
 
   // A refused request echoes the id its one parse read before the failing
-  // field, so the unknown type's 99 correlates; a non-numeric id, or no
-  // object at all, answers as 0.
+  // field, so the unknown type's 99 correlates; an id that is not a whole
+  // number within 2^53, or no object at all, answers as 0.
   const std::map<std::string, std::int64_t> echoed_ids = {
       {R"({"id": 1})", 1},
       {R"({"id": 99, "type": "frobnicate"})", 99},

@@ -37,11 +37,11 @@ Enforced invariants (see DESIGN.md "Correctness tooling"):
      (repo_lint) instead of a silent coverage loss.
  10. No raw file-write handles in src/ outside src/util/io.*:
      std::ofstream, std::fstream, fopen, freopen are banned — durable
-     writes go through util::io's atomic temp-fsync-rename path so a
-     crash can never leave a half-written checkpoint or report behind
-     (DESIGN.md §14). Reads (std::ifstream) are unaffected; tests and
-     examples/ may open files however they like. RAW_IO_ALLOWLIST is
-     empty on purpose.
+     writes go through util::io, whose atomic temp-fsync-rename replace
+     never leaves a half-written checkpoint behind and whose append-only
+     log loses at most the line a crash tore (DESIGN.md §14). Reads
+     (std::ifstream) are unaffected; tests and examples/ may open files
+     however they like. RAW_IO_ALLOWLIST is empty on purpose.
  11. No raw socket/fd I/O in src/ outside the transport layer
      (src/serve/transport.*) and the io layer (src/util/io.*): socket
      headers, socket/poll syscalls, and global-scope fd calls
@@ -56,6 +56,12 @@ Enforced invariants (see DESIGN.md "Correctness tooling"):
      src/ — to a file `git ls-files` tracks. An ignored or never-added
      header builds in the author's tree and breaks every clean clone.
      Skipped (with a note) outside a git checkout.
+ 13. Every backticked `src/`, `tests/`, `tools/`, `bench/` or
+     `examples/` path in DESIGN.md and README.md names a file or
+     directory that exists; a module stem (`src/sim/attack`) counts when
+     a .h or .cpp with that stem exists. `<...>` placeholders and glob or
+     brace patterns are skipped, and so are fenced code blocks. A doc
+     that names a deleted file describes code that is gone.
 
 Run with --self-test to exercise the rule engine against embedded
 fixtures (wired into CI's static-analysis job).
@@ -185,6 +191,12 @@ TRAILING_INIT_RE = re.compile(r"=[^=]*$")
 TRAILING_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\b")
+# Rule 13: the docs it reads, their fenced code blocks, and an inline code
+# span that starts with a repo path (group 1: the path, up to whitespace).
+DOC_FILES = ("DESIGN.md", "README.md")
+FENCED_BLOCK_RE = re.compile(r"^```.*?^```", re.M | re.S)
+DOC_PATH_RE = re.compile(
+    r"`((?:src|tests|tools|bench|examples)/[^`\s]*)[^`]*`")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
 
 
@@ -330,6 +342,27 @@ def check_includes_tracked(rel, raw, tracked, errors):
                 "it (lint rule 12)")
 
 
+def check_doc_paths(rel, text, exists, errors):
+    """Rule 13: backticked repo paths in a doc name something that exists.
+
+    `exists(path)` answers for a '/'-separated path relative to the root.
+    """
+    # Blank the fenced blocks (keeping their newlines) so line numbers hold
+    # and their backticks cannot pair with inline ones.
+    text = FENCED_BLOCK_RE.sub(lambda m: "\n" * m.group(0).count("\n"),
+                               text)
+    for match in DOC_PATH_RE.finditer(text):
+        path = match.group(1)
+        if any(ch in path for ch in "<>*?{}[]"):
+            continue  # a placeholder or a pattern, not one path
+        stem = path.rstrip("/")
+        if not any(exists(p) for p in (stem, stem + ".h", stem + ".cpp")):
+            lineno = text.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{rel}:{lineno}: `{path}` names no file or directory "
+                "(lint rule 13)")
+
+
 def git_tracked_files(root):
     """The repository's tracked paths, or None outside a git checkout."""
     try:
@@ -422,7 +455,8 @@ def check_file_text(root, rel, errors, text=None):
                 errors.append(
                     f"{rel}:{lineno}: raw file-write handles are banned in "
                     "src/ — route durable writes through util::io's atomic "
-                    "temp-fsync-rename path (lint rule 10, DESIGN.md §14)")
+                    "replace or append-only log (lint rule 10, DESIGN.md "
+                    "§14)")
             if (rel not in TRANSPORT_IO_FILES
                     and rel not in RAW_SOCKET_ALLOWLIST
                     and (SOCKET_INCLUDE_RE.match(line)
@@ -598,8 +632,42 @@ INCLUDE_SELF_TEST_CASES = [
 ]
 
 
+# Rule 13 fixtures: (name, doc text, existing paths, substrings that
+# must each appear in exactly one finding).
+DOC_SELF_TEST_CASES = [
+    ("rule13 accepts files, dirs, stems, placeholders and patterns",
+     "`src/serve/dispatcher.h` and `tests/faults/`, the `src/sim/attack`\n"
+     "stem, `tests/<module>_test.cpp`, `src/util/io.*`,\n"
+     "`src/serve/{frame,transport}.h` and `tools/lint.py --self-test`\n",
+     {"src/serve/dispatcher.h", "tests/faults/fakes.h",
+      "src/sim/attack.cpp", "tools/lint.py"}, []),
+    ("rule13 flags a deleted file and a stem with no source",
+     "`src/serve/gone.h` then `src/sim/attack`\n",
+     {"src/serve/dispatcher.h"}, ["`src/serve/gone.h`", "`src/sim/attack`"]),
+    ("rule13 skips fenced blocks and keeps line numbers",
+     "```sh\nls `src/in_fence.h`\n```\nsee `src/gone.h`\n",
+     set(), ["README.md:4: `src/gone.h`"]),
+]
+
+
+def fixture_exists(existing):
+    """An exists() over a set of files: a file or a parent directory."""
+    return lambda path: path in existing or any(
+        f.startswith(path + "/") for f in existing)
+
+
 def run_self_test():
     failures = []
+    for name, text, existing, expected in DOC_SELF_TEST_CASES:
+        errors = []
+        check_doc_paths("README.md", text, fixture_exists(existing), errors)
+        for marker in expected:
+            if len([e for e in errors if marker in e]) != 1:
+                failures.append(f"{name}: expected exactly one finding "
+                                f"containing {marker!r}, got {errors!r}")
+        if len(errors) != len(expected):
+            failures.append(f"{name}: expected {len(expected)} finding(s), "
+                            f"got {errors!r}")
     for name, rel, text, tracked, expected in INCLUDE_SELF_TEST_CASES:
         errors = []
         check_includes_tracked(rel, text, tracked, errors)
@@ -632,7 +700,8 @@ def run_self_test():
         for failure in failures:
             print("  " + failure, file=sys.stderr)
         return 1
-    total = len(SELF_TEST_CASES) + len(INCLUDE_SELF_TEST_CASES)
+    total = (len(SELF_TEST_CASES) + len(INCLUDE_SELF_TEST_CASES)
+             + len(DOC_SELF_TEST_CASES))
     print(f"lint.py --self-test: {total} fixture cases pass")
     return 0
 
@@ -677,6 +746,12 @@ def main():
         for rel in files:
             with open(os.path.join(root, rel), encoding="utf-8") as f:
                 check_includes_tracked(rel, f.read(), tracked, errors)
+
+    for doc in DOC_FILES:
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
+            check_doc_paths(doc, f.read(),
+                            lambda p: os.path.exists(os.path.join(root, p)),
+                            errors)
 
     headers = [f for f in files if f.endswith((".h", ".hpp"))]
     if not args.skip_self_containment:
