@@ -1,15 +1,12 @@
 // Serving-daemon bench: request latency through the full framed path
-// (client transport → server admission → dispatcher → response) and the
-// admission-control overload sweep. Runs entirely in-process over a
-// loopback transport, so every count is a pure function of the
-// configuration: the latency cases pace requests one at a time (admission
-// can never reject), and the overload sweep parks the only worker on a
-// `stall` before bursting, making accepted/rejected exact arithmetic on
-// queue_capacity. Those integers are gated exactly by tools/check_bench.py
-// against bench/baselines/BENCH_serve.json; the latency percentiles are
-// advisory (runners differ). Writes BENCH_serve.json next to the
-// human-readable table. Pass --smoke for the CI-sized run (the committed
-// baseline is the --smoke shape).
+// (client transport → server read + decode → dispatcher → response).
+// Runs entirely in-process over a loopback transport, so every count is a
+// pure function of the configuration: each case paces requests one at a
+// time, and every request is answered ok. Those integers are gated
+// exactly by tools/check_bench.py against bench/baselines/BENCH_serve.json;
+// the latency percentiles are advisory (runners differ). Writes
+// BENCH_serve.json next to the human-readable table. Pass --smoke for the
+// CI-sized run (the committed baseline is the --smoke shape).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -24,7 +21,6 @@
 #include "bench_common.h"
 #include "events/event.h"
 #include "fsm/device_library.h"
-#include "obs/metrics.h"
 #include "runtime/fleet.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -75,9 +71,8 @@ struct LatencyOutcome {
   double total_ms = 0;
 };
 
-// One paced request→response loop over a fresh loopback connection.
-// Sequential pacing means the queue never fills: every request is admitted
-// and answered ok, which is what makes `sent`/`ok` deterministic.
+// One paced request→response loop over a fresh loopback connection: every
+// request is answered ok, which is what makes `sent`/`ok` deterministic.
 template <typename MakePayload>
 LatencyOutcome RunLatencyCase(serve::Server& server, int requests,
                               MakePayload make_payload) {
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
   const int ingests = smoke ? 120 : 600;
 
   bench::PrintHeader(
-      "Serving daemon: framed request latency + admission overload sweep",
+      "Serving daemon: framed request latency",
       "serving subsystem (DESIGN.md §15); not a paper figure");
   std::printf("mode: %s\n", smoke ? "smoke" : "full");
 
@@ -168,10 +163,7 @@ int main(int argc, char** argv) {
   options.default_state = resident.OvernightState();
   options.checkpoint_dir = checkpoint_dir;
   serve::Dispatcher dispatcher(fleet, options, nullptr);
-  serve::ServerConfig config;
-  config.workers = 2;
-  config.queue_capacity = 64;
-  serve::Server server(dispatcher, config, nullptr);
+  serve::Server server(dispatcher, nullptr);
 
   events::Event event;
   event.date = util::SimTime(480);
@@ -216,73 +208,6 @@ int main(int argc, char** argv) {
         return util::JsonValue(std::move(request)).Dump();
       });
 
-  // Overload sweep: one worker parked on a stall + a burst far beyond the
-  // queue makes admission arithmetic exact — queue_capacity admitted on
-  // top of the stall, everything else explicitly rejected.
-  serve::DispatcherOptions sweep_options;
-  sweep_options.default_state = resident.OvernightState();
-  sweep_options.allow_stall = true;
-  obs::Registry sweep_registry;
-  serve::Dispatcher sweep_dispatcher(fleet, sweep_options, &sweep_registry);
-  serve::ServerConfig sweep_config;
-  sweep_config.workers = 1;
-  sweep_config.queue_capacity = 4;
-  serve::Server sweep_server(sweep_dispatcher, sweep_config,
-                             &sweep_registry);
-
-  serve::LoopbackPair pair = serve::MakeLoopbackPair();
-  serve::ConnectionStats sweep_stats;
-  std::thread serving(
-      [&] { sweep_stats = sweep_server.Serve(*pair.server); });
-  const auto sweep_begin = std::chrono::steady_clock::now();
-  pair.client->WritePayload(R"({"id": 0, "type": "stall"})");
-  while (sweep_dispatcher.stalled_now() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const int kBurst = 32;
-  for (int id = 1; id <= kBurst; ++id) {
-    pair.client->WritePayload("{\"id\": " + std::to_string(id) +
-                              ", \"type\": \"ping\"}");
-  }
-  pair.client->CloseWrite();
-  // The serve loop admits/rejects asynchronously: releasing the stall
-  // while the burst is still being read would let the worker drain the
-  // queue mid-burst and admit extra pings. Release only once every ping
-  // beyond the queue has been explicitly rejected. The wait is bounded: if
-  // admission ever rejects fewer, the stall is released after 10 s anyway
-  // and the exact accepted/rejected baseline gate reports the mismatch.
-  const std::uint64_t expected_rejections =
-      static_cast<std::uint64_t>(kBurst) - sweep_config.queue_capacity;
-  const obs::Counter* rejected =
-      sweep_registry.GetCounter("serve.rejected_overload");
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::seconds(10);
-  while (rejected->Value() < expected_rejections &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sweep_dispatcher.ReleaseStalls();
-  serving.join();
-  const double sweep_ms = MsSince(sweep_begin);
-  pair.server->CloseWrite();
-
-  std::size_t sweep_ok = 0, sweep_overloaded = 0, sweep_answered = 0;
-  {
-    std::string payload;
-    for (;;) {
-      const auto result = pair.client->ReadPayload(&payload);
-      if (result == serve::FramedTransport::ReadResult::kClosed) break;
-      if (result != serve::FramedTransport::ReadResult::kPayload) continue;
-      ++sweep_answered;
-      const util::JsonValue response = util::JsonValue::Parse(payload);
-      if (serve::ResponseOk(response)) {
-        ++sweep_ok;
-      } else if (response.At("error").AsString() == serve::kErrOverloaded) {
-        ++sweep_overloaded;
-      }
-    }
-  }
-
   std::printf("%-22s %8s %8s %10s %10s %10s\n", "case", "sent", "ok",
               "p50 us", "p99 us", "p99.9 us");
   const auto row = [](const char* name, const LatencyOutcome& outcome) {
@@ -294,33 +219,12 @@ int main(int argc, char** argv) {
   row("suggest_action", suggest);
   row("suggest_minutes_x16", batch);
   row("ingest_x4", ingest);
-  std::printf("overload sweep: burst %d -> accepted %zu, rejected %zu, "
-              "answered %zu (%.1f ms)\n",
-              kBurst, sweep_stats.accepted, sweep_stats.rejected_overload,
-              sweep_answered, sweep_ms);
-
-  util::JsonObject sweep_det;
-  sweep_det["burst"] = static_cast<std::int64_t>(kBurst);
-  sweep_det["accepted"] = static_cast<std::int64_t>(sweep_stats.accepted);
-  sweep_det["rejected_overload"] =
-      static_cast<std::int64_t>(sweep_stats.rejected_overload);
-  sweep_det["responses_ok"] = static_cast<std::int64_t>(sweep_ok);
-  sweep_det["responses_overloaded"] =
-      static_cast<std::int64_t>(sweep_overloaded);
-  sweep_det["answered"] = static_cast<std::int64_t>(sweep_answered);
-  util::JsonObject sweep_adv;
-  sweep_adv["sweep_ms"] = sweep_ms;
-  util::JsonObject sweep_case;
-  sweep_case["name"] = "overload_sweep";
-  sweep_case["deterministic"] = util::JsonValue(std::move(sweep_det));
-  sweep_case["advisory"] = util::JsonValue(std::move(sweep_adv));
 
   util::JsonArray cases;
   cases.push_back(LatencyCaseJson("latency_ping", ping));
   cases.push_back(LatencyCaseJson("latency_suggest_action", suggest));
   cases.push_back(LatencyCaseJson("latency_suggest_minutes", batch));
   cases.push_back(LatencyCaseJson("latency_ingest", ingest));
-  cases.push_back(util::JsonValue(std::move(sweep_case)));
   util::JsonObject doc;
   doc["bench"] = "serve";
   doc["smoke"] = smoke;
@@ -330,14 +234,8 @@ int main(int argc, char** argv) {
   std::printf("wrote BENCH_serve.json\n");
   std::filesystem::remove_all(checkpoint_dir);
 
-  // Every paced request answered ok; the sweep admitted exactly the stall
-  // plus a full queue and answered the entire burst one way or the other.
-  const bool healthy =
-      ping.ok == ping.sent && suggest.ok == suggest.sent &&
-      batch.ok == batch.sent && ingest.ok == ingest.sent &&
-      sweep_stats.accepted == 1 + sweep_config.queue_capacity &&
-      sweep_answered == static_cast<std::size_t>(kBurst) + 1 &&
-      sweep_ok == sweep_stats.accepted &&
-      sweep_overloaded == sweep_stats.rejected_overload;
+  // Every paced request answered ok.
+  const bool healthy = ping.ok == ping.sent && suggest.ok == suggest.sent &&
+                       batch.ok == batch.sent && ingest.ok == ingest.sent;
   return healthy ? 0 : 1;
 }

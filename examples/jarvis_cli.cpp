@@ -23,18 +23,23 @@
 //       aggregated tenant metrics. tools/check_metrics.py validates it.
 //   jarvis_cli client <ping|health|metrics|suggest|minutes|ingest|checkpoint|shutdown>
 //       Thin client for a running jarvis_serve daemon: frames one request
-//       over the wire protocol (DESIGN.md §15), prints the JSON response,
-//       and exits 0 iff the response is ok.
+//       (an ingest log past half the frame cap: several) over the wire
+//       protocol (DESIGN.md §15), prints the JSON response, and exits 0
+//       iff it is ok.
 //
 // audit, optimize and suggest restore the checkpoint section by section
 // (the learning phase is skipped; a saved DQN warm-starts training), print
 // one line saying what came back, and exit 1 when the policies did not
 // restore. All subcommands run on the standard 11-device home.
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/jarvis.h"
 #include "runtime/fleet.h"
+#include "serve/frame.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "sim/testbed.h"
@@ -311,48 +316,80 @@ int Metrics(const util::Flags& flags) {
   return 0;
 }
 
+// Encoded bytes of log lines one `client ingest` request carries: half
+// the frame cap, so a log of any size goes over as consecutive requests
+// that each fit one frame.
+constexpr std::size_t kIngestBatchBytes = serve::kMaxFramePayloadBytes / 2;
+
+// The --log file as consecutive ingest requests for --tenant (at least
+// one, so an empty log still gets the daemon's answer).
+std::vector<std::string> IngestRequests(const util::Flags& flags) {
+  std::vector<util::JsonArray> batches(1);
+  std::size_t batch_bytes = 0;
+  std::stringstream log(
+      util::io::ReadFile(flags.GetString("log", "events.log")));
+  std::string line;
+  while (std::getline(log, line)) {
+    if (line.empty()) continue;
+    util::JsonValue value(line);
+    const std::size_t bytes = value.Dump().size() + 1;  // + the comma
+    if (batch_bytes + bytes > kIngestBatchBytes && !batches.back().empty()) {
+      batches.emplace_back();
+      batch_bytes = 0;
+    }
+    batches.back().push_back(std::move(value));
+    batch_bytes += bytes;
+  }
+  std::vector<std::string> requests;
+  for (util::JsonArray& lines : batches) {
+    util::JsonObject request;
+    request["id"] = static_cast<std::int64_t>(requests.size() + 1);
+    request["type"] = "ingest";
+    request["tenant"] = flags.GetInt("tenant", 0);
+    request["lines"] = util::JsonValue(std::move(lines));
+    requests.push_back(util::JsonValue(std::move(request)).Dump());
+  }
+  return requests;
+}
+
 }  // namespace
 
-// Thin daemon client: one request, one framed round trip, the raw JSON
-// response on stdout. The serve smoke job in CI scripts this end to end.
+// Thin daemon client: one framed round trip per request over one
+// connection, the raw JSON response on stdout. An ingest whose log needs
+// several requests stops at the first error response (printed as is) and
+// otherwise prints one response-shaped object with the summed counts. The
+// serve smoke job in CI scripts this end to end.
 int Client(const util::Flags& flags) {
   if (flags.positional().size() < 2) return Usage();
   const std::string action = flags.positional()[1];
 
-  util::JsonObject request;
-  request["id"] = 1;
-  if (action == "ping" || action == "health" || action == "metrics" ||
-      action == "shutdown") {
-    request["type"] = action;
-  } else if (action == "checkpoint") {
-    request["type"] = "checkpoint";
-  } else if (action == "suggest") {
-    request["type"] = "suggest_action";
-    request["tenant"] = flags.GetInt("tenant", 0);
-    request["minute"] = flags.GetInt("minute", 480);
-  } else if (action == "minutes") {
-    request["type"] = "suggest_minutes";
-    request["tenant"] = flags.GetInt("tenant", 0);
-    util::JsonArray minutes;
-    std::stringstream list(flags.GetString("minutes", "480"));
-    std::string item;
-    while (std::getline(list, item, ',')) {
-      if (!item.empty()) minutes.emplace_back(std::stoi(item));
-    }
-    request["minutes"] = util::JsonValue(std::move(minutes));
-  } else if (action == "ingest") {
-    request["type"] = "ingest";
-    request["tenant"] = flags.GetInt("tenant", 0);
-    util::JsonArray lines;
-    std::stringstream log(
-        util::io::ReadFile(flags.GetString("log", "events.log")));
-    std::string line;
-    while (std::getline(log, line)) {
-      if (!line.empty()) lines.emplace_back(line);
-    }
-    request["lines"] = util::JsonValue(std::move(lines));
+  std::vector<std::string> requests;
+  if (action == "ingest") {
+    requests = IngestRequests(flags);
   } else {
-    return Usage();
+    util::JsonObject request;
+    request["id"] = 1;
+    if (action == "ping" || action == "health" || action == "metrics" ||
+        action == "shutdown" || action == "checkpoint") {
+      request["type"] = action;
+    } else if (action == "suggest") {
+      request["type"] = "suggest_action";
+      request["tenant"] = flags.GetInt("tenant", 0);
+      request["minute"] = flags.GetInt("minute", 480);
+    } else if (action == "minutes") {
+      request["type"] = "suggest_minutes";
+      request["tenant"] = flags.GetInt("tenant", 0);
+      util::JsonArray minutes;
+      std::stringstream list(flags.GetString("minutes", "480"));
+      std::string item;
+      while (std::getline(list, item, ',')) {
+        if (!item.empty()) minutes.emplace_back(std::stoi(item));
+      }
+      request["minutes"] = util::JsonValue(std::move(minutes));
+    } else {
+      return Usage();
+    }
+    requests.push_back(util::JsonValue(std::move(request)).Dump());
   }
 
   int port = flags.GetInt("port", 0);
@@ -372,18 +409,42 @@ int Client(const util::Flags& flags) {
     std::fprintf(stderr, "client: connect failed: %s\n", error.c_str());
     return 1;
   }
-  if (!transport->WritePayload(util::JsonValue(std::move(request)).Dump())) {
-    std::fprintf(stderr, "client: write failed\n");
-    return 1;
-  }
+  std::int64_t accepted = 0;
+  std::int64_t rejected = 0;
   std::string payload;
-  if (transport->ReadPayload(&payload) !=
-      serve::FramedTransport::ReadResult::kPayload) {
-    std::fprintf(stderr, "client: no response (%s)\n", payload.c_str());
-    return 1;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!transport->WritePayload(requests[i])) {
+      std::fprintf(stderr, "client: write failed\n");
+      return 1;
+    }
+    if (transport->ReadPayload(&payload) !=
+        serve::FramedTransport::ReadResult::kPayload) {
+      std::fprintf(stderr, "client: no response (%s)\n", payload.c_str());
+      return 1;
+    }
+    const util::JsonValue response = util::JsonValue::Parse(payload);
+    if (!serve::ResponseOk(response)) {
+      if (requests.size() > 1) {
+        std::fprintf(stderr, "client: request %zu of %zu failed\n", i + 1,
+                     requests.size());
+      }
+      std::printf("%s\n", payload.c_str());
+      return 1;
+    }
+    if (action == "ingest") {
+      accepted += response.At("accepted").AsInt();
+      rejected += response.At("rejected").AsInt();
+    }
+  }
+  if (action == "ingest") {
+    util::JsonObject total;
+    total["accepted"] = accepted;
+    total["rejected"] = rejected;
+    payload = serve::MakeOkResponse(
+        static_cast<std::int64_t>(requests.size()), std::move(total));
   }
   std::printf("%s\n", payload.c_str());
-  return serve::ResponseOk(util::JsonValue::Parse(payload)) ? 0 : 1;
+  return 0;
 }
 
 int main(int argc, char** argv) {

@@ -11,9 +11,11 @@
 //       Serve a single framed conversation on stdin/stdout (inetd style);
 //       EOF or a shutdown request ends it.
 //
-// Exit is always the graceful path: stop accepting, answer everything
-// already admitted, sync the ingest logs and write checkpoints to
-// --checkpoint-dir, exit 0. `jarvis_cli client` is the matching client.
+// One connection is served at a time, each request answered on the
+// thread that read it. Exit is always the graceful path: stop accepting,
+// finish the connection in hand (refusing its new requests as draining),
+// sync the ingest logs and write checkpoints to --checkpoint-dir, exit 0.
+// `jarvis_cli client` is the matching client.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -42,8 +44,6 @@ int Usage() {
       "  --seed S           fleet seed (default 42)\n"
       "  --episodes N       DQN episodes per tenant (default 6)\n"
       "  --days N           simulated learning days (default 2)\n"
-      "  --workers N        serving worker threads (default 2)\n"
-      "  --queue N          admission queue capacity (default 8)\n"
       "  --checkpoint-dir D warm-boot source, ingest logs, drain flush\n"
       "  --port P           loopback TCP port, 0 = ephemeral (default 0)\n"
       "  --port-file FILE   write the bound port here once listening\n"
@@ -95,11 +95,7 @@ int Run(const util::Flags& flags) {
   dispatch_options.checkpoint_dir = checkpoint_dir;
   serve::Dispatcher dispatcher(fleet, dispatch_options, &fleet.Metrics());
 
-  serve::ServerConfig server_config;
-  server_config.workers = static_cast<std::size_t>(flags.GetInt("workers", 2));
-  server_config.queue_capacity =
-      static_cast<std::size_t>(flags.GetInt("queue", 8));
-  serve::Server server(dispatcher, server_config, &fleet.Metrics());
+  serve::Server server(dispatcher, &fleet.Metrics());
 
   // A client that disconnects mid-response must cost one dropped-response
   // counter, not a process-killing SIGPIPE.

@@ -1,8 +1,10 @@
 #include "runtime/fleet.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "rl/iot_env.h"
@@ -27,9 +29,6 @@ enum TenantStream : std::uint64_t {
 
 // Tries per tenant checkpoint write in SaveCheckpoints, back to back.
 constexpr int kCheckpointWriteAttempts = 3;
-
-// Backpressure bound on the tenant scheduler's queue.
-constexpr std::size_t kQueueCapacity = 256;
 
 core::JarvisConfig MakeTenantConfig(const core::JarvisConfig& base,
                                     std::uint64_t tenant_seed) {
@@ -150,33 +149,42 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     util::MutexLock lock(mutex_);
     result.completed = true;
     shards_[index].jarvis = std::move(jarvis);
+    return;
   } catch (const std::exception& error) {
-    util::MutexLock lock(mutex_);
-    TenantShard& shard = shards_[index];
-    // Quarantine, never tear down: the shard keeps its slot (and its
-    // error) while the rest of the fleet proceeds.
-    result.quarantined = true;
     result.error = error.what();
-    shard.quarantined = true;
-    shard.jarvis.reset();
+  } catch (...) {
+    result.error = "non-standard exception";
   }
+  // Quarantine, never tear down: the shard keeps its slot (and its error)
+  // while the rest of the fleet proceeds.
+  util::MutexLock lock(mutex_);
+  TenantShard& shard = shards_[index];
+  result.quarantined = true;
+  shard.quarantined = true;
+  shard.jarvis.reset();
 }
 
 void Fleet::ForEachTenant(const std::function<void(std::size_t)>& fn) {
   const std::size_t count = tenant_count();
-  if (config_.jobs <= 1) {
-    // Sequential mode: no pool, no second thread — the determinism oracle
-    // parallel runs are tested against.
+  const std::size_t workers = std::min(config_.jobs, count);
+  if (workers <= 1) {
+    // Sequential mode: no second thread — the determinism oracle parallel
+    // runs are tested against.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  ThreadPool pool(config_.jobs, kQueueCapacity, &registry_);
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
+  // Each thread claims the next unclaimed tenant until none is left. The
+  // joins are the happens-before edge that makes every result slot safely
+  // readable below.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&fn, &next, count] {
+      for (std::size_t i = next++; i < count; i = next++) fn(i);
+    });
   }
-  // Drain + join: establishes the happens-before edge that makes every
-  // result slot safely readable below.
-  pool.Shutdown();
+  for (std::thread& thread : threads) thread.join();
 }
 
 FleetReport Fleet::Run(const WorkloadFactory& factory) {
@@ -184,7 +192,7 @@ FleetReport Fleet::Run(const WorkloadFactory& factory) {
   FleetReport report;
   report.tenants.assign(tenant_count(), TenantResult{});
   // Each job writes only its own pre-allocated slot; no cross-tenant
-  // synchronization beyond the pool join.
+  // synchronization beyond the thread joins.
   ForEachTenant([this, &factory, &report](std::size_t i) {
     RunTenant(i, factory, report.tenants[i]);
   });

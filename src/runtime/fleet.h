@@ -1,25 +1,25 @@
 // Multi-tenant fleet runtime: N independent smart homes, each running its
-// own core::Jarvis learn→optimize pipeline, scheduled across a
-// runtime::ThreadPool. The paper frames Jarvis as one agent per
-// environment (Section III-A), which is exactly the shape that shards: a
-// tenant owns every piece of mutable state its pipeline touches and shares
-// only the const fsm::EnvironmentFsm device model, so tenant jobs are
-// embarrassingly parallel.
+// own core::Jarvis learn→optimize pipeline, run across `jobs` threads. The
+// paper frames Jarvis as one agent per environment (Section III-A), which
+// is exactly the shape that shards: a tenant owns every piece of mutable
+// state its pipeline touches and shares only the const
+// fsm::EnvironmentFsm device model, so tenant jobs are embarrassingly
+// parallel.
 //
 // Determinism contract (pinned by runtime_fleet_test):
 //   * Every tenant's seed derives from the fleet seed via
 //     util::DeriveSeed(fleet_seed, tenant_index) — never from scheduling.
-//   * A tenant's whole pipeline runs inside one task on one worker; shards
-//     never exchange data mid-run.
-//   * Therefore per-tenant results are identical for ANY worker count, and
-//     `jobs = 1` (run inline on the calling thread, no pool) is the
-//     sequential oracle the parallel runs must reproduce bit-for-bit.
+//   * A tenant's whole pipeline runs on one thread; shards never exchange
+//     data mid-run.
+//   * Therefore per-tenant results are identical for ANY thread count, and
+//     `jobs = 1` (run inline on the calling thread) is the sequential
+//     oracle the parallel runs must reproduce bit-for-bit.
 //
 // Failure containment: a tenant whose pipeline throws is quarantined — its
 // error is recorded in its TenantResult slot and it is skipped by later
-// phases — and the fleet keeps serving the other tenants. A tenant failure
-// must never tear down the process (ThreadPool's exception backstop
-// guarantees that even for non-std::exception throwables).
+// phases — and the fleet keeps serving the other tenants. That holds for
+// any throwable, std::exception or not, at any `jobs`: a tenant failure
+// must never tear down the process.
 //
 // Thread safety (DESIGN.md §13): one fleet-level util::Mutex guards the
 // shard table and the last report; tenant jobs touch their shard only at
@@ -43,7 +43,6 @@
 #include "core/jarvis.h"
 #include "obs/metrics.h"
 #include "persist/checkpoint.h"
-#include "runtime/thread_pool.h"
 #include "util/io.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -52,8 +51,8 @@ namespace jarvis::runtime {
 
 struct FleetConfig {
   std::size_t tenants = 1;
-  // Worker threads for tenant jobs. 1 = sequential mode: jobs run inline
-  // on the calling thread with no pool — the determinism oracle.
+  // Threads for tenant jobs (at most one per tenant). 1 = sequential mode:
+  // jobs run inline on the calling thread — the determinism oracle.
   std::size_t jobs = 1;
   // Root seed; tenant i's pipeline seeds derive from
   // DeriveSeed(fleet_seed, i).
@@ -149,7 +148,7 @@ class Fleet {
   Fleet(const fsm::EnvironmentFsm& home, FleetConfig config);
 
   // Runs LearnFromEvents + OptimizeDay for every tenant (workloads from
-  // `factory`) across the pool and aggregates. Each tenant's trained
+  // `factory`) across `jobs` threads and aggregates. Each tenant's trained
   // pipeline is retained for SuggestMinutes / tenant(). Calling Run again
   // re-runs every non-quarantined tenant. A tenant holding restored (or
   // warm-start template) policies skips LearnFromEvents and goes straight
@@ -204,9 +203,8 @@ class Fleet {
   // Two metric scopes, deliberately separate:
   //   * Fleet-level (this registry): runtime.fleet.* run counters, the
   //     per-phase timers runtime.fleet.{workload,learn,optimize}_us (one
-  //     observation per tenant that entered the phase), plus the
-  //     runtime.pool.* instruments of the scheduling pool. Mostly kTiming
-  //     or scheduling-shaped — never compared across worker counts.
+  //     observation per tenant that entered the phase). Mostly kTiming or
+  //     scheduling-shaped — never compared across thread counts.
   //   * Tenant-level: each tenant Jarvis owns its OWN registry, so
   //     per-tenant metrics are a pure function of the tenant seed and
   //     identical for any `jobs` — the deterministic snapshots the fleet
@@ -244,8 +242,9 @@ class Fleet {
   std::uint64_t TenantSeed(std::size_t index) const;
   void RunTenant(std::size_t index, const WorkloadFactory& factory,
                  TenantResult& result) JARVIS_EXCLUDES(mutex_);
-  // Schedules fn(i) for every tenant: inline when jobs <= 1, else across a
-  // pool. Returns once all jobs finished.
+  // Runs fn(i) for every tenant: inline when min(jobs, tenants) <= 1, else
+  // on that many threads. Returns once all have been joined. `fn` must not
+  // throw.
   void ForEachTenant(const std::function<void(std::size_t)>& fn)
       JARVIS_EXCLUDES(mutex_);
 

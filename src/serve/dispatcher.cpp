@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "events/event.h"
+#include "serve/frame.h"
 #include "util/check.h"
 #include "util/io.h"
 #include "util/timeofday.h"
@@ -88,6 +89,8 @@ std::string Dispatcher::Dispatch(const Request& request) {
     request_counters_[type_index]->Increment();
   }
   obs::ScopedTimer timer(handle_timers_[type_index]);
+  std::string response;
+  bool ok = false;
   try {
     util::JsonObject fields;
     switch (request.type) {
@@ -115,30 +118,33 @@ std::string Dispatcher::Dispatch(const Request& request) {
       case RequestType::kShutdown:
         fields = HandleShutdown();
         break;
-      case RequestType::kStall:
-        fields = HandleStall();
-        break;
     }
-    if (responses_ok_ != nullptr) responses_ok_->Increment();
-    return MakeOkResponse(request.id, std::move(fields));
+    response = MakeOkResponse(request.id, std::move(fields));
+    ok = true;
   } catch (const RequestError& e) {
-    if (responses_error_ != nullptr) responses_error_->Increment();
-    return MakeErrorResponse(request.id, e.code(), e.what());
+    response = MakeErrorResponse(request.id, e.code(), e.what());
   } catch (const std::exception& e) {
     // A handler tripping a Fleet contract (CheckError and friends) is a
     // serving failure for THIS request, never for the daemon.
-    if (responses_error_ != nullptr) responses_error_->Increment();
-    return MakeErrorResponse(request.id, kErrHandlerFailed, e.what());
+    response = MakeErrorResponse(request.id, kErrHandlerFailed, e.what());
   } catch (...) {
-    if (responses_error_ != nullptr) responses_error_->Increment();
-    return MakeErrorResponse(request.id, kErrHandlerFailed,
-                             "non-standard exception");
+    response = MakeErrorResponse(request.id, kErrHandlerFailed,
+                                 "non-standard exception");
   }
-}
-
-void Dispatcher::SetShutdownCallback(std::function<void()> callback) {
-  util::MutexLock lock(mutex_);
-  shutdown_callback_ = std::move(callback);
+  if (response.size() > kMaxFramePayloadBytes) {
+    // One frame cannot carry it (e.g. a suggest_minutes for 30,000
+    // minutes), and an unanswered request would leave its client waiting
+    // forever: the request gets an error that fits instead.
+    ok = false;
+    response = MakeErrorResponse(
+        request.id, kErrBadRequest,
+        "response of " + std::to_string(response.size()) +
+            " bytes exceeds the " + std::to_string(kMaxFramePayloadBytes) +
+            "-byte frame cap");
+  }
+  obs::Counter* outcome = ok ? responses_ok_ : responses_error_;
+  if (outcome != nullptr) outcome->Increment();
+  return response;
 }
 
 // --- Handlers ----------------------------------------------------------------
@@ -289,48 +295,10 @@ util::JsonObject Dispatcher::HandleCheckpoint(const util::JsonValue& body) {
 }
 
 util::JsonObject Dispatcher::HandleShutdown() {
-  std::function<void()> callback;
-  {
-    util::MutexLock lock(mutex_);
-    if (!shutdown_fired_) {
-      shutdown_fired_ = true;
-      callback = shutdown_callback_;
-    }
-  }
-  if (callback) callback();  // outside the lock: it flips the Server's flag
+  RequestDrain();
   util::JsonObject fields;
   fields["draining"] = true;
   return fields;
-}
-
-util::JsonObject Dispatcher::HandleStall() {
-  if (!options_.allow_stall) {
-    throw RequestError(kErrBadRequest, "stall is not enabled");
-  }
-  {
-    util::MutexLock lock(mutex_);
-    ++stalled_;
-    while (!stalls_released_) {
-      stall_gate_.Wait(mutex_);
-    }
-    --stalled_;
-  }
-  util::JsonObject fields;
-  fields["stalled"] = true;
-  return fields;
-}
-
-void Dispatcher::ReleaseStalls() {
-  {
-    util::MutexLock lock(mutex_);
-    stalls_released_ = true;
-  }
-  stall_gate_.SignalAll();
-}
-
-std::size_t Dispatcher::stalled_now() const {
-  util::MutexLock lock(mutex_);
-  return stalled_;
 }
 
 // --- Drain flush -------------------------------------------------------------

@@ -5,8 +5,8 @@
 // (DESIGN.md §15): it consumes parsed Requests and produces response
 // payloads, with no knowledge of sockets, fds, or framing — which is
 // exactly what makes every handler unit-testable against an in-memory
-// Fleet. The Server owns admission, I/O and request decoding
-// (ParseRequest); this class owns semantics.
+// Fleet. The Server owns I/O and request decoding (ParseRequest); this
+// class owns semantics.
 //
 // Failure discipline (the persist::Checkpoint rule applied to requests):
 // Dispatch NEVER throws and never kills the daemon. Hostile request bodies
@@ -15,20 +15,21 @@
 // a handler that throws internally (e.g. a Fleet contract check) is caught
 // and reported as handler_failed.
 //
-// Concurrency: Dispatch runs on ThreadPool workers, many at once.
+// Concurrency: Dispatch runs on the thread that read the request, one per
+// served connection, so several run at once when several connections do.
 //   * Suggestion handlers call Fleet::SuggestMinutes concurrently — it is
 //     thread-safe on its own: the fleet serializes callers per tenant and
 //     answers each call with one batched forward per 256 minutes, while
 //     distinct tenants run fully in parallel.
-//   * Each tenant's ingest log sits under its own lock, so two workers'
-//     batches never interleave in one file; stall bookkeeping sits under
-//     mutex_.
-//   * Metrics/health/checkpoint ride the Fleet's own thread-safe API.
+//   * Each tenant's ingest log sits under its own lock, so two
+//     connections' batches never interleave in one file.
+//   * The drain flag is an atomic; metrics/health/checkpoint ride the
+//     Fleet's own thread-safe API.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,11 +54,6 @@ struct DispatcherOptions {
   // checkpoint and ingest requests are refused and drain flushes nothing.
   // Clients cannot choose another destination.
   std::string checkpoint_dir;
-  // Enables the `stall` request (parks the handling worker until
-  // ReleaseStalls). Test/bench-only: it exists to create deterministic
-  // overload and drain-under-load scenarios; production daemons leave it
-  // off and answer stall with bad_request.
-  bool allow_stall = false;
 };
 
 // What the final drain flush wrote (DESIGN.md §15 drain state machine).
@@ -74,24 +70,21 @@ class Dispatcher {
   Dispatcher(runtime::Fleet& fleet, DispatcherOptions options,
              obs::Registry* registry);
 
-  // Routes a parsed request and encodes the response. Never throws.
+  // Routes a parsed request and encodes the response. Never throws, and
+  // never returns a payload over kMaxFramePayloadBytes: a response that
+  // would not fit one frame is answered as one bad_request instead.
   std::string Dispatch(const Request& request);
 
-  // Invoked (at most once) when a shutdown request is accepted; the Server
-  // wires this to its drain flag.
-  void SetShutdownCallback(std::function<void()> callback)
-      JARVIS_EXCLUDES(mutex_);
+  // The drain flag: set by a `shutdown` request or by the owner (e.g. on
+  // SIGINT), never cleared. The Server refuses new requests once it is
+  // set.
+  void RequestDrain() { draining_.store(true, std::memory_order_release); }
+  bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   // Final durable flush for graceful drain: syncs the ingest logs, then
   // writes per-tenant fleet checkpoints through util::io's atomic path into
-  // options.checkpoint_dir. Call only after the pool is idle.
-  DrainFlushReport FlushForDrain() JARVIS_EXCLUDES(mutex_);
-
-  // Releases every parked stall request (see DispatcherOptions.allow_stall).
-  void ReleaseStalls() JARVIS_EXCLUDES(mutex_);
-  // Stall requests currently parked on workers (the bench polls this to
-  // make its overload sweep deterministic).
-  std::size_t stalled_now() const JARVIS_EXCLUDES(mutex_);
+  // options.checkpoint_dir. Call only once no Dispatch is running.
+  DrainFlushReport FlushForDrain();
 
  private:
   // One tenant's ingest log, opened at the tenant's first ingest.
@@ -107,8 +100,7 @@ class Dispatcher {
   util::JsonObject HandleSuggestMinutes(const util::JsonValue& body);
   util::JsonObject HandleMetrics();
   util::JsonObject HandleCheckpoint(const util::JsonValue& body);
-  util::JsonObject HandleShutdown() JARVIS_EXCLUDES(mutex_);
-  util::JsonObject HandleStall() JARVIS_EXCLUDES(mutex_);
+  util::JsonObject HandleShutdown();
 
   // A tenant or state entry that is not an integer in int range is a
   // bad_request; a whole-number tenant outside [0, tenant_count_) is an
@@ -125,12 +117,7 @@ class Dispatcher {
   // started.
   const std::size_t tenant_count_;  // unguarded: fixed at construction
   std::vector<TenantLog> logs_;  // unguarded: sized at construction
-  mutable util::Mutex mutex_;
-  std::function<void()> shutdown_callback_ JARVIS_GUARDED_BY(mutex_);
-  bool shutdown_fired_ JARVIS_GUARDED_BY(mutex_) = false;
-  std::size_t stalled_ JARVIS_GUARDED_BY(mutex_) = 0;
-  bool stalls_released_ JARVIS_GUARDED_BY(mutex_) = false;
-  util::CondVar stall_gate_;
+  std::atomic<bool> draining_{false};  // unguarded: atomic
   // Instrument pointers wired once in the constructor; the instruments are
   // internally synchronized atomics.
   std::vector<obs::Counter*> request_counters_;  // unguarded: wired in ctor

@@ -10,8 +10,10 @@ namespace {
 constexpr std::array<const char*, kRequestTypeCount> kTypeNames = {
     "ping",           "ingest",     "suggest_action",
     "suggest_minutes", "metrics",   "checkpoint",
-    "health",         "shutdown",   "stall",
+    "health",         "shutdown",
 };
+
+constexpr std::size_t kEchoedTypeBytes = 64;
 
 }  // namespace
 
@@ -62,10 +64,14 @@ std::optional<Request> ParseRequest(const std::string& payload,
     if (error != nullptr) *error = "missing string 'type'";
     return std::nullopt;
   }
-  const auto type = RequestTypeFromName(type_it->second.AsString());
+  const std::string& name = type_it->second.AsString();
+  const auto type = RequestTypeFromName(name);
   if (!type.has_value()) {
+    // Echo at most kEchoedTypeBytes of the name: a type as long as the
+    // frame cap would otherwise make its own refusal too big to frame.
     if (error != nullptr) {
-      *error = "unknown request type '" + type_it->second.AsString() + "'";
+      *error = "unknown request type '" + name.substr(0, kEchoedTypeBytes) +
+               (name.size() > kEchoedTypeBytes ? "...'" : "'");
     }
     return std::nullopt;
   }

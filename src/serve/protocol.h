@@ -1,8 +1,8 @@
 // Request/response model of the serving protocol (DESIGN.md §15).
 //
 // Every frame payload is one JSON document. Requests carry an integer
-// `id` (echoed verbatim in the response so clients can correlate
-// out-of-order completions), a string `type` from the catalog below, and
+// `id` (echoed verbatim in the response so clients can correlate it), a
+// string `type` from the catalog below, and
 // type-specific fields. Responses carry the echoed `id`, `ok`, and either
 // result fields (ok) or `error` (a stable machine-readable code) plus
 // `detail` (human-readable).
@@ -33,9 +33,8 @@ enum class RequestType {
   kCheckpoint,      // trigger a durable fleet checkpoint now
   kHealth,          // serving counters + fleet shape
   kShutdown,        // begin graceful drain
-  kStall,           // test/bench-only: park a worker until released
 };
-inline constexpr std::size_t kRequestTypeCount = 9;
+inline constexpr std::size_t kRequestTypeCount = 8;
 
 // Stable wire name ("ping", "ingest", ...).
 const char* RequestTypeName(RequestType type);
@@ -45,7 +44,6 @@ std::optional<RequestType> RequestTypeFromName(const std::string& name);
 // Stable error codes (the `error` field of a failed response).
 inline constexpr char kErrMalformedFrame[] = "malformed_frame";
 inline constexpr char kErrBadRequest[] = "bad_request";
-inline constexpr char kErrOverloaded[] = "overloaded";
 inline constexpr char kErrDraining[] = "draining";
 inline constexpr char kErrUnknownTenant[] = "unknown_tenant";
 inline constexpr char kErrNoPolicy[] = "no_policy";

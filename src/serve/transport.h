@@ -12,11 +12,12 @@
 // the handlers — speaks FramedTransport.
 //
 // Concurrency: one connection has ONE reader (the serve loop calling
-// ReadPayload) and MANY writers (pool workers writing responses as they
-// finish). The write path is therefore serialized under write_mutex_, and
-// a frame is always written whole — interleaved partial frames from two
-// workers would be self-inflicted corruption. The read path owns the
-// decoder without a lock by the single-reader contract.
+// ReadPayload). Writers may be several threads (the Server writes from
+// its reader thread; a test or client may write while another thread
+// reads), so the write path is serialized under write_mutex_ and a frame
+// is always written whole — interleaved partial frames from two writers
+// would be self-inflicted corruption. The read path owns the decoder
+// without a lock by the single-reader contract.
 #pragma once
 
 #include <cstddef>

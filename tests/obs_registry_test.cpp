@@ -6,10 +6,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/snapshot.h"
-#include "runtime/thread_pool.h"
 
 namespace jarvis::obs {
 namespace {
@@ -180,33 +180,31 @@ TEST(Registry, ScopedTimerObservesAndNullIsNoop) {
 }
 
 // Exercised under TSan in CI (label `runtime`): concurrent increments on
-// one counter from pool workers must be race-free and lossless.
-TEST(Registry, ConcurrentIncrementsFromThreadPool) {
+// one counter from several threads must be race-free and lossless.
+TEST(Registry, ConcurrentIncrementsFromThreads) {
   Registry registry;
   Counter* counter = registry.GetCounter("hot");
   Gauge* gauge = registry.GetGauge("accum");
   Histogram* hist = registry.GetHistogram("obs", {100.0, 1000.0});
 
-  constexpr std::size_t kTasks = 64;
-  constexpr std::size_t kPerTask = 1000;
-  {
-    runtime::ThreadPool pool(4);
-    for (std::size_t t = 0; t < kTasks; ++t) {
-      pool.Submit([counter, gauge, hist] {
-        for (std::size_t i = 0; i < kPerTask; ++i) {
-          counter->Increment();
-          gauge->Add(1.0);
-          hist->Observe(static_cast<double>(i));
-        }
-      });
-    }
-    pool.Shutdown();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 16000;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter, gauge, hist] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        counter->Increment();
+        gauge->Add(1.0);
+        hist->Observe(static_cast<double>(i % 1000));
+      }
+    });
   }
-  EXPECT_EQ(counter->Value(), kTasks * kPerTask);
-  EXPECT_DOUBLE_EQ(gauge->Value(), static_cast<double>(kTasks * kPerTask));
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(counter->Value(), kThreads * kPerThread);
+  EXPECT_DOUBLE_EQ(gauge->Value(), static_cast<double>(kThreads * kPerThread));
   const MetricsSnapshot snapshot = registry.TakeSnapshot();
   const HistogramSample& sample = snapshot.FindHistogram("obs");
-  EXPECT_EQ(sample.count, kTasks * kPerTask);
+  EXPECT_EQ(sample.count, kThreads * kPerThread);
   std::uint64_t bucket_total = 0;
   for (std::uint64_t c : sample.bucket_counts) bucket_total += c;
   EXPECT_EQ(bucket_total, sample.count);
@@ -216,19 +214,17 @@ TEST(Registry, ConcurrentIncrementsFromThreadPool) {
 // race-free (both paths lock the registry map).
 TEST(Registry, ConcurrentRegistrationAndSnapshot) {
   Registry registry;
-  {
-    runtime::ThreadPool pool(4);
-    for (int t = 0; t < 8; ++t) {
-      pool.Submit([&registry, t] {
-        for (int i = 0; i < 200; ++i) {
-          registry.GetCounter("c." + std::to_string(t))->Increment();
-          const MetricsSnapshot snapshot = registry.TakeSnapshot();
-          (void)snapshot;
-        }
-      });
-    }
-    pool.Shutdown();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&registry, t] {
+      for (int i = 0; i < 200; ++i) {
+        registry.GetCounter("c." + std::to_string(t))->Increment();
+        const MetricsSnapshot snapshot = registry.TakeSnapshot();
+        (void)snapshot;
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
   const MetricsSnapshot snapshot = registry.TakeSnapshot();
   EXPECT_EQ(snapshot.counters.size(), 8u);
   for (int t = 0; t < 8; ++t) {

@@ -23,6 +23,7 @@
 #include "fsm/device_library.h"
 #include "runtime/fleet.h"
 #include "scratch_dir.h"
+#include "serve/frame.h"
 #include "serve/protocol.h"
 #include "sim/resident.h"
 #include "util/io.h"
@@ -389,7 +390,7 @@ TEST_F(DispatcherTest, ALineTornByACrashCostsThatLineAlone) {
 }
 
 TEST_F(DispatcherTest, ConcurrentBatchesForOneTenantLandContiguous) {
-  // Four workers ingest distinct batches to one tenant at once; each batch
+  // Four threads ingest distinct batches to one tenant at once; each batch
   // must appear in the file as one unbroken run, in its own order.
   const testing_util::ScratchDir scratch("serve_dispatcher_race");
   Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
@@ -466,12 +467,10 @@ TEST_F(DispatcherTest, RequestCountersTrackDispatches) {
   Call(dispatcher, R"({"id": 1, "type": "ping"})");
   Call(dispatcher, R"({"id": 2, "type": "ping"})");
   Call(dispatcher, R"({"id": 3, "type": "health"})");
-  Call(dispatcher, R"({"id": 4, "type": "stall"})");  // refused: disabled
   EXPECT_EQ(registry.GetCounter("serve.req.ping")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.req.health")->Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("serve.req.stall")->Value(), 1u);
   EXPECT_EQ(registry.GetCounter("serve.responses_ok")->Value(), 3u);
-  EXPECT_EQ(registry.GetCounter("serve.responses_error")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("serve.responses_error")->Value(), 0u);
   EXPECT_FALSE(registry.TakeSnapshot().HasCounter("serve.bad_request"));
 }
 
@@ -522,19 +521,45 @@ TEST_F(DispatcherTest, CheckpointAndIngestWithoutDirAreBadRequests) {
   EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
 }
 
-TEST_F(DispatcherTest, StallRefusedUnlessEnabled) {
+TEST_F(DispatcherTest, ShutdownSetsTheDrainFlag) {
   Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
-  const auto response = Call(dispatcher, R"({"id": 1, "type": "stall"})");
-  EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+  EXPECT_FALSE(dispatcher.draining());
+  auto response = Call(dispatcher, R"({"id": 1, "type": "shutdown"})");
+  EXPECT_TRUE(ResponseOk(response));
+  EXPECT_TRUE(response.At("draining").AsBool());
+  EXPECT_TRUE(dispatcher.draining());
+  // Idempotent: a second shutdown is answered the same way.
+  EXPECT_TRUE(ResponseOk(Call(dispatcher, R"({"id": 2, "type": "shutdown"})")));
+  EXPECT_TRUE(dispatcher.draining());
 }
 
-TEST_F(DispatcherTest, ShutdownFiresCallbackOnce) {
-  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
-  int fired = 0;
-  dispatcher.SetShutdownCallback([&fired] { ++fired; });
-  EXPECT_TRUE(ResponseOk(Call(dispatcher, R"({"id": 1, "type": "shutdown"})")));
-  EXPECT_TRUE(ResponseOk(Call(dispatcher, R"({"id": 2, "type": "shutdown"})")));
-  EXPECT_EQ(fired, 1);
+TEST_F(DispatcherTest, ResponseOverTheFrameCapIsOneBadRequest) {
+  // 30,000 suggested minutes encode past the 1 MiB frame cap. The request
+  // gets one bad_request naming both sizes, counted as an error, and the
+  // dispatcher answers the next request as usual.
+  obs::Registry registry;
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), &registry);
+  std::string minutes;
+  for (int i = 0; i < 30000; ++i) {
+    if (i > 0) minutes += ",";
+    minutes += std::to_string(i % util::kMinutesPerDay);
+  }
+  const auto response = Call(
+      dispatcher,
+      R"({"id": 3, "type": "suggest_minutes", "tenant": 1, "minutes": [)" +
+          minutes + "]}");
+  EXPECT_EQ(response.At("id").AsInt(), 3);
+  EXPECT_EQ(response.At("error").AsString(), kErrBadRequest);
+  const std::string& detail = response.At("detail").AsString();
+  const std::string cap = std::to_string(kMaxFramePayloadBytes);
+  EXPECT_NE(detail.find(cap), std::string::npos) << detail;
+  ASSERT_EQ(detail.rfind("response of ", 0), 0u) << detail;
+  EXPECT_GT(std::stoull(detail.substr(12)), kMaxFramePayloadBytes) << detail;
+  EXPECT_EQ(registry.GetCounter("serve.responses_error")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("serve.responses_ok")->Value(), 0u);
+
+  EXPECT_TRUE(ResponseOk(Call(dispatcher, R"({"id": 4, "type": "ping"})")));
+  EXPECT_EQ(registry.GetCounter("serve.responses_ok")->Value(), 1u);
 }
 
 TEST_F(DispatcherTest, IngestIsInTheLogBeforeDrain) {

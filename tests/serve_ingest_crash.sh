@@ -5,7 +5,10 @@
 #          tenant's ingest log and drops none;
 #   run 2: cut that log mid-line (a write torn by a crash), boot on the same
 #          directory, ingest the second half, kill -9; `learn` drops
-#          exactly the torn line and keeps every other event.
+#          exactly the torn line and keeps every other event;
+#   run 3: on a fresh directory, ingest a 40-day log (past the 1 MiB frame
+#          cap, so the client sends it in batches); every line is accepted
+#          and the tenant log is byte-equal to it.
 # Usage: serve_ingest_crash.sh JARVIS_SERVE JARVIS_CLI SCRATCH_DIR
 set -eu
 
@@ -79,4 +82,13 @@ boot second
 ingest second.log
 crash
 learn_reports $((lines - 1)) 1
+
+"$cli" simulate --days 40 --seed 4 --out big.log > /dev/null
+[ "$(wc -c < big.log)" -gt 1048576 ] || fail "big.log fits one frame"
+rm -rf ckpt
+boot third
+ingest big.log
+crash
+cmp big.log ckpt/ingest-tenant-0.log ||
+  fail "the tenant log differs from the ingested big.log"
 echo "serve_ingest_crash: OK"

@@ -1,14 +1,14 @@
-// Server admission + drain over a loopback transport: hostile bytes get
-// one error response each and never kill serving, overload rejections are
-// deterministic and explicit, and a drain under load answers every single
-// request — accepted ones with results, refused ones with overloaded /
-// draining — losing none. Carries the `runtime` label so TSan races the
-// worker pool, the loopback queues, and the per-tenant suggestion locks.
+// Server over a loopback transport: hostile bytes get one error response
+// each and never kill serving, one connection's responses come back in
+// request order — through a shutdown, after which every request is
+// refused as draining — and connections served on several threads at
+// once answer exactly. Carries the `runtime` label so TSan races the
+// serving threads, the loopback queues, and the per-tenant suggestion
+// locks.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -20,18 +20,20 @@
 #include "fsm/device_library.h"
 #include "runtime/fleet.h"
 #include "scratch_dir.h"
+#include "serve/frame.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "sim/resident.h"
 #include "util/io.h"
 #include "util/json.h"
+#include "util/timeofday.h"
 
 namespace jarvis::serve {
 namespace {
 
 runtime::FleetConfig TinyFleetConfig() {
   runtime::FleetConfig config;
-  config.tenants = 1;
+  config.tenants = 2;
   config.jobs = 1;
   config.fleet_seed = 2026;
   config.tenant_config.restarts = 1;
@@ -43,7 +45,7 @@ runtime::FleetConfig TinyFleetConfig() {
   return config;
 }
 
-// One trained single-tenant fleet shared by the suite (read-only here).
+// One trained two-tenant fleet shared by the suite (read-only here).
 class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -53,12 +55,40 @@ class ServerTest : public ::testing::Test {
     workload.learning_days = 1;
     workload.benign_anomaly_samples = 100;
     fleet_->Run(runtime::SimulatedWorkloadFactory(*home_, workload));
+    sim::ResidentSimulator resident(*home_, sim::ThermalConfig{}, 2026);
+    overnight_ = new fsm::StateVector(resident.OvernightState());
   }
   static void TearDownTestSuite() {
+    delete overnight_;
     delete fleet_;
     delete home_;
+    overnight_ = nullptr;
     fleet_ = nullptr;
     home_ = nullptr;
+  }
+
+  static DispatcherOptions DefaultOptions() {
+    DispatcherOptions options;
+    options.default_state = *overnight_;
+    return options;
+  }
+
+  static std::string SuggestRequest(std::int64_t id, int tenant, int minute) {
+    return "{\"id\": " + std::to_string(id) +
+           ", \"type\": \"suggest_action\", \"tenant\": " +
+           std::to_string(tenant) + ", \"minute\": " + std::to_string(minute) +
+           "}";
+  }
+
+  // Expects `response` to be the ok suggest_action answer `expected`.
+  static void ExpectAction(const util::JsonValue& response,
+                           const fsm::ActionVector& expected) {
+    ASSERT_TRUE(ResponseOk(response));
+    const util::JsonArray& action = response.At("action").AsArray();
+    ASSERT_EQ(action.size(), expected.size());
+    for (std::size_t d = 0; d < action.size(); ++d) {
+      EXPECT_EQ(action[d].AsInt(), expected[d]) << "device " << d;
+    }
   }
 
   static std::string PingRequest(int id) {
@@ -81,16 +111,18 @@ class ServerTest : public ::testing::Test {
 
   static fsm::EnvironmentFsm* home_;
   static runtime::Fleet* fleet_;
+  static fsm::StateVector* overnight_;
 };
 
 fsm::EnvironmentFsm* ServerTest::home_ = nullptr;
 runtime::Fleet* ServerTest::fleet_ = nullptr;
+fsm::StateVector* ServerTest::overnight_ = nullptr;
 
 TEST_F(ServerTest, HostileBytesGetErrorResponsesThenServingContinues) {
   DispatcherOptions options;
   Dispatcher dispatcher(*fleet_, options, nullptr);
   obs::Registry registry;
-  Server server(dispatcher, ServerConfig{}, &registry);
+  Server server(dispatcher, &registry);
 
   LoopbackPair pair = MakeLoopbackPair();
   ConnectionStats stats;
@@ -133,7 +165,6 @@ TEST_F(ServerTest, HostileBytesGetErrorResponsesThenServingContinues) {
   EXPECT_EQ(stats.malformed_frames, 2u);
   EXPECT_EQ(stats.bad_requests, 2u);
   EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.rejected_overload, 0u);
   EXPECT_EQ(registry.GetCounter("serve.malformed_frames")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.bad_requests")->Value(), 2u);
   EXPECT_EQ(registry.GetCounter("serve.accepted")->Value(), 2u);
@@ -186,7 +217,7 @@ TEST_F(ServerTest, HostilePayloadsGetOneBadRequestEachThenServingContinues) {
   DispatcherOptions options;
   Dispatcher dispatcher(*fleet_, options, nullptr);
   obs::Registry registry;
-  Server server(dispatcher, ServerConfig{}, &registry);
+  Server server(dispatcher, &registry);
 
   LoopbackPair pair = MakeLoopbackPair();
   const std::vector<std::string> hostile = HostilePayloads();
@@ -231,7 +262,7 @@ TEST_F(ServerTest, HostilePayloadsGetOneBadRequestEachThenServingContinues) {
 TEST_F(ServerTest, MidStreamDisconnectThenANewConnectionServes) {
   DispatcherOptions options;
   Dispatcher dispatcher(*fleet_, options, nullptr);
-  Server server(dispatcher, ServerConfig{}, nullptr);
+  Server server(dispatcher, nullptr);
 
   {
     // The client dies mid-frame: a partial header, then EOF.
@@ -256,69 +287,10 @@ TEST_F(ServerTest, MidStreamDisconnectThenANewConnectionServes) {
   }
 }
 
-TEST_F(ServerTest, OverloadRejectionsAreDeterministicAndExplicit) {
-  DispatcherOptions options;
-  options.allow_stall = true;
-  Dispatcher dispatcher(*fleet_, options, nullptr);
-  ServerConfig config;
-  config.workers = 1;       // the stall parks the only worker
-  config.queue_capacity = 2;
-  obs::Registry registry;
-  Server server(dispatcher, config, &registry);
-
-  LoopbackPair pair = MakeLoopbackPair();
-  ConnectionStats stats;
-  std::thread serving([&] { stats = server.Serve(*pair.server); });
-
-  pair.client->WritePayload(R"({"id": 1, "type": "stall"})");
-  // Deterministic overload: wait until the worker has DEQUEUED the stall
-  // (parked inside the handler), so the queue is empty and exactly
-  // queue_capacity of the following pings are admitted.
-  while (dispatcher.stalled_now() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int id = 2; id <= 6; ++id) {
-    pair.client->WritePayload(PingRequest(id));
-  }
-  pair.client->CloseWrite();
-  // The serve loop admits/rejects asynchronously: releasing the stall
-  // while pings are still being submitted would free the worker to drain
-  // the queue mid-burst and admit an extra one. Wait for the third
-  // explicit rejection (the live registry counter) before releasing.
-  while (registry.GetCounter("serve.rejected_overload")->Value() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  dispatcher.ReleaseStalls();
-  serving.join();
-  pair.server->CloseWrite();
-
-  // stall + 2 queued pings admitted; pings 3..5 rejected explicitly.
-  EXPECT_EQ(stats.accepted, 3u);
-  EXPECT_EQ(stats.rejected_overload, 3u);
-  EXPECT_EQ(registry.GetCounter("serve.rejected_overload")->Value(), 3u);
-
-  const auto responses = ReadAll(*pair.client);
-  ASSERT_EQ(responses.size(), 6u);
-  std::map<std::int64_t, std::string> outcome;
-  for (const auto& response : responses) {
-    outcome[response.At("id").AsInt()] =
-        ResponseOk(response) ? "ok" : response.At("error").AsString();
-  }
-  ASSERT_EQ(outcome.size(), 6u) << "every id answered exactly once";
-  EXPECT_EQ(outcome.at(1), "ok");  // the released stall
-  std::size_t ok = 0, overloaded = 0;
-  for (int id = 2; id <= 6; ++id) {
-    if (outcome.at(id) == "ok") ++ok;
-    if (outcome.at(id) == kErrOverloaded) ++overloaded;
-  }
-  EXPECT_EQ(ok, 2u);
-  EXPECT_EQ(overloaded, 3u);
-}
-
 TEST_F(ServerTest, ShutdownRequestStartsDrainAndLaterRequestsAreRefused) {
   DispatcherOptions options;
   Dispatcher dispatcher(*fleet_, options, nullptr);
-  Server server(dispatcher, ServerConfig{}, nullptr);
+  Server server(dispatcher, nullptr);
 
   LoopbackPair pair = MakeLoopbackPair();
   ConnectionStats stats;
@@ -326,7 +298,7 @@ TEST_F(ServerTest, ShutdownRequestStartsDrainAndLaterRequestsAreRefused) {
 
   pair.client->WritePayload(R"({"id": 1, "type": "shutdown"})");
   // Reading the shutdown response guarantees the drain flag is set (the
-  // handler fires the callback before the response is written).
+  // handler sets it before the response is written).
   std::string payload;
   ASSERT_EQ(pair.client->ReadPayload(&payload),
             FramedTransport::ReadResult::kPayload);
@@ -347,154 +319,171 @@ TEST_F(ServerTest, ShutdownRequestStartsDrainAndLaterRequestsAreRefused) {
   EXPECT_EQ(stats.draining_refused, 1u);
 }
 
-TEST_F(ServerTest, DrainUnderLoadAnswersEveryRequestAndFlushes) {
+// One connection pipelines its requests: the serve loop answers each one
+// before it reads the next, so the answers come back in request order,
+// and the shutdown's drain flag is set before the requests behind it are
+// read. Every id gets exactly one outcome and the drain flush checkpoints.
+TEST_F(ServerTest, PipelinedRequestsThroughAShutdownAnswerInOrder) {
   const testing_util::ScratchDir scratch("serve_server_drain");
   const std::string& dir = scratch.path();
-
-  DispatcherOptions options;
-  options.allow_stall = true;
+  DispatcherOptions options = DefaultOptions();
   options.checkpoint_dir = dir;
   Dispatcher dispatcher(*fleet_, options, nullptr);
-  ServerConfig config;
-  config.workers = 2;
-  config.queue_capacity = 4;
-  Server server(dispatcher, config, nullptr);
+  Server server(dispatcher, nullptr);
+
+  constexpr int kSuggests = 16;
+  constexpr int kLate = 8;
+  std::vector<int> minutes;
+  for (int i = 0; i < kSuggests; ++i) minutes.push_back(i * 90);
+  const std::vector<fsm::ActionVector> expected =
+      fleet_->SuggestMinutes(0, *overnight_, minutes);
 
   LoopbackPair pair = MakeLoopbackPair();
-  ConnectionStats stats;
-  std::thread serving([&] { stats = server.Serve(*pair.server); });
-
-  // Load phase: a stall pins one worker, then a burst larger than
-  // workers + queue guarantees real overload while requests are in flight.
-  pair.client->WritePayload(R"({"id": 1, "type": "stall"})");
-  while (dispatcher.stalled_now() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int i = 0; i < kSuggests; ++i) {
+    pair.client->WritePayload(SuggestRequest(1 + i, 0, minutes[i]));
   }
-  const int kBurst = 24;
-  for (int id = 2; id < 2 + kBurst; ++id) {
-    pair.client->WritePayload(PingRequest(id));
-  }
-  // Drain starts while the stall still holds a worker and pings are still
-  // queued — the requests sent after this must be refused, not lost.
-  server.RequestDrain();
-  const int kLate = 8;
-  for (int id = 2 + kBurst; id < 2 + kBurst + kLate; ++id) {
-    pair.client->WritePayload(PingRequest(id));
+  pair.client->WritePayload(
+      "{\"id\": " + std::to_string(kSuggests + 1) + ", \"type\": \"shutdown\"}");
+  for (int i = 0; i < kLate; ++i) {
+    pair.client->WritePayload(PingRequest(kSuggests + 2 + i));
   }
   pair.client->CloseWrite();
-  dispatcher.ReleaseStalls();
-  serving.join();
-
+  const ConnectionStats stats = server.Serve(*pair.server);
   const DrainFlushReport flush = server.Drain();
   pair.server->CloseWrite();
-  const auto responses = ReadAll(*pair.client);
 
-  // THE drain pin: one response per request, none lost, each one either a
-  // result, an explicit overload, or an explicit draining refusal.
-  const std::size_t total = 1 + kBurst + kLate;
-  ASSERT_EQ(responses.size(), total);
-  std::map<std::int64_t, std::string> outcome;
-  std::size_t ok = 0, overloaded = 0, draining = 0;
-  for (const auto& response : responses) {
-    const std::string verdict =
-        ResponseOk(response) ? "ok" : response.At("error").AsString();
-    outcome[response.At("id").AsInt()] = verdict;
-    if (verdict == "ok") ++ok;
-    if (verdict == kErrOverloaded) ++overloaded;
-    if (verdict == kErrDraining) ++draining;
+  const std::vector<util::JsonValue> responses = ReadAll(*pair.client);
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kSuggests + 1 + kLate));
+  for (int i = 0; i < kSuggests; ++i) {
+    SCOPED_TRACE(::testing::Message() << "minute " << minutes[i]);
+    EXPECT_EQ(responses[i].At("id").AsInt(), 1 + i);
+    ExpectAction(responses[i], expected[i]);
   }
-  EXPECT_EQ(outcome.size(), total) << "every id answered exactly once";
-  EXPECT_EQ(ok + overloaded + draining, total);
-  EXPECT_EQ(ok, stats.accepted);
-  EXPECT_EQ(overloaded, stats.rejected_overload);
-  EXPECT_EQ(draining, stats.draining_refused);
-  // Everything sent after RequestDrain was refused as draining.
-  EXPECT_GE(draining, static_cast<std::size_t>(kLate));
-  // The final flush checkpointed the trained tenant.
-  EXPECT_EQ(flush.checkpoints_saved, 1u);
+  const util::JsonValue& shutdown = responses[kSuggests];
+  EXPECT_EQ(shutdown.At("id").AsInt(), kSuggests + 1);
+  EXPECT_TRUE(ResponseOk(shutdown));
+  EXPECT_TRUE(shutdown.At("draining").AsBool());
+  for (int i = 0; i < kLate; ++i) {
+    const util::JsonValue& late = responses[kSuggests + 1 + i];
+    EXPECT_EQ(late.At("id").AsInt(), kSuggests + 2 + i);
+    EXPECT_FALSE(ResponseOk(late));
+    EXPECT_EQ(late.At("error").AsString(), kErrDraining);
+  }
+  EXPECT_EQ(stats.accepted, static_cast<std::size_t>(kSuggests + 1));
+  EXPECT_EQ(stats.draining_refused, static_cast<std::size_t>(kLate));
+  EXPECT_TRUE(server.draining());
+  // The drain flush checkpointed both trained tenants.
+  EXPECT_EQ(flush.checkpoints_saved, 2u);
   EXPECT_TRUE(
       util::io::FileExists(runtime::Fleet::TenantCheckpointPath(dir, 0)));
 }
 
-// The drain pin with suggestion traffic in the serving path: under
-// overload + drain, every request is answered exactly once and every
-// accepted suggestion carries the bit-exact action for its minute.
-TEST_F(ServerTest, DrainUnderSuggestLoadAnswersExactlyOnce) {
-  sim::ResidentSimulator resident(*home_, sim::ThermalConfig{}, 2026);
-  const fsm::StateVector overnight = resident.OvernightState();
+// Serving concurrency is one thread per connection: two connections, each
+// asking for its own tenant's day, served at once by one Server. Every
+// answer equals the direct Fleet::SuggestMinutes one.
+TEST_F(ServerTest, TwoConnectionsOnTwoThreadsAnswerExactly) {
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  obs::Registry registry;
+  Server server(dispatcher, &registry);
   std::vector<int> minutes;
-  for (int minute = 0; minute < util::kMinutesPerDay; minute += 60) {
+  for (int minute = 0; minute < util::kMinutesPerDay; minute += 15) {
     minutes.push_back(minute);
   }
-  const std::vector<fsm::ActionVector> expected =
-      fleet_->SuggestMinutes(0, overnight, minutes);
 
-  DispatcherOptions options;
-  options.allow_stall = true;
-  options.default_state = overnight;
-  Dispatcher dispatcher(*fleet_, options, nullptr);
-  ServerConfig config;
-  config.workers = 2;
-  config.queue_capacity = 4;
-  Server server(dispatcher, config, nullptr);
-
-  LoopbackPair pair = MakeLoopbackPair();
-  ConnectionStats stats;
-  std::thread serving([&] { stats = server.Serve(*pair.server); });
-
-  // One stalled worker + a suggestion burst past workers + queue, then a
-  // drain racing in-flight suggestions, then late traffic.
-  pair.client->WritePayload(R"({"id": 0, "type": "stall"})");
-  while (dispatcher.stalled_now() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  constexpr int kTenants = 2;
+  std::vector<LoopbackPair> pairs;
+  std::vector<std::thread> serving;
+  for (int t = 0; t < kTenants; ++t) pairs.push_back(MakeLoopbackPair());
+  for (int t = 0; t < kTenants; ++t) {
+    serving.emplace_back([&server, &pairs, t] {
+      server.Serve(*pairs[t].server);
+      pairs[t].server->CloseWrite();
+    });
   }
-  for (std::size_t i = 0; i < minutes.size(); ++i) {
-    pair.client->WritePayload(
-        R"({"id": )" + std::to_string(1 + i) +
-        R"(, "type": "suggest_action", "tenant": 0, "minute": )" +
-        std::to_string(minutes[i]) + "}");
-  }
-  server.RequestDrain();
-  const int kLate = 6;
-  for (int i = 0; i < kLate; ++i) {
-    pair.client->WritePayload(PingRequest(1000 + i));
-  }
-  pair.client->CloseWrite();
-  dispatcher.ReleaseStalls();
-  serving.join();
-  server.Drain();
-  pair.server->CloseWrite();
-  const auto responses = ReadAll(*pair.client);
-
-  // Every request answered exactly once; every accepted suggestion carries
-  // the bit-exact direct-route action for its minute.
-  const std::size_t total = 1 + minutes.size() + kLate;
-  ASSERT_EQ(responses.size(), total);
-  std::map<std::int64_t, std::string> outcome;
-  std::size_t ok = 0, refused = 0;
-  for (const auto& response : responses) {
-    const std::int64_t id = response.At("id").AsInt();
-    if (ResponseOk(response)) {
-      ++ok;
-      outcome[id] = "ok";
-      if (id >= 1 && id < static_cast<std::int64_t>(1 + minutes.size())) {
-        const std::size_t i = static_cast<std::size_t>(id - 1);
-        const util::JsonArray& action = response.At("action").AsArray();
-        ASSERT_EQ(action.size(), expected[i].size()) << "minute "
-                                                     << minutes[i];
-        for (std::size_t d = 0; d < action.size(); ++d) {
-          EXPECT_EQ(action[d].AsInt(), expected[i][d])
-              << "minute " << minutes[i] << " device " << d;
-        }
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kTenants; ++t) {
+    clients.emplace_back([&pairs, &minutes, t] {
+      for (std::size_t i = 0; i < minutes.size(); ++i) {
+        pairs[t].client->WritePayload(
+            SuggestRequest(static_cast<std::int64_t>(i), t, minutes[i]));
       }
-    } else {
-      ++refused;
-      outcome[id] = response.At("error").AsString();
+      pairs[t].client->CloseWrite();
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  for (std::thread& thread : serving) thread.join();
+
+  for (int t = 0; t < kTenants; ++t) {
+    SCOPED_TRACE(::testing::Message() << "tenant " << t);
+    const std::vector<fsm::ActionVector> expected =
+        fleet_->SuggestMinutes(t, *overnight_, minutes);
+    const std::vector<util::JsonValue> responses = ReadAll(*pairs[t].client);
+    ASSERT_EQ(responses.size(), minutes.size());
+    for (std::size_t i = 0; i < minutes.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "minute " << minutes[i]);
+      EXPECT_EQ(responses[i].At("id").AsInt(), static_cast<std::int64_t>(i));
+      ExpectAction(responses[i], expected[i]);
     }
   }
-  EXPECT_EQ(outcome.size(), total) << "every id answered exactly once";
-  EXPECT_EQ(ok, stats.accepted);
-  EXPECT_EQ(ok + refused, total);
+  EXPECT_EQ(registry.GetCounter("serve.accepted")->Value(),
+            kTenants * minutes.size());
+}
+
+// A request whose answer would not fit one frame gets one bad_request,
+// not silence, and the connection serves the next request.
+TEST_F(ServerTest, ResponseOverTheFrameCapIsAnsweredThenServingContinues) {
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  obs::Registry registry;
+  Server server(dispatcher, &registry);
+
+  std::string minutes;
+  for (int i = 0; i < 30000; ++i) {
+    if (i > 0) minutes += ",";
+    minutes += std::to_string(i % util::kMinutesPerDay);
+  }
+  LoopbackPair pair = MakeLoopbackPair();
+  pair.client->WritePayload(
+      R"({"id": 5, "type": "suggest_minutes", "tenant": 0, "minutes": [)" +
+      minutes + "]}");
+  pair.client->WritePayload(PingRequest(6));
+  pair.client->CloseWrite();
+  server.Serve(*pair.server);
+  pair.server->CloseWrite();
+
+  const std::vector<util::JsonValue> responses = ReadAll(*pair.client);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].At("id").AsInt(), 5);
+  EXPECT_EQ(responses[0].At("error").AsString(), kErrBadRequest);
+  EXPECT_NE(responses[0].At("detail").AsString().find(
+                std::to_string(kMaxFramePayloadBytes)),
+            std::string::npos);
+  EXPECT_TRUE(ResponseOk(responses[1]));
+  EXPECT_EQ(responses[1].At("id").AsInt(), 6);
+  EXPECT_EQ(registry.GetCounter("serve.responses_dropped")->Value(), 0u);
+}
+
+// A request type as long as the frame allows is refused with a bounded
+// echo of the name: the refusal itself must still fit a frame.
+TEST_F(ServerTest, FrameSizedUnknownTypeIsRefusedThenServingContinues) {
+  Dispatcher dispatcher(*fleet_, DefaultOptions(), nullptr);
+  Server server(dispatcher, nullptr);
+  const std::string prefix = R"({"id": 4, "type": ")";
+  const std::string name(kMaxFramePayloadBytes - prefix.size() - 2, 'x');
+
+  LoopbackPair pair = MakeLoopbackPair();
+  pair.client->WritePayload(prefix + name + "\"}");
+  pair.client->WritePayload(PingRequest(5));
+  pair.client->CloseWrite();
+  const ConnectionStats stats = server.Serve(*pair.server);
+  pair.server->CloseWrite();
+
+  const std::vector<util::JsonValue> responses = ReadAll(*pair.client);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].At("id").AsInt(), 4);
+  EXPECT_EQ(responses[0].At("error").AsString(), kErrBadRequest);
+  EXPECT_LT(responses[0].At("detail").AsString().size(), 128u);
+  EXPECT_TRUE(ResponseOk(responses[1]));
+  EXPECT_EQ(stats.bad_requests, 1u);
 }
 
 }  // namespace

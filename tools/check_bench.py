@@ -10,14 +10,14 @@ Both kinds — `bench` == "serve" (bench/bench_serve) and "fleet"
 e2e case: query/answer conservation and exact-parity verdicts) — share
 one deterministic shape:
   1. Schema: every case carries name plus a `deterministic` object (int
-     outcomes — serve: request / response / rejection / malformed-frame
-     counts; fleet: queries, answers, parity verdicts) and an `advisory`
+     outcomes — serve: requests sent and answered ok; fleet: queries,
+     answers, parity verdicts) and an `advisory`
      object (wall-clock milliseconds, latency percentiles, throughput).
   2. Gate (FAILS the build): each baseline case must be present and its
      `deterministic` object must match the baseline EXACTLY, key for key.
-     These outcomes are a pure function of the seed and the admission
-     arithmetic; any drift means semantics changed, not that the runner
-     is slow.
+     These outcomes are a pure function of the seed and the
+     configuration; any drift means semantics changed, not that the
+     runner is slow.
   3. Advisory (warns only): any `advisory` value more than double its
      baseline. Latency never fails the gate.
 
@@ -43,6 +43,8 @@ DEFAULT_BASELINES = {
 REQUIRED_CASES = {
     "fleet": frozenset({"sweep_t1", "sweep_t4", "sweep_t16", "sweep_t64",
                         "fleet_suggest_e2e"}),
+    "serve": frozenset({"latency_ping", "latency_suggest_action",
+                        "latency_suggest_minutes", "latency_ingest"}),
 }
 
 
