@@ -10,7 +10,7 @@
 //     u32   name length, name bytes    (e.g. "spl", "dqn", "monitor")
 //     u64   payload length
 //     u32   CRC-32 of the payload
-//     payload bytes                    (a serialized JSON document today)
+//     payload bytes                    (one serialized JSON document)
 //
 // The container is deliberately dumb: sections are opaque byte payloads
 // whose meaning belongs to their owners (spl::SafetyPolicyLearner JSON,
@@ -47,7 +47,9 @@
 namespace jarvis::persist {
 
 inline constexpr char kMagic[4] = {'J', 'V', 'C', 'K'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+// v2: tensors inside the sections are f64le (neural/serialize.h). A v1
+// file (decimal tensors) is refused whole as version skew.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 // One thing Parse() could not recover, and why. `section` is empty for
 // file-level problems (bad magic, version skew, truncation of a header).

@@ -174,36 +174,60 @@ util::JsonObject Dispatcher::HandleIngest(const util::JsonValue& body) {
   if (lines == nullptr || !lines->is_array()) {
     throw RequestError(kErrBadRequest, "missing array 'lines'");
   }
-  std::string appended;
-  std::size_t accepted = 0;
+  // One bad log line poisons that line only: the hostile-input rule
+  // applied per event, so a corrupted shard of a device log still delivers
+  // its intact records.
+  std::vector<std::pair<std::int64_t, std::string>> parsed;  // minute, line
   std::size_t rejected = 0;
   for (const util::JsonValue& line : lines->AsArray()) {
     if (!line.is_string()) {
       ++rejected;
       continue;
     }
-    // One bad log line poisons that line only: the hostile-input rule
-    // applied per event, so a corrupted shard of a device log still
-    // delivers its intact records.
     try {
-      appended += events::Event::FromLogLine(line.AsString()).ToLogLine();
-      appended += '\n';
-      ++accepted;
+      const events::Event event = events::Event::FromLogLine(line.AsString());
+      parsed.emplace_back(event.date.minutes(), event.ToLogLine());
     } catch (const std::exception&) {
       ++rejected;
     }
   }
-  if (!appended.empty()) {
-    // One write under the tenant's lock: the batch lands contiguous, and
-    // it is in the file before the response says it was accepted.
+  std::size_t accepted = 0;
+  if (!parsed.empty()) {
     TenantLog& log = logs_[tenant];
     util::MutexLock lock(log.mutex);
     if (!log.file.has_value()) {
       util::io::CreateDirectories(options_.checkpoint_dir);
       log.file.emplace(options_.checkpoint_dir + "/ingest-tenant-" +
                        std::to_string(tenant) + ".log");
+      try {
+        log.newest_minute =
+            events::Event::FromLogLine(log.file->LastWholeLine())
+                .date.minutes();
+      } catch (const util::JsonError&) {
+        // No readable last line (a new log): nothing to stay after.
+      }
     }
-    log.file->Append(appended);
+    // The log stays in time order: an event older than the newest one
+    // appended is rejected (a re-sent batch), one in the same minute is
+    // not (a client's batches may split a minute).
+    std::int64_t newest = log.newest_minute;
+    std::string appended;
+    for (const auto& [minute, text] : parsed) {
+      if (minute < newest) {
+        ++rejected;
+        continue;
+      }
+      newest = minute;
+      appended += text;
+      appended += '\n';
+      ++accepted;
+    }
+    if (!appended.empty()) {
+      // One write: the batch lands contiguous, and it is in the file
+      // before the response says it was accepted.
+      log.file->Append(appended);
+      log.newest_minute = newest;
+    }
   }
   util::JsonObject fields;
   fields["accepted"] = static_cast<std::int64_t>(accepted);

@@ -22,7 +22,8 @@
 //     answers each call with one batched forward per 256 minutes, while
 //     distinct tenants run fully in parallel.
 //   * Each tenant's ingest log sits under its own lock, so two
-//     connections' batches never interleave in one file.
+//     connections' batches never interleave in one file, and an event
+//     older than the log's newest is rejected there.
 //   * The drain flag is an atomic; metrics/health/checkpoint ride the
 //     Fleet's own thread-safe API.
 #pragma once
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,6 +93,10 @@ class Dispatcher {
   struct TenantLog {
     util::Mutex mutex;
     std::optional<util::io::AppendFile> file JARVIS_GUARDED_BY(mutex);
+    // Event minute of the newest line in the file: read from its last
+    // whole line at open, then advanced by each append.
+    std::int64_t newest_minute JARVIS_GUARDED_BY(mutex) =
+        std::numeric_limits<std::int64_t>::min();
   };
 
   util::JsonObject HandlePing();

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -23,16 +24,34 @@ std::string ErrnoText(int err) {
   throw IoError(op + " failed for '" + path + "': " + ErrnoText(err));
 }
 
-constexpr std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the byte-at-a-time table of the
+// reflected polynomial 0xEDB88320, and kCrcTables[k][n] is the CRC of byte
+// n followed by k zero bytes, so one step folds eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+std::uint32_t LoadU32Le(const unsigned char* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
 }
 
 // RAII fd so every error path closes.
@@ -84,11 +103,18 @@ void FsyncDirOf(const std::string& path) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {
-  static constexpr std::array<std::uint32_t, 256> kTable = MakeCrcTable();
+  const auto& t = kCrcTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = LoadU32Le(bytes) ^ crc;
+    const std::uint32_t hi = LoadU32Le(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -178,6 +204,30 @@ AppendFile::AppendFile(const std::string& path)
 }
 
 AppendFile::~AppendFile() { ::close(fd_); }
+
+std::string AppendFile::LastWholeLine() const {
+  struct stat info;
+  if (::fstat(fd_, &info) != 0) ThrowIo("stat", path_, errno);
+  std::string tail;  // the file's last bytes
+  for (off_t end = info.st_size; end > 0;) {
+    const off_t start = std::max<off_t>(0, end - 4096);
+    std::string block(static_cast<std::size_t>(end - start), '\0');
+    if (::pread(fd_, block.data(), block.size(), start) !=
+        static_cast<::ssize_t>(block.size())) {
+      ThrowIo("read tail", path_, errno);
+    }
+    tail.insert(0, block);
+    end = start;
+    const std::size_t last = tail.rfind('\n');
+    if (last == std::string::npos || last == 0) continue;
+    const std::size_t before = tail.rfind('\n', last - 1);
+    if (before != std::string::npos) {
+      return tail.substr(before + 1, last - before - 1);
+    }
+  }
+  const std::size_t last = tail.rfind('\n');
+  return last == std::string::npos ? std::string() : tail.substr(0, last);
+}
 
 void AppendFile::Append(const std::string& lines) {
   const bool torn = torn_tail_;

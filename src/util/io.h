@@ -77,7 +77,7 @@ void AtomicWriteFile(const std::string& path, const std::string& payload,
 
 // An append-only line log, opened (and created) with O_APPEND: each
 // Append is one write at the end of the file, and no byte already there
-// is read back or moved. A crash can tear only the line being written, so
+// is moved. A crash can tear only the line being written, so
 // the first Append of this object to a file whose last byte is not '\n'
 // starts a new line: the torn line is lost alone and never merges with
 // the next one. Appended bytes survive a crash of the process at once and
@@ -90,6 +90,10 @@ class AppendFile {
   AppendFile(const AppendFile&) = delete;
   AppendFile& operator=(const AppendFile&) = delete;
 
+  // The file's last '\n'-terminated line, without the '\n' (a torn tail
+  // after it is skipped); empty when the file has none. Reads backward
+  // from the end only as far as that line starts. Throws IoError.
+  std::string LastWholeLine() const;
   // Appends `lines` (whole '\n'-terminated lines). Throws IoError.
   void Append(const std::string& lines);
   // fsync. Throws IoError.

@@ -75,11 +75,19 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
+namespace {
+
+// Appends `raw` quoted and escaped. Each run of bytes that need no escape
+// goes over in one append.
+void AppendEscaped(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (char c : raw) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -103,20 +111,14 @@ std::string JsonEscape(const std::string& raw) {
         out += "\\f";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xFu]);
     }
   }
+  out.append(raw.substr(run));
   out.push_back('"');
-  return out;
 }
-
-namespace {
 
 void AppendNumber(std::string& out, double value) {
   if (value == static_cast<double>(std::llround(value)) &&
@@ -138,6 +140,13 @@ void Indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
+std::string JsonEscape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  AppendEscaped(out, raw);
+  return out;
+}
+
 void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull:
@@ -150,7 +159,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
       AppendNumber(out, number_);
       break;
     case Type::kString:
-      out += JsonEscape(string_);
+      AppendEscaped(out, string_);
       break;
     case Type::kArray: {
       out.push_back('[');
@@ -172,7 +181,7 @@ void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
         if (!first) out.push_back(',');
         first = false;
         Indent(out, indent, depth + 1);
-        out += JsonEscape(key);
+        AppendEscaped(out, key);
         out.push_back(':');
         if (indent > 0) out.push_back(' ');
         value.DumpTo(out, indent, depth + 1);

@@ -26,8 +26,9 @@ namespace jarvis::util {
 class JsonValue;
 
 // The deepest container nesting any reader accepts. The documents this
-// program writes nest at most 7 deep: a learned policy's
-// filter.network.layers[i].weights.data.
+// program writes nest at most 6 deep: a learned policy's
+// filter.network.layers[i].weights, or a DQN section's
+// network.optimizer.state.m_weights[i].
 inline constexpr int kMaxJsonDepth = 64;
 
 using JsonArray = std::vector<JsonValue>;

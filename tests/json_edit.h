@@ -3,7 +3,9 @@
 // the root down to the edited value and shares everything else.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -51,6 +53,34 @@ inline util::JsonValue AppendJson(const util::JsonValue& doc,
     items.push_back(value);
     return util::JsonValue(std::move(items));
   });
+}
+
+// The "f64le" text of a tensor holding `values`: RFC 4648 base64, with '='
+// padding, of their raw little-endian IEEE-754 bytes. Written bit by bit,
+// apart from neural/serialize.cpp's codec, so tests can both craft tensors
+// the production encoder refuses (NaN, Inf) and check what it writes.
+inline std::string F64le(const std::vector<double>& values) {
+  static constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::vector<int> bits;
+  for (double value : values) {
+    const auto word = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      for (int bit = 7; bit >= 0; --bit) {
+        bits.push_back(static_cast<int>((word >> (8 * byte + bit)) & 1u));
+      }
+    }
+  }
+  std::string out;
+  for (std::size_t i = 0; i < bits.size(); i += 6) {
+    int sextet = 0;
+    for (std::size_t k = i; k < i + 6; ++k) {
+      sextet = 2 * sextet + (k < bits.size() ? bits[k] : 0);
+    }
+    out.push_back(kAlphabet[sextet]);
+  }
+  while (out.size() % 4 != 0) out.push_back('=');
+  return out;
 }
 
 }  // namespace jarvis::json_edit

@@ -1,11 +1,14 @@
 // Round-trip coverage for neural::serialize — the save-after-learning /
-// load-at-deployment path. JSON numbers are emitted at %.17g, so a
-// round-tripped network must match the original parameter-for-parameter
-// with EXACT FP equality, and therefore predict identically.
+// load-at-deployment path. Tensors travel as their raw IEEE-754 bytes
+// (f64le), so a round-tripped network must match the original
+// parameter-for-parameter bit for bit, and therefore predict identically.
 #include "neural/serialize.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -193,7 +196,7 @@ TEST(NeuralSerialize, CrossKindOptimizerImportIsRejected) {
 
 TEST(NeuralSerialize, NonFiniteParameterRejectedAtSave) {
   // A diverged network must fail loudly at the boundary, not persist a
-  // poisoned policy ("%.17g" would emit unparseable tokens anyway).
+  // poisoned policy.
   Network network = MakeNetwork(5);
   network.mutable_layers()[1].mutable_weights().At(0, 0) =
       std::numeric_limits<double>::quiet_NaN();
@@ -205,46 +208,188 @@ TEST(NeuralSerialize, NonFiniteParameterRejectedAtSave) {
   EXPECT_THROW(ToText(infinite), jarvis::util::CheckError);
 }
 
+// `doc` with the f64le of the tensor at `path` replaced by the encoding
+// of `values`.
+jarvis::util::JsonValue WithTensorValues(const jarvis::util::JsonValue& doc,
+                                         const json_edit::JsonPath& path,
+                                         const std::vector<double>& values) {
+  json_edit::JsonPath field = path;
+  field.emplace_back(std::string("f64le"));
+  return json_edit::SetJson(doc, field,
+                            jarvis::util::JsonValue(json_edit::F64le(values)));
+}
+
 TEST(NeuralSerialize, NonFiniteParameterRejectedAtLoad) {
   // Same policy on the read side: a checkpoint poisoned at rest (or by a
   // hostile writer) is rejected as malformed input, not loaded.
   Network network = MakeNetwork(5);
-  const jarvis::util::JsonValue doc = json_edit::SetJson(
-      ToJson(network), {"layers", 0u, "weights", "data", 0u},
-      jarvis::util::JsonValue(std::numeric_limits<double>::quiet_NaN()));
-  EXPECT_THROW(FromJson(doc, Loss::kMeanSquaredError,
-                        std::make_unique<Adam>(0.005),
-                        jarvis::util::Rng(0)),
-               jarvis::util::JsonError);
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> values = network.layers()[0].weights().data();
+    values[0] = poison;
+    const jarvis::util::JsonValue doc = WithTensorValues(
+        ToJson(network), {"layers", 0u, "weights"}, values);
+    EXPECT_THROW(FromJson(doc, Loss::kMeanSquaredError,
+                          std::make_unique<Adam>(0.005),
+                          jarvis::util::Rng(0)),
+                 jarvis::util::JsonError);
+  }
 }
 
 TEST(NeuralSerialize, RejectsCorruptDocuments) {
-  // Hand-built document with a truncated weight payload: "data" holds one
-  // value where rows*cols demands six.
-  jarvis::util::JsonObject weights;
-  weights["rows"] = jarvis::util::JsonValue(2);
-  weights["cols"] = jarvis::util::JsonValue(3);
-  weights["data"] =
-      jarvis::util::JsonValue(jarvis::util::JsonArray{
-          jarvis::util::JsonValue(1.0)});
-  jarvis::util::JsonObject biases;
-  biases["rows"] = jarvis::util::JsonValue(1);
-  biases["cols"] = jarvis::util::JsonValue(3);
-  biases["data"] = jarvis::util::JsonValue(
-      jarvis::util::JsonArray(3, jarvis::util::JsonValue(0.0)));
-  jarvis::util::JsonObject layer;
-  layer["activation"] = jarvis::util::JsonValue("identity");
-  layer["weights"] = jarvis::util::JsonValue(std::move(weights));
-  layer["biases"] = jarvis::util::JsonValue(std::move(biases));
-  jarvis::util::JsonObject doc;
-  doc["input_features"] = jarvis::util::JsonValue(2);
-  doc["layers"] = jarvis::util::JsonValue(
-      jarvis::util::JsonArray{jarvis::util::JsonValue(std::move(layer))});
-  EXPECT_THROW(
-      FromJson(jarvis::util::JsonValue(std::move(doc)),
-               Loss::kMeanSquaredError, std::make_unique<Adam>(0.005),
-               jarvis::util::Rng(0)),
-      jarvis::util::JsonError);
+  // A truncated weight payload: f64le holds one value where rows*cols
+  // demands 70.
+  const Network network = MakeNetwork(5);
+  const jarvis::util::JsonValue good = ToJson(network);
+  const auto load = [](const jarvis::util::JsonValue& doc) {
+    return FromJson(doc, Loss::kMeanSquaredError,
+                    std::make_unique<Adam>(0.005), jarvis::util::Rng(0));
+  };
+  EXPECT_THROW(load(WithTensorValues(good, {"layers", 0u, "weights"}, {1.0})),
+               jarvis::util::JsonError);
+  // Shapes that encode the right number of values but do not chain from
+  // layer to layer (7x10 weights read as 10x7).
+  const jarvis::util::JsonValue transposed = json_edit::SetJson(
+      json_edit::SetJson(good, {"layers", 0u, "weights", "rows"},
+                         jarvis::util::JsonValue(10)),
+      {"layers", 0u, "weights", "cols"}, jarvis::util::JsonValue(7));
+  EXPECT_THROW(load(transposed), jarvis::util::JsonError);
+  // Only the version the writer stamps is read.
+  for (const int version : {1, 2, 4}) {
+    EXPECT_THROW(load(json_edit::SetJson(good, {"format_version"},
+                                         jarvis::util::JsonValue(version))),
+                 jarvis::util::JsonError);
+  }
+  EXPECT_NO_THROW(load(good));
+}
+
+TEST(NeuralSerialize, TensorEncodingIsTheRawLittleEndianBytes) {
+  // The writer's f64le equals an independent bit-by-bit encoder's: the
+  // format is the bytes, not whatever this codec happens to do.
+  const Network network = MakeNetwork(9);
+  const Tensor& weights = network.layers()[1].weights();
+  EXPECT_EQ(TensorToJson(weights).At("f64le").AsString(),
+            json_edit::F64le(weights.data()));
+  EXPECT_EQ(TensorToJson(Tensor(1, 1, 1.0)).At("f64le").AsString(),
+            "AAAAAAAA8D8=");
+}
+
+TEST(NeuralSerialize, TensorRoundTripIsBitExact) {
+  // Values a decimal text round trip gets wrong or that sit at the edges
+  // of the format: -0.0, the smallest subnormal, +-DBL_MAX, 0.1.
+  const std::vector<double> values = {
+      -0.0, std::numeric_limits<double>::denorm_min(), DBL_MAX, -DBL_MAX, 0.1,
+      -std::numeric_limits<double>::denorm_min()};
+  // Every padding length: 8, 16 and 24 bytes.
+  for (std::size_t count = 1; count <= 3; ++count) {
+    for (std::size_t start = 0; start + count <= values.size(); ++start) {
+      Tensor t(1, count);
+      for (std::size_t i = 0; i < count; ++i) t.At(0, i) = values[start + i];
+      const Tensor back = TensorFromJson(
+          jarvis::util::JsonValue::Parse(TensorToJson(t).Dump()));
+      ASSERT_EQ(back.rows(), 1u);
+      ASSERT_EQ(back.cols(), count);
+      EXPECT_EQ(std::memcmp(back.data().data(), t.data().data(),
+                            count * sizeof(double)),
+                0)
+          << "values from index " << start << ", count " << count;
+    }
+  }
+  Tensor all(2, 3);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    all.mutable_data()[i] = values[i];
+  }
+  const Tensor back =
+      TensorFromJson(jarvis::util::JsonValue::Parse(TensorToJson(all).Dump()));
+  EXPECT_EQ(std::memcmp(back.data().data(), all.data().data(),
+                        values.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(std::signbit(back.At(0, 0)));
+}
+
+TEST(NeuralSerialize, TensorDecoderRefusesEverythingButTheExactEncoding) {
+  const auto tensor = [](jarvis::util::JsonValue rows,
+                         jarvis::util::JsonValue cols, std::string f64le) {
+    jarvis::util::JsonObject doc;
+    doc["rows"] = std::move(rows);
+    doc["cols"] = std::move(cols);
+    doc["f64le"] = jarvis::util::JsonValue(std::move(f64le));
+    return jarvis::util::JsonValue(std::move(doc));
+  };
+  const std::string one = json_edit::F64le({1.5});         // "xxx=" tail
+  const std::string two = json_edit::F64le({1.5, -2.0});   // "xx==" tail
+  const std::string three = json_edit::F64le({1.5, -2.0, 0.25});  // none
+  ASSERT_EQ(one.size(), 12u);
+  ASSERT_EQ(two.size(), 24u);
+  ASSERT_EQ(three.size(), 32u);
+  EXPECT_NO_THROW(TensorFromJson(tensor(1, 1, one)));
+  EXPECT_NO_THROW(TensorFromJson(tensor(2, 1, two)));
+  EXPECT_NO_THROW(TensorFromJson(tensor(1, 3, three)));
+  EXPECT_NO_THROW(TensorFromJson(tensor(0, 5, "")));
+
+  std::vector<std::pair<std::string, jarvis::util::JsonValue>> refused;
+  const auto refuse = [&](const std::string& why, jarvis::util::JsonValue doc) {
+    refused.emplace_back(why, std::move(doc));
+  };
+  // Bytes outside the alphabet, in a whole group and in the tail group.
+  for (const char bad : {'-', '_', '.', ' ', '\0', '\x80', '\xff', '='}) {
+    std::string text = three;
+    text[5] = bad;
+    refuse(std::string("byte ") + std::to_string(bad & 0xFF) + " in a group",
+           tensor(1, 3, text));
+    text = one;
+    text[9] = bad;
+    refuse(std::string("byte ") + std::to_string(bad & 0xFF) + " in the tail",
+           tensor(1, 1, text));
+  }
+  // Wrong padding: missing, extra, or '=' where a value belongs.
+  refuse("tail without '='", tensor(1, 1, one.substr(0, 11) + "A"));
+  refuse("'==' where '=' belongs", tensor(1, 1, one.substr(0, 10) + "=="));
+  refuse("'=' where '==' belongs", tensor(2, 1, two.substr(0, 22) + "A="));
+  refuse("padding on a whole group", tensor(1, 3, three.substr(0, 31) + "="));
+  // Non-zero pad bits: the low 2 (4) bits of the last value before '='.
+  {
+    const std::string alphabet =
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    const auto with_low_bit = [&](std::string text, std::size_t at) {
+      text[at] = alphabet[alphabet.find(text[at]) | 1u];
+      return text;
+    };
+    ASSERT_NE(with_low_bit(one, 10), one);
+    ASSERT_NE(with_low_bit(two, 21), two);
+    refuse("non-zero pad bits (xxx=)", tensor(1, 1, with_low_bit(one, 10)));
+    refuse("non-zero pad bits (xx==)", tensor(2, 1, with_low_bit(two, 21)));
+  }
+  // One character too long or too short.
+  refuse("one character long", tensor(1, 3, three + "A"));
+  refuse("one character short", tensor(1, 3, three.substr(0, 31)));
+  refuse("empty text for one value", tensor(1, 1, ""));
+  // Shapes: negative, and rows x cols that overflow 64 bits (2^40 x 2^24
+  // wraps to 0, which an unchecked product would accept for "").
+  refuse("negative rows", tensor(-1, 3, three));
+  refuse("negative cols", tensor(3, -1, three));
+  const std::int64_t big = std::int64_t{1} << 40;
+  refuse("2^40 rows", tensor(big, 3, three));
+  refuse("2^40 x 2^24 on empty text", tensor(big, std::int64_t{1} << 24, ""));
+  refuse("2^40 x 2^40", tensor(big, big, three));
+  refuse("shape of 4 values, text of 3", tensor(2, 2, three));
+  // Non-finite bit patterns: quiet and signalling NaN, +-Inf.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::signaling_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    refuse("non-finite value", tensor(1, 3, json_edit::F64le({1.0, bad, 2.0})));
+  }
+  // Missing fields and wrong types.
+  jarvis::util::JsonObject no_text;
+  no_text["rows"] = jarvis::util::JsonValue(1);
+  no_text["cols"] = jarvis::util::JsonValue(1);
+  refuse("no f64le", jarvis::util::JsonValue(no_text));
+  no_text["f64le"] = jarvis::util::JsonValue(1.5);
+  refuse("f64le a number", jarvis::util::JsonValue(no_text));
+  for (const auto& [why, doc] : refused) {
+    EXPECT_THROW(TensorFromJson(doc), jarvis::util::JsonError) << why;
+  }
 }
 
 }  // namespace

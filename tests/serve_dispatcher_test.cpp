@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/jarvis.h"
 #include "events/event.h"
 #include "events/logger_app.h"
 #include "fsm/device_library.h"
@@ -26,6 +27,7 @@
 #include "serve/frame.h"
 #include "serve/protocol.h"
 #include "sim/resident.h"
+#include "sim/scenario.h"
 #include "util/io.h"
 #include "util/json.h"
 #include "util/timeofday.h"
@@ -349,15 +351,15 @@ TEST_F(DispatcherTest, DrainOverALargeExistingLogKeepsTheFile) {
 
   Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
   util::JsonArray lines;
-  lines.emplace_back(MinuteLine(7, "thermostat"));
+  lines.emplace_back(MinuteLine(40000, "thermostat"));
   ASSERT_TRUE(ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
   EXPECT_EQ(dispatcher.FlushForDrain().checkpoints_saved, 2u);
 
   struct stat after {};
   ASSERT_EQ(::stat(path.c_str(), &after), 0);
   EXPECT_EQ(after.st_ino, before.st_ino);
-  EXPECT_EQ(util::io::ReadFile(path),
-            earlier + MinuteLine(7, "thermostat") + "\n");
+  EXPECT_TRUE(util::io::ReadFile(path) ==
+              earlier + MinuteLine(40000, "thermostat") + "\n");
 }
 
 TEST_F(DispatcherTest, ALineTornByACrashCostsThatLineAlone) {
@@ -391,7 +393,9 @@ TEST_F(DispatcherTest, ALineTornByACrashCostsThatLineAlone) {
 
 TEST_F(DispatcherTest, ConcurrentBatchesForOneTenantLandContiguous) {
   // Four threads ingest distinct batches to one tenant at once; each batch
-  // must appear in the file as one unbroken run, in its own order.
+  // must appear in the file as one unbroken run, in its own order. Every
+  // event is in minute 0, so any order of batches keeps the log in time
+  // order; a line's place in its batch rides in its data field.
   const testing_util::ScratchDir scratch("serve_dispatcher_race");
   Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
   constexpr int kThreads = 4;
@@ -405,7 +409,10 @@ TEST_F(DispatcherTest, ConcurrentBatchesForOneTenantLandContiguous) {
             "batch-" + std::to_string(t) + "-" + std::to_string(b);
         util::JsonArray lines;
         for (int i = 0; i < kPerBatch; ++i) {
-          lines.emplace_back(MinuteLine(i, label));
+          events::Event event;
+          event.device_label = label;
+          event.data = std::to_string(i);
+          lines.emplace_back(event.ToLogLine());
         }
         EXPECT_TRUE(
             ResponseOk(Call(dispatcher, IngestPayload(0, std::move(lines)))));
@@ -424,10 +431,83 @@ TEST_F(DispatcherTest, ConcurrentBatchesForOneTenantLandContiguous) {
     EXPECT_TRUE(seen.insert(label).second) << label << " split";
     for (int i = 0; i < kPerBatch; ++i) {
       EXPECT_EQ(logged[run + i].device_label, label) << "line " << run + i;
-      EXPECT_EQ(logged[run + i].date.minutes(), i) << "line " << run + i;
+      EXPECT_EQ(logged[run + i].data, std::to_string(i)) << "line " << run + i;
     }
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads * kBatches));
+}
+
+TEST_F(DispatcherTest, ResentEventsCannotPutTheLogBackInTime) {
+  // A client re-sends a day it already sent (a retry after a lost
+  // response). Lines older than the log's newest event are rejected; those
+  // in its newest minute are accepted, since a client's batches may split
+  // a minute. The log stays in time order, so learning from it succeeds.
+  const testing_util::ScratchDir scratch("serve_dispatcher_resend");
+  sim::ResidentSimulator resident(*home_, sim::ThermalConfig{}, 3);
+  const auto days =
+      resident.SimulateDays(sim::ScenarioGenerator({}, {}, {}, 3), 0, 2);
+  std::vector<util::JsonArray> batches;
+  for (const auto& day : days) {
+    util::JsonArray lines;
+    for (const auto& event : day.events) lines.emplace_back(event.ToLogLine());
+    batches.push_back(std::move(lines));
+  }
+  ASSERT_GT(batches[1].size(), 1u);
+  const std::int64_t newest = days[1].events.back().date.minutes();
+  const auto in_newest_minute = static_cast<std::int64_t>(std::count_if(
+      days[1].events.begin(), days[1].events.end(),
+      [newest](const events::Event& e) { return e.date.minutes() == newest; }));
+
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
+  for (const util::JsonArray& lines : batches) {
+    const auto response = Call(dispatcher, IngestPayload(0, lines));
+    EXPECT_EQ(response.At("accepted").AsInt(),
+              static_cast<std::int64_t>(lines.size()));
+    EXPECT_EQ(response.At("rejected").AsInt(), 0);
+  }
+  const auto resent = Call(dispatcher, IngestPayload(0, batches[1]));
+  EXPECT_EQ(resent.At("accepted").AsInt(), in_newest_minute);
+  EXPECT_EQ(resent.At("rejected").AsInt(),
+            static_cast<std::int64_t>(batches[1].size()) - in_newest_minute);
+  // A second daemon on the same directory reads the floor from the log.
+  Dispatcher restarted(*fleet_, LogOptions(scratch.path()), nullptr);
+  const auto resent_again = Call(restarted, IngestPayload(0, batches[0]));
+  EXPECT_EQ(resent_again.At("accepted").AsInt(), 0);
+
+  std::size_t dropped = 0;
+  const std::vector<events::Event> logged = events::LoggerApp::ParseLog(
+      util::io::ReadFile(IngestLogPath(scratch.path(), 0)), &dropped);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_TRUE(std::is_sorted(
+      logged.begin(), logged.end(),
+      [](const events::Event& a, const events::Event& b) {
+        return a.date.minutes() < b.date.minutes();
+      }));
+  core::JarvisConfig config;
+  config.spl.use_ann_filter = false;
+  core::Jarvis jarvis(*home_, config);
+  EXPECT_GT(jarvis.LearnFromEvents(logged, *overnight_, util::SimTime(0), {}),
+            0u);
+}
+
+TEST_F(DispatcherTest, TheFloorComesFromTheLastWholeLineOfAnEarlierLog) {
+  // An earlier run's log ends in a torn line, after a whole line longer
+  // than one read block: the floor is that whole line's minute.
+  const testing_util::ScratchDir scratch("serve_dispatcher_floor");
+  events::Event wide;
+  wide.date = util::SimTime(50);
+  wide.data = std::string(10000, 'x');
+  const std::string torn = MinuteLine(90, "lamp");
+  util::io::AtomicWriteFile(IngestLogPath(scratch.path(), 0),
+                            MinuteLine(10, "lamp") + "\n" + wide.ToLogLine() +
+                                "\n" + torn.substr(0, torn.size() / 2));
+  Dispatcher dispatcher(*fleet_, LogOptions(scratch.path()), nullptr);
+  util::JsonArray lines;
+  lines.emplace_back(MinuteLine(49, "door"));
+  lines.emplace_back(MinuteLine(50, "door"));
+  const auto response = Call(dispatcher, IngestPayload(0, std::move(lines)));
+  EXPECT_EQ(response.At("accepted").AsInt(), 1);
+  EXPECT_EQ(response.At("rejected").AsInt(), 1);
 }
 
 TEST_F(DispatcherTest, MetricsAndHealthReportFleetShape) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "fsm/device_library.h"
 #include "spl/learner.h"
+#include "util/rng.h"
 
 namespace jarvis::util {
 namespace {
@@ -69,6 +71,68 @@ TEST(Json, ControlCharactersEscapedAsUnicode) {
   const std::string dumped = JsonValue(raw).Dump();
   EXPECT_NE(dumped.find("\\u0001"), std::string::npos);
   EXPECT_EQ(JsonValue::Parse(dumped).AsString(), raw);
+}
+
+// The escaper as it was written first, one byte at a time: the oracle for
+// JsonEscape's run-at-a-time form.
+std::string EscapeByteByByte(const std::string& raw) {
+  std::string out = "\"";
+  for (char c : raw) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+TEST(Json, EscapeMatchesTheByteByByteEscaper) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string raw(1, static_cast<char>(byte));
+    EXPECT_EQ(JsonEscape(raw), EscapeByteByByte(raw)) << "byte " << byte;
+    EXPECT_EQ(JsonValue(raw).Dump(), EscapeByteByByte(raw)) << "byte " << byte;
+  }
+  // Random strings mix runs of plain bytes with escapes at the start, the
+  // end and next to each other; half draw from a small set so that
+  // escapes come often.
+  Rng rng(20261020);
+  const std::string often = "a\"\\\n\x01\x1f ~\x7f\x80\xff";
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string raw(rng.NextIndex(40), '\0');
+    for (char& c : raw) {
+      c = trial % 2 == 0 ? static_cast<char>(rng.NextIndex(256))
+                         : often[rng.NextIndex(often.size())];
+    }
+    ASSERT_EQ(JsonEscape(raw), EscapeByteByByte(raw)) << "trial " << trial;
+    ASSERT_EQ(JsonValue::Parse(JsonEscape(raw)).AsString(), raw);
+  }
 }
 
 TEST(Json, UnicodeEscapeDecodesToUtf8) {
@@ -147,13 +211,13 @@ TEST(Json, NestingIsCappedAtAFixedDepth) {
 
 TEST(Json, DeepestWrittenDocumentParses) {
   // A learned-policy document (`jarvis_cli learn --out`, a checkpoint's
-  // "spl" section) is the deepest the program writes:
-  // filter.network.layers[i].weights.data.
+  // "spl" section) is as deep as any the program writes:
+  // filter.network.layers[i].weights.
   const fsm::EnvironmentFsm home(fsm::ExampleHomeDevices());
   const spl::SafetyPolicyLearner learner(home, spl::SplConfig{});
   const std::string text = learner.ToJsonString();
   const JsonValue doc = JsonValue::Parse(text);
-  EXPECT_EQ(Depth(doc), 7);
+  EXPECT_EQ(Depth(doc), 6);
   EXPECT_LT(Depth(doc), kMaxJsonDepth);
   EXPECT_EQ(doc.Dump(), text);
 }
