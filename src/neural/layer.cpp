@@ -8,7 +8,8 @@ namespace jarvis::neural {
 
 namespace {
 
-// The forward kernels trust `weights_finite` instead of rescanning.
+// The forward and input-gradient kernels trust `weights_finite` instead
+// of rescanning.
 void DcheckWeightsFiniteFlag(const Tensor& weights, bool weights_finite) {
   JARVIS_DCHECK(weights_finite == AllFinite(weights),
                 "DenseLayer: weights_finite flag is stale (a weight write "
@@ -78,7 +79,8 @@ void DenseLayer::AccumulateGradients(const Tensor& grad_output) {
 
 const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
   AccumulateGradients(grad_output);
-  grad_pre_.MatMulTransposedInto(weights_, grad_input_);
+  DcheckWeightsFiniteFlag(weights_, weights_finite_);
+  grad_pre_.MatMulTransposedInto(weights_, grad_input_, weights_finite_);
   return grad_input_;
 }
 

@@ -58,9 +58,10 @@ class DenseLayer {
   const Tensor& cached_output() const { return cached_output_; }
 
   // Weight writes go through SetParameters or through mutable_weights
-  // followed by RefreshWeightsFinite: the forward kernels skip zero inputs
-  // only while the weights are all finite, so the flag must never be stale
-  // (Forward and InferInto JARVIS_DCHECK it against a fresh scan).
+  // followed by RefreshWeightsFinite: the forward and input-gradient
+  // kernels skip zero operands only while the weights are all finite, so
+  // the flag must never be stale (Forward, InferInto and Backward
+  // JARVIS_DCHECK it against a fresh scan).
   void SetParameters(const Tensor& weights, const Tensor& biases);
   Tensor& mutable_weights() { return weights_; }
   void RefreshWeightsFinite() { weights_finite_ = AllFinite(weights_); }

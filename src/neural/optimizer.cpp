@@ -75,6 +75,33 @@ void ApplyMomentumStep(Tensor& param, const Tensor& grad, Tensor& velocity,
   }
 }
 
+// The constants of one Adam step.
+struct AdamScalars {
+  double beta1;
+  double beta2;
+  double bias_correction1;
+  double bias_correction2;
+  double learning_rate;
+  double epsilon;
+};
+
+// The textbook per-element Adam update over n parameters. The pointers do
+// not alias and the constants are a by-value copy, so the loop vectorizes;
+// each element keeps the textbook expression order, and with
+// -fno-math-errno std::sqrt is the correctly rounded sqrtpd (DESIGN.md
+// §12).
+void AdamUpdate(double* __restrict p, double* __restrict m,
+                double* __restrict v, const double* __restrict g,
+                std::size_t n, const AdamScalars s) {
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = s.beta1 * m[i] + (1.0 - s.beta1) * g[i];
+    v[i] = s.beta2 * v[i] + (1.0 - s.beta2) * g[i] * g[i];
+    const double m_hat = m[i] / s.bias_correction1;
+    const double v_hat = v[i] / s.bias_correction2;
+    p[i] -= s.learning_rate * m_hat / (std::sqrt(v_hat) + s.epsilon);
+  }
+}
+
 }  // namespace
 
 Sgd::Sgd(double learning_rate, double momentum)
@@ -195,18 +222,17 @@ void Adam::Step(std::vector<DenseLayer>& layers) {
   const double bias_correction2 =
       1.0 - std::pow(beta2_, static_cast<double>(step_count_));
 
-  auto apply = [&](Tensor& param, const Tensor& grad, Tensor& m, Tensor& v) {
-    auto& m_data = m.mutable_data();
-    auto& v_data = v.mutable_data();
-    auto& p_data = param.mutable_data();
-    const auto& g_data = grad.data();
-    for (std::size_t i = 0; i < p_data.size(); ++i) {
-      m_data[i] = beta1_ * m_data[i] + (1.0 - beta1_) * g_data[i];
-      v_data[i] = beta2_ * v_data[i] + (1.0 - beta2_) * g_data[i] * g_data[i];
-      const double m_hat = m_data[i] / bias_correction1;
-      const double v_hat = v_data[i] / bias_correction2;
-      p_data[i] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+  const AdamScalars scalars{.beta1 = beta1_,
+                            .beta2 = beta2_,
+                            .bias_correction1 = bias_correction1,
+                            .bias_correction2 = bias_correction2,
+                            .learning_rate = learning_rate_,
+                            .epsilon = epsilon_};
+  auto apply = [&scalars](Tensor& param, const Tensor& grad, Tensor& m,
+                          Tensor& v) {
+    AdamUpdate(param.mutable_data().data(), m.mutable_data().data(),
+               v.mutable_data().data(), grad.data().data(), param.size(),
+               scalars);
   };
 
   for (std::size_t i = 0; i < layers.size(); ++i) {

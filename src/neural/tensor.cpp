@@ -2,10 +2,119 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 
 namespace jarvis::neural {
+
+namespace {
+
+// Two doubles in one vector register (SSE2 on baseline x86-64). Lane-wise
+// `*` and `+` round exactly as the scalar operations do, so a Pair
+// accumulator is two independent ascending chains, not a reassociation.
+using Pair = double __attribute__((vector_size(16)));
+
+Pair LoadPair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void StorePair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+// Left operands gathered per pass; a wider operand is walked in chunks of
+// this many, each chunk continuing the ascending order of the last.
+constexpr std::size_t kChunk = 256;
+
+// The left operands one pass multiplies, in ascending k: their values and
+// the offsets of their right-operand rows.
+struct Gathered {
+  double value[kChunk];
+  std::size_t offset[kChunk];
+  std::size_t count = 0;
+};
+
+// Gathers lhs[k * stride] for k in [0, n) (n <= kChunk), dropping the
+// exact zeros unless `keep_zeros`. Branch-free: every element is written,
+// and the count moves past it only when it is kept, so ReLU and one-hot
+// zeros cost no mispredicted branch. NaN != 0.0, so a NaN is always kept.
+void Gather(const double* lhs, std::size_t stride, std::size_t n,
+            std::size_t offset_step, bool keep_zeros, Gathered& g) {
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double x = lhs[k * stride];
+    g.value[count] = x;
+    g.offset[count] = k * offset_step;
+    count += static_cast<std::size_t>(keep_zeros | (x != 0.0));
+  }
+  g.count = count;
+}
+
+// out[0, 8) += g.value[t] * rhs[g.offset[t] + 0..8) over t in ascending
+// order, with the eight accumulators held in registers across t.
+void AccumulateBlock8(const Gathered& g, const double* rhs, double* out) {
+  Pair a0 = LoadPair(out), a1 = LoadPair(out + 2);
+  Pair a2 = LoadPair(out + 4), a3 = LoadPair(out + 6);
+  for (std::size_t t = 0; t < g.count; ++t) {
+    const Pair x = {g.value[t], g.value[t]};
+    const double* row = rhs + g.offset[t];
+    a0 += x * LoadPair(row);
+    a1 += x * LoadPair(row + 2);
+    a2 += x * LoadPair(row + 4);
+    a3 += x * LoadPair(row + 6);
+  }
+  StorePair(out, a0);
+  StorePair(out + 2, a1);
+  StorePair(out + 4, a2);
+  StorePair(out + 6, a3);
+}
+
+// out[0, cols) += the gathered products: blocks of 8 columns, then pairs,
+// then one scalar column.
+void AccumulateRow(const Gathered& g, const double* rhs, std::size_t cols,
+                   double* out) {
+  std::size_t j = 0;
+  for (; j + 8 <= cols; j += 8) AccumulateBlock8(g, rhs + j, out + j);
+  for (; j + 2 <= cols; j += 2) {
+    Pair acc = LoadPair(out + j);
+    for (std::size_t t = 0; t < g.count; ++t) {
+      const Pair x = {g.value[t], g.value[t]};
+      acc += x * LoadPair(rhs + g.offset[t] + j);
+    }
+    StorePair(out + j, acc);
+  }
+  if (j < cols) {
+    double acc = out[j];
+    for (std::size_t t = 0; t < g.count; ++t) {
+      acc += g.value[t] * rhs[g.offset[t] + j];
+    }
+    out[j] = acc;
+  }
+}
+
+// out[c] += g.value[t] * rhs[c * ld + g.offset[t]] for c in [0, 8): eight
+// dot-product chains over the gathered k, each ascending, held in
+// registers across t.
+void DotBlock8(const Gathered& g, const double* rhs, std::size_t ld,
+               double* out) {
+  Pair a0 = LoadPair(out), a1 = LoadPair(out + 2);
+  Pair a2 = LoadPair(out + 4), a3 = LoadPair(out + 6);
+  for (std::size_t t = 0; t < g.count; ++t) {
+    const Pair x = {g.value[t], g.value[t]};
+    const double* c = rhs + g.offset[t];
+    a0 += x * Pair{c[0], c[ld]};
+    a1 += x * Pair{c[2 * ld], c[3 * ld]};
+    a2 += x * Pair{c[4 * ld], c[5 * ld]};
+    a3 += x * Pair{c[6 * ld], c[7 * ld]};
+  }
+  StorePair(out, a0);
+  StorePair(out + 2, a1);
+  StorePair(out + 4, a2);
+  StorePair(out + 6, a3);
+}
+
+}  // namespace
 
 Tensor::Tensor(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -65,69 +174,48 @@ void Tensor::MatMulInto(const Tensor& other, Tensor& out,
                 "Tensor::MatMulInto: out aliases an operand");
   out.Resize(rows_, other.cols_);
   out.Fill(0.0);
-  // i-k-j order: the inner loop streams both the rhs row and the out row
-  // contiguously, and each out element still receives its k-products in
-  // ascending-k order (the bit-identity invariant). A zero lhs is skipped
-  // only under a finite rhs (the exact skip, tensor.h); a NaN lhs never
-  // compares equal to 0.0, so it is never skipped.
-  // __restrict matches the alias DCHECK above and lets the lane-wise
-  // vectorizer run without runtime alias versioning.
+  // Per row: gather the non-zero lhs (all of them under a non-finite rhs),
+  // then run every out column over that list in register blocks.
+  Gathered g;
   for (std::size_t i = 0; i < rows_; ++i) {
-    const double* __restrict lhs_row = &data_[i * cols_];
-    double* __restrict out_row = &out.data_[i * other.cols_];
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double lhs = lhs_row[k];
-      if (other_finite && lhs == 0.0) continue;
-      const double* __restrict rhs_row = &other.data_[k * other.cols_];
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out_row[j] += lhs * rhs_row[j];
-      }
+    double* out_row = &out.data_[i * other.cols_];
+    for (std::size_t k0 = 0; k0 < cols_; k0 += kChunk) {
+      Gather(&data_[i * cols_ + k0], 1, std::min(kChunk, cols_ - k0),
+             other.cols_, !other_finite, g);
+      AccumulateRow(g, &other.data_[k0 * other.cols_], other.cols_, out_row);
     }
   }
 }
 
-void Tensor::MatMulTransposedInto(const Tensor& other, Tensor& out) const {
+void Tensor::MatMulTransposedInto(const Tensor& other, Tensor& out,
+                                  bool other_finite) const {
   JARVIS_CHECK_EQ(cols_, other.cols_, "Tensor::MatMulTransposedInto: inner ",
                   "dims ", ShapeString(), " vs ", other.ShapeString());
   JARVIS_DCHECK(&out != this && &out != &other,
                 "Tensor::MatMulTransposedInto: out aliases an operand");
   out.Resize(rows_, other.rows_);
-  // i-j-k order: both operands stream row-contiguously and element (i, j)
-  // accumulates this(i, k) * other(j, k) in ascending-k order — the same
-  // per-element order as multiplying by the materialized transpose. The
-  // j-loop is blocked four wide: each of the four accumulators is still its
-  // own ascending-k chain from +0.0 (bit-identical), but the four
-  // independent chains break the add-latency dependence that made the
-  // plain reduction serial.
+  out.Fill(0.0);
+  // Per row: gather the non-zero lhs, then take the dot product of that
+  // list with eight rhs rows at a time.
+  Gathered g;
   for (std::size_t i = 0; i < rows_; ++i) {
-    const double* __restrict lhs_row = &data_[i * cols_];
-    double* __restrict out_row = &out.data_[i * other.rows_];
-    std::size_t j = 0;
-    for (; j + 4 <= other.rows_; j += 4) {
-      const double* __restrict rhs0 = &other.data_[j * other.cols_];
-      const double* __restrict rhs1 = &other.data_[(j + 1) * other.cols_];
-      const double* __restrict rhs2 = &other.data_[(j + 2) * other.cols_];
-      const double* __restrict rhs3 = &other.data_[(j + 3) * other.cols_];
-      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const double lhs = lhs_row[k];
-        acc0 += lhs * rhs0[k];
-        acc1 += lhs * rhs1[k];
-        acc2 += lhs * rhs2[k];
-        acc3 += lhs * rhs3[k];
+    double* out_row = &out.data_[i * other.rows_];
+    for (std::size_t k0 = 0; k0 < cols_; k0 += kChunk) {
+      Gather(&data_[i * cols_ + k0], 1, std::min(kChunk, cols_ - k0), 1,
+             !other_finite, g);
+      std::size_t j = 0;
+      for (; j + 8 <= other.rows_; j += 8) {
+        DotBlock8(g, &other.data_[j * other.cols_ + k0], other.cols_,
+                  out_row + j);
       }
-      out_row[j] = acc0;
-      out_row[j + 1] = acc1;
-      out_row[j + 2] = acc2;
-      out_row[j + 3] = acc3;
-    }
-    for (; j < other.rows_; ++j) {
-      const double* __restrict rhs_row = &other.data_[j * other.cols_];
-      double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) {
-        acc += lhs_row[k] * rhs_row[k];
+      for (; j < other.rows_; ++j) {
+        const double* rhs_row = &other.data_[j * other.cols_ + k0];
+        double acc = out_row[j];
+        for (std::size_t t = 0; t < g.count; ++t) {
+          acc += g.value[t] * rhs_row[g.offset[t]];
+        }
+        out_row[j] = acc;
       }
-      out_row[j] = acc;
     }
   }
 }
@@ -143,22 +231,18 @@ void Tensor::TransposedMatMulAccumulate(const Tensor& other,
                other.ShapeString());
   JARVIS_DCHECK(&out != this && &out != &other,
                 "Tensor::TransposedMatMulAccumulate: out aliases an operand");
-  // b-i-j order: element (i, j) accumulates this(b, i) * other(b, j) in
-  // ascending-b order on top of out — with out zeroed this is bit-identical
-  // to materializing the transpose, multiplying, and adding. The zero skip
-  // follows MatMulInto's rule; other is the per-batch upstream gradient, so
-  // its finiteness is checked here rather than carried by the caller.
-  const bool skip_zeros = AllFinite(other);
-  for (std::size_t b = 0; b < rows_; ++b) {
-    const double* __restrict lhs_row = &data_[b * cols_];
-    const double* __restrict rhs_row = &other.data_[b * other.cols_];
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double lhs = lhs_row[i];
-      if (skip_zeros && lhs == 0.0) continue;
-      double* __restrict out_row = &out.data_[i * other.cols_];
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        out_row[j] += lhs * rhs_row[j];
-      }
+  // Per out row i: gather column i of this over the batch, then run every
+  // out column over that list in register blocks, on top of out's value.
+  // other is the per-batch upstream gradient, so its finiteness is scanned
+  // here rather than carried by the caller.
+  const bool keep_zeros = !AllFinite(other);
+  Gathered g;
+  for (std::size_t i = 0; i < cols_; ++i) {
+    double* out_row = &out.data_[i * other.cols_];
+    for (std::size_t b0 = 0; b0 < rows_; b0 += kChunk) {
+      Gather(&data_[b0 * cols_ + i], cols_, std::min(kChunk, rows_ - b0),
+             other.cols_, keep_zeros, g);
+      AccumulateRow(g, &other.data_[b0 * other.cols_], other.cols_, out_row);
     }
   }
 }

@@ -7,13 +7,13 @@
 // tensors so steady-state forward/backward passes allocate nothing. Every
 // kernel preserves one numerical invariant: each output element accumulates
 // its k-products in ascending-k order starting from +0.0, independently of
-// every other output element. That per-row accumulation order is what makes
-// batched inference bit-identical to per-row inference (Network::
-// PredictBatch) and the refactored kernels bit-identical to the naive
-// reference loops (tests/neural_kernels_test.cpp).
+// every other output element. That per-element order is what makes batched
+// inference bit-identical to per-row inference (Network::PredictBatch) and
+// the kernels bit-identical to the naive reference loops
+// (tests/neural_kernels_test.cpp).
 //
-// Zero skip, exact by construction (DESIGN.md §12): MatMulInto and
-// TransposedMatMulAccumulate skip a left operand that is == 0.0 only when
+// Zero skip, exact by construction (DESIGN.md §12): the three matrix
+// kernels multiply only the left operands that are != 0.0, and only when
 // the right operand is entirely finite. Then every skipped product is ±0,
 // and adding ±0 to an accumulator that started at +0.0 leaves it unchanged,
 // so results stay bit-identical to the dense loop. A non-finite right
@@ -75,21 +75,23 @@ class Tensor {
   void Resize(std::size_t rows, std::size_t cols);
 
   // out = this * other, written into a caller-owned tensor (resized, no
-  // allocation once out has seen the shape). Contiguous inner loop over
-  // out's columns; per output element the k-products accumulate in
-  // ascending-k order from +0.0 — the bit-identity invariant.
-  // `other_finite` must say whether every element of other is finite
-  // (AllFinite(other)); when it is true, zero elements of this are skipped.
-  // The caller passes it so a forward over fixed weights need not rescan
-  // them (DenseLayer keeps the answer). `out` must not alias this or other.
+  // allocation once out has seen the shape). Per output element the
+  // k-products accumulate in ascending-k order from +0.0 — the
+  // bit-identity invariant. `other_finite` must say whether every element
+  // of other is finite (AllFinite(other)); when it is true, zero elements
+  // of this are skipped. The caller passes it so a forward over fixed
+  // weights need not rescan them (DenseLayer keeps the answer). `out` must
+  // not alias this or other.
   void MatMulInto(const Tensor& other, Tensor& out, bool other_finite) const;
 
-  // out = this * other^T without materializing the transpose: both operands
-  // stream row-contiguously. Element (i, j) accumulates
-  // this(i, k) * other(j, k) in ascending-k order — the order a textbook
-  // multiply by the materialized transpose uses, so backprop's dInput is
-  // bit-identical to it. `out` must not alias this or other.
-  void MatMulTransposedInto(const Tensor& other, Tensor& out) const;
+  // out = this * other^T without materializing the transpose. Element
+  // (i, j) accumulates this(i, k) * other(j, k) in ascending-k order from
+  // +0.0 — the order a textbook multiply by the materialized transpose
+  // uses, so backprop's dInput is bit-identical to it. `other_finite` and
+  // the zero skip are as for MatMulInto. `out` must not alias this or
+  // other.
+  void MatMulTransposedInto(const Tensor& other, Tensor& out,
+                            bool other_finite) const;
 
   // out += this^T * other without materializing the transpose (the weight-
   // gradient kernel: this is the cached batch-major input, other the

@@ -22,9 +22,10 @@ bool Poisoned(const Experience& exp) {
 
 }  // namespace
 
+// The ring grows to `capacity` as experiences arrive instead of reserving
+// it: an agent that trains one day holds ~150 experiences, not 20,000.
 ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
   JARVIS_CHECK_GT(capacity, std::size_t{0}, "ReplayBuffer: capacity 0");
-  buffer_.reserve(capacity);
 }
 
 void ReplayBuffer::Add(Experience experience) {

@@ -1,4 +1,5 @@
 #include "rl/trainer.h"
+
 #include <limits>
 
 namespace jarvis::rl {
@@ -29,6 +30,8 @@ TrainResult Train(IoTEnv& env, DqnAgent& agent, TrainerConfig config,
   TrainResult result;
   const auto& codec = env.fsm().codec();
   double best_greedy = -std::numeric_limits<double>::infinity();
+  // True while env holds the greedy evaluation of the best snapshot.
+  bool env_holds_best = false;
 
   // Trainer-level counters are bumped per episode (from local tallies),
   // never inside the step loop; the agent's own hot-loop instruments are
@@ -56,10 +59,13 @@ TrainResult Train(IoTEnv& env, DqnAgent& agent, TrainerConfig config,
     bool aborted = false;
     std::size_t episode_steps = 0;
     env.Reset();
+    env_holds_best = false;
+    // Each state's features and mask are built once: a step's next state
+    // is the following step's current one.
+    std::vector<double> features = env.Features();
+    std::vector<bool> mask = env.SafeSlotMask();
     while (!env.done()) {
       ++episode_steps;
-      const auto features = env.Features();
-      const auto mask = env.SafeSlotMask();
       const auto action = demonstrate
                               ? env.DemonstrationAction()
                               : agent.SelectAction(features, mask, false);
@@ -73,6 +79,9 @@ TrainResult Train(IoTEnv& env, DqnAgent& agent, TrainerConfig config,
       if (!step.done) {
         experience.next_features = env.Features();
         experience.next_mask = env.SafeSlotMask();
+        // Same widths: the assignments reuse the buffers.
+        features = experience.next_features;
+        mask = experience.next_mask;
       } else {
         experience.next_features.assign(features.size(), 0.0);
         experience.next_mask.assign(codec.mini_action_count(), false);
@@ -117,12 +126,17 @@ TrainResult Train(IoTEnv& env, DqnAgent& agent, TrainerConfig config,
     if (greedy > best_greedy) {
       best_greedy = greedy;
       agent.SaveSnapshot();
+      env_holds_best = true;
     }
   }
   result.final_epsilon = agent.epsilon();
   if (agent.has_snapshot()) agent.RestoreSnapshot();
 
-  result.greedy_reward = RunGreedyEpisode(env, agent);
+  // A greedy episode draws no RNG and Reset is deterministic, so when the
+  // last thing run on env is the evaluation that chose the restored
+  // snapshot, env already holds the episode a replay would produce.
+  result.greedy_reward =
+      env_holds_best ? best_greedy : RunGreedyEpisode(env, agent);
   result.greedy_violations = env.violations();
   result.greedy_metrics = env.Metrics();
   result.greedy_episode = env.episode();

@@ -1,10 +1,11 @@
 // Bit-parity pins for the optimized kernels: the restructured-loop,
 // scratch-reusing production path (Tensor::MatMulInto and friends, the
-// DenseLayer/Network scratch forward/backward, the in-place Sgd step) must
-// produce bit-for-bit the doubles the naive reference implementations
-// produce — forward, TrainBatch, and TrainBatchMasked alike. No #ifdef
-// selects between the paths: both are always compiled, and every
-// comparison below is exact (memcmp on the raw doubles, not a tolerance).
+// DenseLayer/Network scratch forward/backward, the in-place Sgd and Adam
+// steps) must produce bit-for-bit the doubles the naive reference
+// implementations produce — forward, TrainBatch, and TrainBatchMasked
+// alike. No #ifdef selects between the paths: both are always compiled,
+// and every comparison below is exact (memcmp on the raw doubles, not a
+// tolerance).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 namespace jarvis::neural {
 namespace {
 
+using testing::ReferenceAdam;
 using testing::ReferenceMatMul;
 using testing::ReferenceModel;
 using testing::ReferenceTranspose;
@@ -69,7 +71,7 @@ TEST(KernelParity, TransposedKernelsMatchTransposeThenMultiply) {
 
   // out = grad_pre * weights^T (MatMulTransposedInto).
   Tensor grad_input;
-  grad_pre.MatMulTransposedInto(weights, grad_input);
+  grad_pre.MatMulTransposedInto(weights, grad_input, AllFinite(weights));
   ExpectBitEqual(grad_input,
                  ReferenceMatMul(grad_pre, ReferenceTranspose(weights)),
                  "MatMulTransposedInto");
@@ -312,6 +314,90 @@ TEST(KernelParity, TransposedMatMulAccumulateSkipsZerosBitIdentically) {
   }
 }
 
+TEST(KernelParity, MatMulTransposedIntoSkipsZerosBitIdentically) {
+  util::Rng rng(74);
+  for (const auto& shape : kPipelineShapes) {
+    // grad_pre (batch x out) against weights (in x out): the masked MSE
+    // and ReLU derivatives leave most of grad_pre exactly zero.
+    const Tensor grad_pre = SparseTensor(shape[0], shape[2], rng);
+    const Tensor weights = RandomTensor(shape[1], shape[2], rng);
+    const Tensor expected =
+        ReferenceMatMul(grad_pre, ReferenceTranspose(weights));
+    for (bool finite : {true, false}) {
+      Tensor grad_input;
+      grad_pre.MatMulTransposedInto(weights, grad_input, finite);
+      ExpectBitEqual(grad_input, expected,
+                     "MatMulTransposedInto " + std::to_string(shape[0]) +
+                         "x" + std::to_string(shape[2]) + "x" +
+                         std::to_string(shape[1]) +
+                         (finite ? " skip" : " dense"));
+    }
+  }
+}
+
+// Shapes at the edges of the kernels' blocking: one output column (the
+// ANN head), widths that are not a multiple of the 8-column block (49, 9,
+// 3), batch 1, all-zero rows (SparseTensor's every fourth row), and an
+// inner dimension of 600, wider than the kernels' 256-element gather
+// chunk.
+TEST(KernelParity, BlockTailsAndChunkedInnerDimensionsMatchReference) {
+  util::Rng rng(83);
+  const std::size_t shapes[][3] = {{64, 32, 1}, {32, 64, 49}, {1, 44, 64},
+                                   {1, 64, 49}, {4, 600, 9},  {3, 600, 1},
+                                   {600, 5, 3}, {5, 7, 2}};
+  for (const auto& shape : shapes) {
+    const std::string name = std::to_string(shape[0]) + "x" +
+                             std::to_string(shape[1]) + "x" +
+                             std::to_string(shape[2]);
+    const Tensor a = SparseTensor(shape[0], shape[1], rng);
+    const Tensor b = RandomTensor(shape[1], shape[2], rng);
+    Tensor out;
+    a.MatMulInto(b, out, true);
+    ExpectBitEqual(out, ReferenceMatMul(a, b), "MatMulInto " + name);
+
+    const Tensor w = RandomTensor(shape[2], shape[1], rng);
+    a.MatMulTransposedInto(w, out, true);
+    ExpectBitEqual(out, ReferenceMatMul(a, ReferenceTranspose(w)),
+                   "MatMulTransposedInto " + name);
+
+    // a as the batch-major input (batch = shape[0]), g the upstream
+    // gradient.
+    const Tensor g = SparseTensor(shape[0], shape[2], rng);
+    Tensor grad_weights(shape[1], shape[2], 0.0);
+    a.TransposedMatMulAccumulate(g, grad_weights);
+    ExpectBitEqual(grad_weights, ReferenceMatMul(ReferenceTranspose(a), g),
+                   "TransposedMatMulAccumulate " + name);
+  }
+}
+
+// The DQN exactly: 44 -> 64 -> 64 -> 49 with ReLU hidden layers, Adam at
+// the paper's lr 0.001, masked MSE over replay-shaped batches of 32 with
+// one-hot-style sparse features. Pins the vectorized Adam step and all
+// three kernels against the textbook per-element reference.
+TEST(KernelParity, DqnAdamMaskedTrajectoryBitIdentical) {
+  const ReferenceAdam adam;
+  Network network(44,
+                  {{64, Activation::kRelu},
+                   {64, Activation::kRelu},
+                   {49, Activation::kIdentity}},
+                  Loss::kMeanSquaredError,
+                  std::make_unique<Adam>(adam.learning_rate), util::Rng(63));
+  util::Rng rng(64);
+  RandomizeBiases(network, rng);
+  ReferenceModel reference = ReferenceModel::FromAdamNetwork(network, adam);
+  for (int step = 0; step < 12; ++step) {
+    const Tensor input = SparseTensor(32, 44, rng);
+    const Tensor target = RandomTensor(32, 49, rng);
+    const Tensor mask = RandomMask(32, 49, rng);
+    const double loss = network.TrainBatchMasked(input, target, mask);
+    const double ref_loss = reference.TrainBatchMasked(input, target, mask);
+    EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(double)), 0)
+        << "Adam loss diverged at step " << step;
+    ExpectParametersBitEqual(network, reference,
+                             "Adam step " + std::to_string(step));
+  }
+}
+
 // Algorithm 1's filter: one-hot inputs through a ReLU hidden layer and a
 // sigmoid output, trained with BCE by plain SGD — the trajectory the zero
 // skip shortens most.
@@ -426,6 +512,26 @@ TEST(KernelParity, WeightGradientWithInfUpstreamGradientMatchesDense) {
   ExpectSameNonFinitePattern(
       grad_weights, ReferenceMatMul(ReferenceTranspose(inputs), grad_pre),
       "inf grad_pre");
+}
+
+// The input-gradient skip: a zero in grad_pre times a NaN or inf weight
+// must still give NaN, because a non-finite weight turns the skip off.
+TEST(KernelParity, InputGradientPropagatesNonFiniteWeightThroughZero) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    util::Rng rng(85);
+    const Tensor grad_pre = SparseTensor(8, 10, rng);  // batch x out
+    Tensor weights = RandomTensor(12, 10, rng);  // in x out
+    // Column 0 of grad_pre is zero in every row (a dead unit).
+    weights.At(4, 0) = bad;
+    ASSERT_EQ(grad_pre.At(0, 0), 0.0);
+    Tensor grad_input;
+    grad_pre.MatMulTransposedInto(weights, grad_input, AllFinite(weights));
+    ExpectSameNonFinitePattern(
+        grad_input, ReferenceMatMul(grad_pre, ReferenceTranspose(weights)),
+        std::isnan(bad) ? "NaN weight" : "inf weight");
+    EXPECT_TRUE(std::isnan(grad_input.At(0, 4)));
+  }
 }
 
 }  // namespace

@@ -5,17 +5,19 @@
 // Everything here is a plain At() loop nest over fresh tensors. It calls
 // none of the production kernels — no Tensor::MatMul*Into,
 // TransposedMatMulAccumulate, AddRowBroadcastInPlace, SumRowsAccumulate or
-// HadamardInPlace, no ApplyInPlace or DerivativeFromOutputInto — so a bug
-// in one of them cannot show up on both sides of a comparison. The one
-// property that pins bit-identity is shared on purpose: every output
-// element receives its k-products in ascending-k order starting from +0.0.
-// The production kernels restructure the loops for contiguous streaming
-// but keep that per-element order, so reference and production results
-// must match bit for bit.
+// HadamardInPlace, no ApplyInPlace or DerivativeFromOutputInto, no Sgd or
+// Adam step — so a bug in one of them cannot show up on both sides of a
+// comparison. The one property that pins bit-identity is shared on
+// purpose: every output element receives its k-products in ascending-k
+// order starting from +0.0, and every optimizer update keeps the textbook
+// expression order. The production kernels restructure the loops (zero
+// skip, register blocking, vectorization) but keep those orders, so
+// reference and production results must match bit for bit.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -137,17 +139,52 @@ struct ReferenceLayer {
   }
 };
 
-// SGD reference model (optional momentum). Seed it from a production
-// Network built with neural::Sgd and the same loss, then drive both with
-// the same batches: predictions and parameter trajectories must stay
+// Textbook Adam (Kingma & Ba, Algorithm 1) for one parameter tensor, one
+// element at a time: m and v are the moment estimates, `step` the 1-based
+// step count.
+struct ReferenceAdam {
+  double learning_rate = 0.001;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double epsilon = 1e-8;
+
+  void Update(Tensor& param, const Tensor& grad, Tensor& m, Tensor& v,
+              long step) const {
+    const double bias_correction1 =
+        1.0 - std::pow(beta1, static_cast<double>(step));
+    const double bias_correction2 =
+        1.0 - std::pow(beta2, static_cast<double>(step));
+    for (std::size_t r = 0; r < param.rows(); ++r) {
+      for (std::size_t c = 0; c < param.cols(); ++c) {
+        const double g = grad.At(r, c);
+        m.At(r, c) = beta1 * m.At(r, c) + (1.0 - beta1) * g;
+        v.At(r, c) = beta2 * v.At(r, c) + (1.0 - beta2) * g * g;
+        const double m_hat = m.At(r, c) / bias_correction1;
+        const double v_hat = v.At(r, c) / bias_correction2;
+        param.At(r, c) -=
+            learning_rate * m_hat / (std::sqrt(v_hat) + epsilon);
+      }
+    }
+  }
+};
+
+// Reference model trained by SGD (optional momentum) or, when `adam` is
+// set, by ReferenceAdam. Seed it from a production Network built with the
+// matching neural::Sgd or neural::Adam and the same loss, then drive both
+// with the same batches: predictions and parameter trajectories must stay
 // bit-identical.
 struct ReferenceModel {
   std::vector<ReferenceLayer> layers;
   Loss loss = Loss::kMeanSquaredError;
   double learning_rate = 0.0;
   double momentum = 0.0;
+  // SGD velocities, or Adam's first moments.
   std::vector<Tensor> weight_velocity;
   std::vector<Tensor> bias_velocity;
+  std::optional<ReferenceAdam> adam;
+  long adam_step = 0;
+  std::vector<Tensor> weight_second_moment;
+  std::vector<Tensor> bias_second_moment;
 
   static ReferenceModel FromNetwork(const Network& network,
                                     double learning_rate,
@@ -166,6 +203,15 @@ struct ReferenceModel {
                                          layer.weights().cols());
       model.bias_velocity.emplace_back(1, layer.biases().cols());
     }
+    model.weight_second_moment = model.weight_velocity;
+    model.bias_second_moment = model.bias_velocity;
+    return model;
+  }
+
+  static ReferenceModel FromAdamNetwork(const Network& network,
+                                        ReferenceAdam adam) {
+    ReferenceModel model = FromNetwork(network, adam.learning_rate);
+    model.adam = adam;
     return model;
   }
 
@@ -208,9 +254,17 @@ struct ReferenceModel {
     for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
       grad = it->Backward(grad);
     }
+    if (adam) ++adam_step;
     for (std::size_t i = 0; i < layers.size(); ++i) {
-      Update(layers[i].weights, layers[i].grad_weights, weight_velocity[i]);
-      Update(layers[i].biases, layers[i].grad_biases, bias_velocity[i]);
+      if (adam) {
+        adam->Update(layers[i].weights, layers[i].grad_weights,
+                     weight_velocity[i], weight_second_moment[i], adam_step);
+        adam->Update(layers[i].biases, layers[i].grad_biases,
+                     bias_velocity[i], bias_second_moment[i], adam_step);
+      } else {
+        Update(layers[i].weights, layers[i].grad_weights, weight_velocity[i]);
+        Update(layers[i].biases, layers[i].grad_biases, bias_velocity[i]);
+      }
     }
   }
 

@@ -62,6 +62,13 @@ Enforced invariants (see DESIGN.md "Correctness tooling"):
      a .h or .cpp with that stem exists. `<...>` placeholders and glob or
      brace patterns are skipped, and so are fenced code blocks. A doc
      that names a deleted file describes code that is gone.
+ 14. No value-changing floating-point flag in any CMakeLists.txt or
+     CMakePresets.json: -ffast-math, -Ofast,
+     -funsafe-math-optimizations, -fassociative-math and
+     -ffp-contract=fast are banned (CMake comments are skipped). The
+     neural kernels are pinned bit for bit against reference loops and a
+     seeded checkpoint digest (DESIGN.md §12); each of these flags lets
+     the compiler reassociate or fuse the sums those pins depend on.
 
 Run with --self-test to exercise the rule engine against embedded
 fixtures (wired into CI's static-analysis job).
@@ -198,6 +205,12 @@ FENCED_BLOCK_RE = re.compile(r"^```.*?^```", re.M | re.S)
 DOC_PATH_RE = re.compile(
     r"`((?:src|tests|tools|bench|examples)/[^`\s]*)[^`]*`")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
+# Rule 14: the build files it reads and the flags it bans.
+BUILD_FILE_NAMES = ("CMakeLists.txt", "CMakePresets.json")
+UNSAFE_FP_FLAG_RE = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-funsafe-math-optimizations|"
+    r"-fassociative-math|-ffp-contract=fast)(?![\w-])")
+CMAKE_COMMENT_RE = re.compile(r"#.*$")
 
 
 def strip_comments(text: str) -> str:
@@ -361,6 +374,34 @@ def check_doc_paths(rel, text, exists, errors):
             errors.append(
                 f"{rel}:{lineno}: `{path}` names no file or directory "
                 "(lint rule 13)")
+
+
+def check_fp_flags(rel, text, errors):
+    """Rule 14: no value-changing floating-point flag in a build file."""
+    is_cmake = rel.replace(os.sep, "/").endswith("CMakeLists.txt")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if is_cmake:
+            line = CMAKE_COMMENT_RE.sub("", line)
+        for match in UNSAFE_FP_FLAG_RE.finditer(line):
+            errors.append(
+                f"{rel}:{lineno}: {match.group(1)} lets the compiler "
+                "reassociate or fuse floating-point sums; the neural "
+                "kernels' bit-exact pins forbid it (lint rule 14, DESIGN.md "
+                "§12)")
+
+
+def iter_build_files(root):
+    """The build files rule 14 reads: every one outside dot and build
+    directories."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not d.startswith((".", "build"))]
+        for name in filenames:
+            if name in BUILD_FILE_NAMES:
+                found.append(os.path.relpath(os.path.join(dirpath, name),
+                                             root))
+    return sorted(found)
 
 
 def git_tracked_files(root):
@@ -650,10 +691,44 @@ DOC_SELF_TEST_CASES = [
 ]
 
 
+# Rule 14 fixtures: (name, virtual path, file text, substrings that must
+# each appear in exactly one finding).
+FP_FLAG_SELF_TEST_CASES = [
+    ("rule14 flags -ffast-math in a CMakeLists.txt", "src/x/CMakeLists.txt",
+     "target_compile_options(x PRIVATE -O2 -ffast-math)\n",
+     ["-ffast-math lets"]),
+    ("rule14 flags -Ofast in a preset", "CMakePresets.json",
+     '{"cacheVariables": {"CMAKE_CXX_FLAGS": "-Ofast -g"}}\n',
+     ["-Ofast lets"]),
+    ("rule14 flags each unsafe flag on a line", "CMakeLists.txt",
+     'set(CMAKE_CXX_FLAGS "-funsafe-math-optimizations -fassociative-math '
+     '-ffp-contract=fast")\n',
+     ["-funsafe-math-optimizations lets", "-fassociative-math lets",
+      "-ffp-contract=fast lets"]),
+    ("rule14 allows the exact flags and skips comments",
+     "src/neural/CMakeLists.txt",
+     "# never -ffast-math here\n"
+     "target_compile_options(n PRIVATE -ffp-contract=off -fno-math-errno "
+     "-fno-fast-math)\n",
+     []),
+]
+
+
 def fixture_exists(existing):
     """An exists() over a set of files: a file or a parent directory."""
     return lambda path: path in existing or any(
         f.startswith(path + "/") for f in existing)
+
+
+def expect_findings(name, errors, expected, failures):
+    """Each expected substring in exactly one finding, and no others."""
+    for marker in expected:
+        if len([e for e in errors if marker in e]) != 1:
+            failures.append(f"{name}: expected exactly one finding "
+                            f"containing {marker!r}, got {errors!r}")
+    if len(errors) != len(expected):
+        failures.append(f"{name}: expected {len(expected)} finding(s), "
+                        f"got {errors!r}")
 
 
 def run_self_test():
@@ -661,39 +736,19 @@ def run_self_test():
     for name, text, existing, expected in DOC_SELF_TEST_CASES:
         errors = []
         check_doc_paths("README.md", text, fixture_exists(existing), errors)
-        for marker in expected:
-            if len([e for e in errors if marker in e]) != 1:
-                failures.append(f"{name}: expected exactly one finding "
-                                f"containing {marker!r}, got {errors!r}")
-        if len(errors) != len(expected):
-            failures.append(f"{name}: expected {len(expected)} finding(s), "
-                            f"got {errors!r}")
+        expect_findings(name, errors, expected, failures)
     for name, rel, text, tracked, expected in INCLUDE_SELF_TEST_CASES:
         errors = []
         check_includes_tracked(rel, text, tracked, errors)
-        for marker in expected:
-            if len([e for e in errors if marker in e]) != 1:
-                failures.append(f"{name}: expected exactly one finding "
-                                f"containing {marker!r}, got {errors!r}")
-        if len(errors) != len(expected):
-            failures.append(f"{name}: expected {len(expected)} finding(s), "
-                            f"got {errors!r}")
+        expect_findings(name, errors, expected, failures)
+    for name, rel, text, expected in FP_FLAG_SELF_TEST_CASES:
+        errors = []
+        check_fp_flags(rel, text, errors)
+        expect_findings(name, errors, expected, failures)
     for name, rel, text, expected in SELF_TEST_CASES:
         errors = []
         check_file_text(None, rel, errors, text=text)
-        if expected:
-            for marker in expected:
-                hits = [e for e in errors if marker in e]
-                if len(hits) != 1:
-                    failures.append(
-                        f"{name}: expected exactly one finding containing "
-                        f"{marker!r}, got {len(hits)} in {errors!r}")
-            if len(errors) != len(expected):
-                failures.append(
-                    f"{name}: expected {len(expected)} finding(s), got "
-                    f"{errors!r}")
-        elif errors:
-            failures.append(f"{name}: expected clean, got {errors!r}")
+        expect_findings(name, errors, expected, failures)
     if failures:
         print(f"lint.py --self-test: {len(failures)} failure(s):\n",
               file=sys.stderr)
@@ -701,7 +756,7 @@ def run_self_test():
             print("  " + failure, file=sys.stderr)
         return 1
     total = (len(SELF_TEST_CASES) + len(INCLUDE_SELF_TEST_CASES)
-             + len(DOC_SELF_TEST_CASES))
+             + len(DOC_SELF_TEST_CASES) + len(FP_FLAG_SELF_TEST_CASES))
     print(f"lint.py --self-test: {total} fixture cases pass")
     return 0
 
@@ -746,6 +801,10 @@ def main():
         for rel in files:
             with open(os.path.join(root, rel), encoding="utf-8") as f:
                 check_includes_tracked(rel, f.read(), tracked, errors)
+
+    for rel in iter_build_files(root):
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            check_fp_flags(rel, f.read(), errors)
 
     for doc in DOC_FILES:
         with open(os.path.join(root, doc), encoding="utf-8") as f:
